@@ -512,7 +512,7 @@ let json_cases =
       ] );
     (* Predictive detection on the shared heat capture at a small and a
        large window.  Wall time is replay + analysis; the candidate and
-       window counters are deterministic (and shard-invariant), so
+       window counters are deterministic, so
        tools/bench_gate pins them exactly. *)
     ( "predict:heat48",
       [ ("w2", predict_run ~window:2); ("w8", predict_run ~window:8) ] );
@@ -558,8 +558,8 @@ let tracked_diags =
     "feed_us_p99";
     "predict_candidates";
     "predict_windows";
+    "predict_edf_slots";
     "predict_pair_scans";
-    "predict_probe_skips";
     "predicted";
   ]
 

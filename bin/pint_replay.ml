@@ -260,7 +260,7 @@ let predict_cmd =
         exit 2
     in
     let observed = o.Replay.races in
-    let r = Predict.predict ~shards ~window ~observed dag in
+    let r = Predict.predict ~window ~observed dag in
     if oracle then begin
       let reference =
         try Predict.oracle ~window ~observed dag
@@ -343,7 +343,7 @@ let predict_cmd =
           value & opt int 4 & info [ "window" ] ~docv:"W" ~doc:"Reordering window: no strand moves more than W positions.")
       $ Arg.(value & opt string "pint" & info [ "d"; "detector" ] ~doc:"none|stint|cracer|pint.")
       $ shards_arg
-          ~doc:"Address-range shards for both the replayed detector (pint only) and candidate generation."
+          ~doc:"Address-range shards for the replayed detector (pint only); prediction is unaffected."
           ()
       $ Arg.(value & flag & info [ "oracle" ] ~doc:"Certify against the brute-force reordering oracle (small traces/windows; exit 2 on divergence).")
       $ Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc:"Write a JSON report.")

@@ -222,75 +222,36 @@ let kind_residue ~kills aa bb =
       | [] -> Some None
       | w :: _ -> Some (Some w))
 
-(* --------------------------------------- candidate generation (treaps) *)
+(* ------------------------------------------------- candidate generation *)
 
 type stats = {
   mutable candidates : int;
   mutable pair_scans : int;
-  mutable probe_skips : int;
   mutable windows : int;
   mutable infeasible : int;
   mutable suppressed_reuse : int;
   mutable suppressed_observed : int;
-  mutable treap_visits : int;
 }
 
-let granule = 64
-
-let shard_of ~shards addr = addr / granule mod shards
-
-(* Split an interval at granule boundaries and hand each piece to its
-   shard.  At one shard the interval passes through whole. *)
-let iter_shard_pieces ~shards (iv : Interval.t) f =
-  if shards = 1 then f 0 iv
-  else begin
-    let lo = ref iv.Interval.lo in
-    while !lo <= iv.Interval.hi do
-      let hi = min iv.Interval.hi ((!lo / granule * granule) + granule - 1) in
-      f (shard_of ~shards !lo) (Interval.make !lo hi);
-      lo := hi + 1
-    done
-  end
-
-type lane = { lane_writer : int Itreap.t; lane_reader : int Itreap.t }
+let fresh_stats () =
+  {
+    candidates = 0;
+    pair_scans = 0;
+    windows = 0;
+    infeasible = 0;
+    suppressed_reuse = 0;
+    suppressed_observed = 0;
+  }
 
 (* Candidate pairs (upos, vpos), upos < vpos, vpos - upos <= 2w+1, whose
    interval sets conflict and whose strands are logically parallel — the
-   exact necessary condition for w-predictability short of feasibility.
-   The per-shard recency treaps (owner = last touching position, never
-   wiped) are a skip filter: if every address v touches was last touched
-   before v's window floor, no in-window pair can conflict with v and the
-   window scan is skipped.  The resulting pair list is independent of
-   [shards]: the union of lanes stores the same address -> last-toucher
-   map under any striping. *)
-let scan_candidates ~shards (dag : dag) ~window st =
-  let n = Array.length dag.nodes in
+   exact necessary condition for w-predictability short of feasibility —
+   in (vpos, upos) order. *)
+let scan_candidates (dag : dag) ~window st =
   let span = (2 * window) + 1 in
-  let lanes =
-    Array.init shards (fun k ->
-        {
-          lane_writer = Itreap.create ~seed:(0x51ab + k) ~owner_eq:Int.equal ();
-          lane_reader = Itreap.create ~seed:(0xeade + k) ~owner_eq:Int.equal ();
-        })
-  in
   let cands = ref [] in
-  for vpos = 0 to n - 1 do
-    let v = dag.nodes.(vpos) in
-    let floor = vpos - span in
-    let recent = ref false in
-    let probe role_of_lane iv =
-      iter_shard_pieces ~shards iv (fun k piece ->
-          if not !recent then
-            Itreap.query (role_of_lane lanes.(k)) piece ~f:(fun _seg owner ->
-                if owner >= floor then recent := true))
-    in
-    Array.iter
-      (fun iv ->
-        probe (fun l -> l.lane_writer) iv;
-        probe (fun l -> l.lane_reader) iv)
-      v.writes;
-    Array.iter (fun iv -> probe (fun l -> l.lane_writer) iv) v.reads;
-    if !recent then
+  Array.iteri
+    (fun vpos v ->
       for upos = max 0 (vpos - span) to vpos - 1 do
         st.pair_scans <- st.pair_scans + 1;
         let u = dag.nodes.(upos) in
@@ -299,154 +260,226 @@ let scan_candidates ~shards (dag : dag) ~window st =
          || has_overlap u.reads v.writes)
           && Sp_order.parallel dag.sp u.sp v.sp
         then cands := (upos, vpos) :: !cands
-      done
-    else if Array.length v.reads + Array.length v.writes > 0 then
-      st.probe_skips <- st.probe_skips + 1;
-    Array.iter
-      (fun iv ->
-        iter_shard_pieces ~shards iv (fun k piece ->
-            Itreap.insert_replace lanes.(k).lane_writer piece vpos))
-      v.writes;
-    Array.iter
-      (fun iv ->
-        iter_shard_pieces ~shards iv (fun k piece ->
-            Itreap.insert_replace lanes.(k).lane_reader piece vpos))
-      v.reads
-  done;
-  Array.iter
-    (fun l ->
-      st.treap_visits <- st.treap_visits + Itreap.visits l.lane_writer + Itreap.visits l.lane_reader)
-    lanes;
+      done)
+    dag.nodes;
   List.rev !cands
+
+let candidates ~window dag = scan_candidates dag ~window (fresh_stats ())
 
 (* --------------------------------------- adjacency feasibility (exact) *)
 
 (* Displacement windows folded through the DAG give per-position release
-   slots and deadlines; pinning the candidate pair to two adjacent slots
-   and scheduling the rest by earliest deadline first decides feasibility
-   exactly (EDF is exact for unit jobs with release times and deadlines,
-   and precedence-safe here because folded windows strictly increase along
-   every edge, so a successor can never underbid its predecessor). *)
-type sched = {
-  s_n : int;
-  base_r : int array;  (* propagated releases; base_r.(i) <= i *)
-  base_d : int array;  (* propagated deadlines; base_d.(i) >= i *)
-  s_preds : int list array;
-  s_succs : int list array;
-  r : int array;  (* per-check scratch *)
-  d : int array;
-  order : int array;
-  heap : int array;
-  mutable heap_n : int;
-}
+   slots and deadlines; pinning a pair to two adjacent slots and scheduling
+   the rest by earliest deadline first decides feasibility exactly (EDF is
+   exact for unit jobs with release times and deadlines, and
+   precedence-safe here because folded windows strictly increase along
+   every edge, so a successor can never underbid its predecessor).
 
-let make_sched (dag : dag) ~window =
-  let n = Array.length dag.nodes in
-  let base_r = Array.init n (fun i -> max 0 (i - window)) in
-  let base_d = Array.init n (fun i -> min (n - 1) (i + window)) in
-  let s_preds = Array.map (fun nd -> nd.preds) dag.nodes in
-  let s_succs = Array.map (fun nd -> nd.succs) dag.nodes in
-  for i = 0 to n - 1 do
-    List.iter (fun j -> if base_r.(j) + 1 > base_r.(i) then base_r.(i) <- base_r.(j) + 1) s_preds.(i)
-  done;
-  for i = n - 1 downto 0 do
-    List.iter (fun j -> if base_d.(j) - 1 < base_d.(i) then base_d.(i) <- base_d.(j) - 1) s_succs.(i)
-  done;
-  {
-    s_n = n;
-    base_r;
-    base_d;
-    s_preds;
-    s_succs;
-    r = Array.make n 0;
-    d = Array.make n 0;
-    order = Array.init n (fun i -> i);
-    heap = Array.make n 0;
-    heap_n = 0;
+   Each pin stays local.  The fold is a worklist over the nodes whose
+   window actually tightens ("touched").  EDF over the base windows runs
+   once, recording its pending set at every slot boundary s; in a feasible
+   run that set lies within positions [s-w, s+w), one 2w-bit row.  A
+   pinned run agrees with the base run up to s0, the least base release
+   of a touched node, so it restarts from the row at s0.  Once past every
+   touched node's base deadline, both runs have released the same jobs and
+   no job still to run is touched; a pending set equal to the base row
+   then means the remainder replays the (feasible) base run exactly, so
+   the pin is feasible — the verdict full EDF would give. *)
+module Sched = struct
+  type t = {
+    n : int;
+    w : int;
+    base_r : int array;  (* folded releases; i - w <= base_r.(i) <= i *)
+    base_d : int array;  (* folded deadlines; i <= base_d.(i) <= i + w *)
+    preds : int list array;
+    succs : int list array;
+    pending : Bytes.t;  (* base EDF checkpoints: row s, bit k = position s-w+k *)
+    row : int;  (* bytes per row *)
+    r : int array;  (* per-pin windows: base except at touched nodes *)
+    d : int array;
+    touched : bool array;
+    mutable touched_list : int list;
+    heap : int array;  (* EDF keys d*n + i; at most w+1 jobs are ever released and unscheduled *)
+    mutable heap_n : int;
+    mutable edf_slots : int;
   }
 
-let heap_push t key =
-  let h = t.heap in
-  let i = ref t.heap_n in
-  t.heap_n <- t.heap_n + 1;
-  h.(!i) <- key;
-  while !i > 0 && h.((!i - 1) / 2) > h.(!i) do
-    let p = (!i - 1) / 2 in
-    let tmp = h.(p) in
-    h.(p) <- h.(!i);
-    h.(!i) <- tmp;
-    i := p
-  done
-
-let heap_pop t =
-  let h = t.heap in
-  let top = h.(0) in
-  t.heap_n <- t.heap_n - 1;
-  h.(0) <- h.(t.heap_n);
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let m = ref !i in
-    if l < t.heap_n && h.(l) < h.(!m) then m := l;
-    if r < t.heap_n && h.(r) < h.(!m) then m := r;
-    if !m = !i then continue := false
-    else begin
-      let tmp = h.(!m) in
-      h.(!m) <- h.(!i);
+  let heap_push t key =
+    let h = t.heap in
+    let i = ref t.heap_n in
+    t.heap_n <- t.heap_n + 1;
+    h.(!i) <- key;
+    while !i > 0 && h.((!i - 1) / 2) > h.(!i) do
+      let p = (!i - 1) / 2 in
+      let tmp = h.(p) in
+      h.(p) <- h.(!i);
       h.(!i) <- tmp;
-      i := !m
-    end
-  done;
-  top
-
-(* One pinned instance: [a] at slot [p], [b] at slot [p+1]. *)
-let feasible_pinned t ~a ~b ~p =
-  let n = t.s_n in
-  Array.blit t.base_r 0 t.r 0 n;
-  Array.blit t.base_d 0 t.d 0 n;
-  t.r.(a) <- p;
-  t.d.(a) <- p;
-  t.r.(b) <- p + 1;
-  t.d.(b) <- p + 1;
-  for i = 0 to n - 1 do
-    List.iter (fun j -> if t.r.(j) + 1 > t.r.(i) then t.r.(i) <- t.r.(j) + 1) t.s_preds.(i)
-  done;
-  for i = n - 1 downto 0 do
-    List.iter (fun j -> if t.d.(j) - 1 < t.d.(i) then t.d.(i) <- t.d.(j) - 1) t.s_succs.(i)
-  done;
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    if t.r.(i) > t.d.(i) then ok := false
-  done;
-  if !ok then begin
-    for i = 0 to n - 1 do
-      t.order.(i) <- i
-    done;
-    Array.sort (fun x y -> match compare t.r.(x) t.r.(y) with 0 -> compare x y | c -> c) t.order;
-    t.heap_n <- 0;
-    let ptr = ref 0 in
-    let slot = ref 0 in
-    while !ok && !slot < n do
-      while !ptr < n && t.r.(t.order.(!ptr)) <= !slot do
-        let i = t.order.(!ptr) in
-        heap_push t ((t.d.(i) * n) + i);
-        incr ptr
-      done;
-      if t.heap_n = 0 then ok := false
-      else begin
-        let key = heap_pop t in
-        if key / n < !slot then ok := false
-      end;
-      incr slot
+      i := p
     done
-  end;
-  !ok
+
+  let heap_pop t =
+    let h = t.heap in
+    let top = h.(0) in
+    t.heap_n <- t.heap_n - 1;
+    h.(0) <- h.(t.heap_n);
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let m = ref !i in
+      if l < t.heap_n && h.(l) < h.(!m) then m := l;
+      if r < t.heap_n && h.(r) < h.(!m) then m := r;
+      if !m = !i then continue := false
+      else begin
+        let tmp = h.(!m) in
+        h.(!m) <- h.(!i);
+        h.(!i) <- tmp;
+        i := !m
+      end
+    done;
+    top
+
+  let push_job t i = heap_push t ((t.d.(i) * t.n) + i)
+
+  (* One EDF slot: release the jobs whose release is [s] (windows keep them
+     within [s-w, s+w]) and run the most urgent; false on a missed slot or
+     deadline. *)
+  let step t s =
+    for i = max 0 (s - t.w) to min (t.n - 1) (s + t.w) do
+      if t.r.(i) = s then push_job t i
+    done;
+    t.heap_n > 0 && heap_pop t / t.n >= s
+
+  let bit t s k = Char.code (Bytes.get t.pending ((s * t.row) + (k lsr 3))) land (1 lsl (k land 7)) <> 0
+
+  (* Is the pending set at boundary [s] exactly the base checkpoint?  Only
+     asked where both runs released the same jobs, so equal sizes follow. *)
+  let matches t s =
+    let ok = ref true and j = ref 0 in
+    while !ok && !j < t.heap_n do
+      let k = (t.heap.(!j) mod t.n) - s + t.w in
+      ok := k >= 0 && k < 2 * t.w && bit t s k;
+      incr j
+    done;
+    !ok
+
+  let make ~window (dag : dag) =
+    let n = Array.length dag.nodes in
+    let base_r = Array.init n (fun i -> max 0 (i - window)) in
+    let base_d = Array.init n (fun i -> min (n - 1) (i + window)) in
+    let preds = Array.map (fun (nd : node) -> nd.preds) dag.nodes in
+    let succs = Array.map (fun (nd : node) -> nd.succs) dag.nodes in
+    for i = 0 to n - 1 do
+      List.iter (fun j -> if base_r.(j) + 1 > base_r.(i) then base_r.(i) <- base_r.(j) + 1) preds.(i)
+    done;
+    for i = n - 1 downto 0 do
+      List.iter (fun j -> if base_d.(j) - 1 < base_d.(i) then base_d.(i) <- base_d.(j) - 1) succs.(i)
+    done;
+    let row = ((2 * window) + 7) / 8 in
+    let t =
+      {
+        n;
+        w = window;
+        base_r;
+        base_d;
+        preds;
+        succs;
+        pending = Bytes.make ((n + 1) * row) '\000';
+        row;
+        r = Array.copy base_r;
+        d = Array.copy base_d;
+        touched = Array.make n false;
+        touched_list = [];
+        heap = Array.make (min n (window + 1)) 0;
+        heap_n = 0;
+        edf_slots = 0;
+      }
+    in
+    (* the identity order is permissible, so the base run never fails *)
+    for s = 0 to n - 1 do
+      for j = 0 to t.heap_n - 1 do
+        let k = (t.heap.(j) mod n) - s + window in
+        let at = (s * row) + (k lsr 3) in
+        Bytes.set t.pending at (Char.chr (Char.code (Bytes.get t.pending at) lor (1 lsl (k land 7))))
+      done;
+      if not (step t s) then failwith "Predict.Sched.make: base windows infeasible"
+    done;
+    t
+
+  let edf_slots t = t.edf_slots
+
+  (* Restart EDF at the checkpoint before the first touched release and run
+     until it fails or rejoins the base run. *)
+  let replay t =
+    let s0 = List.fold_left (fun m i -> min m t.base_r.(i)) max_int t.touched_list in
+    let last = List.fold_left (fun m i -> max m t.base_d.(i)) 0 t.touched_list in
+    t.heap_n <- 0;
+    for k = 0 to (2 * t.w) - 1 do
+      if bit t s0 k then push_job t (s0 - t.w + k)
+    done;
+    let rec go s =
+      (s > last && matches t s)
+      || begin
+           t.edf_slots <- t.edf_slots + 1;
+           step t s && go (s + 1)
+         end
+    in
+    go s0
+
+  let pin t ~a ~b ~p =
+    let ok = ref true and fwd = ref [] and bwd = ref [] in
+    let touch i =
+      if not t.touched.(i) then begin
+        t.touched.(i) <- true;
+        t.touched_list <- i :: t.touched_list
+      end
+    in
+    let raise_r i v =
+      if v > t.r.(i) then begin
+        touch i;
+        t.r.(i) <- v;
+        if v > t.d.(i) then ok := false;
+        fwd := i :: !fwd
+      end
+    in
+    let lower_d i v =
+      if v < t.d.(i) then begin
+        touch i;
+        t.d.(i) <- v;
+        if t.r.(i) > v then ok := false;
+        bwd := i :: !bwd
+      end
+    in
+    let rec drain q f =
+      if !ok then
+        match !q with
+        | [] -> ()
+        | i :: rest ->
+            q := rest;
+            f i;
+            drain q f
+    in
+    raise_r a p;
+    lower_d a p;
+    raise_r b (p + 1);
+    lower_d b (p + 1);
+    drain fwd (fun i -> List.iter (fun j -> raise_r j (t.r.(i) + 1)) t.succs.(i));
+    drain bwd (fun i -> List.iter (fun j -> lower_d j (t.d.(i) - 1)) t.preds.(i));
+    let feasible = !ok && (t.touched_list = [] || replay t) in
+    List.iter
+      (fun i ->
+        t.touched.(i) <- false;
+        t.r.(i) <- t.base_r.(i);
+        t.d.(i) <- t.base_d.(i))
+      t.touched_list;
+    t.touched_list <- [];
+    feasible
+end
 
 (* Can some permissible reordering run [a] and [b] back to back (either
    order)?  Pin slots are exhaustive over the folded windows, so this is
    exact, with early exit on the first feasible pin. *)
-let feasible_adjacent t st ~a ~b =
+let feasible_adjacent (t : Sched.t) st ~a ~b =
   let try_order a b =
     let lo = max t.base_r.(a) (t.base_r.(b) - 1) in
     let hi = min t.base_d.(a) (t.base_d.(b) - 1) in
@@ -454,7 +487,7 @@ let feasible_adjacent t st ~a ~b =
       p <= hi
       && begin
            st.windows <- st.windows + 1;
-           feasible_pinned t ~a ~b ~p || go (p + 1)
+           Sched.pin t ~a ~b ~p || go (p + 1)
          end
     in
     go lo
@@ -463,24 +496,12 @@ let feasible_adjacent t st ~a ~b =
 
 (* ------------------------------------------------------------ predictor *)
 
-let predict ?(shards = 1) ~window ~observed (dag : dag) =
+let predict ~window ~observed (dag : dag) =
   if window < 0 then invalid_arg "Predict.predict: negative window";
-  if shards < 1 then invalid_arg "Predict.predict: shards must be >= 1";
-  let st =
-    {
-      candidates = 0;
-      pair_scans = 0;
-      probe_skips = 0;
-      windows = 0;
-      infeasible = 0;
-      suppressed_reuse = 0;
-      suppressed_observed = 0;
-      treap_visits = 0;
-    }
-  in
-  let cands = scan_candidates ~shards dag ~window st in
+  let st = fresh_stats () in
+  let cands = scan_candidates dag ~window st in
   st.candidates <- List.length cands;
-  let sched = make_sched dag ~window in
+  let sched = Sched.make ~window dag in
   let obs = observed_table observed in
   let findings = ref [] in
   List.iter
@@ -522,12 +543,11 @@ let predict ?(shards = 1) ~window ~observed (dag : dag) =
       [
         ("predict_candidates", float_of_int st.candidates);
         ("predict_windows", float_of_int st.windows);
+        ("predict_edf_slots", float_of_int (Sched.edf_slots sched));
         ("predict_pair_scans", float_of_int st.pair_scans);
-        ("predict_probe_skips", float_of_int st.probe_skips);
         ("predict_infeasible", float_of_int st.infeasible);
         ("predict_suppressed_reuse", float_of_int st.suppressed_reuse);
         ("predict_suppressed_observed", float_of_int st.suppressed_observed);
-        ("predict_treap_visits", float_of_int st.treap_visits);
         ("predicted", float_of_int (List.length predicted));
       ];
   }

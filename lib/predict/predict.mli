@@ -108,30 +108,58 @@ type result = {
   predicted : finding list;  (** ordered by (prior, current, kind) *)
   diagnostics : (string * float) list;
       (** deterministic counters; [predict_candidates] (conflicting
-          parallel in-window pairs) and [predict_windows] (adjacency
-          feasibility checks) are shard-invariant and benchmark-gated *)
+          parallel in-window pairs) and [predict_windows] (adjacency pins
+          tried) are benchmark-gated, [predict_edf_slots] counts the EDF
+          slots re-run over all pins, [predict_pair_scans] the in-window
+          pairs tested *)
 }
 
-(** [predict ?shards ~window ~observed dag] — the production predictor.
+(** [predict ~window ~observed dag] — the production predictor.
 
-    Candidate pairs are generated with the sharded treap machinery: per
-    shard, a last-{e writer} and last-{e reader} recency treap over 64-word
-    granules (owner = position, never wiped — an over-approximation keeps
-    the filter sound); a strand whose probe finds only stale owners skips
-    its window scan entirely.  The candidate set is provably independent of
-    [shards].
+    Candidates come from a direct scan: each strand is tested against the
+    ≤ 2w+1 strands positioned before it for interval overlap (merge walk)
+    and SP parallelism.
 
     Adjacency feasibility is decided exactly: displacement windows
     [\[pos-w, pos+w\]] are folded through the DAG edges (release ≥ pred
     release + 1, deadline ≤ succ deadline - 1), the pair is pinned to two
     adjacent slots, and the pinned instance is scheduled by earliest
     deadline first — exact for unit jobs with release times and deadlines,
-    and precedence-safe because folded deadlines strictly increase along
-    edges.
+    and precedence-safe because folded windows strictly increase along
+    edges.  Each pin is local: the fold re-tightens only the nodes whose
+    window changes, and EDF restarts from a checkpoint of one base EDF run
+    (its pending set at slot boundary [s] lies within positions
+    [\[s-w, s+w)]) at the first release of a changed node, stopping as
+    soon as the run is past every changed deadline with the base run's
+    pending set — from there the two runs are identical and the base run
+    is feasible.  The whole analysis is linear in the trace length for a
+    fixed window.
 
     [observed] is the observed race set to subtract (any detector's — by
     Theorem 5 they agree). *)
-val predict : ?shards:int -> window:int -> observed:Report.race list -> dag -> result
+val predict : window:int -> observed:Report.race list -> dag -> result
+
+(** [candidates ~window dag] — the candidate pairs {!predict} checks for
+    feasibility, as [(upos, vpos)] positions in scan order: [upos < vpos
+    <= upos + 2w+1], conflicting interval sets, SP-parallel strands. *)
+val candidates : window:int -> dag -> (int * int) list
+
+(** The exact adjacency-feasibility core of {!predict}, over the DAG's
+    [preds]/[succs] alone (positions [0..n-1] must be a linear extension). *)
+module Sched : sig
+  type t
+
+  (** Fold the base windows and run (and checkpoint) EDF once. *)
+  val make : window:int -> dag -> t
+
+  (** [pin t ~a ~b ~p] — does some permissible reordering put [a] at slot
+      [p] and [b] at slot [p+1]? *)
+  val pin : t -> a:int -> b:int -> p:int -> bool
+
+  (** EDF slots re-run by all [pin]s so far (a pin rejected by the fold
+      alone, or changing no window, re-runs none). *)
+  val edf_slots : t -> int
+end
 
 (** Brute-force certification oracle: explores {e all} permissible
     reorderings with a subset dynamic program over the 2w+1 positions in

@@ -26,7 +26,8 @@ let read_frame fd frames =
         | n ->
             Serve_proto.Frames.feed frames ~len:n (Bytes.unsafe_to_string buf);
             go ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> None)
   in
   go ()
 
@@ -40,6 +41,12 @@ let send_all fd s =
   in
   go 0
 
+(* A daemon at capacity sends its reject frame and closes without reading
+   the hello, so the hello write can fail with EPIPE or ECONNRESET while
+   the reject is still there to read. *)
+let send_hello fd s =
+  try send_all fd s with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+
 let run ?(chunk = default_chunk) ?(shards = 0) ?(predict = 0) ~addr trace_bytes =
   let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -47,7 +54,7 @@ let run ?(chunk = default_chunk) ?(shards = 0) ?(predict = 0) ~addr trace_bytes 
     (fun () ->
       Unix.connect fd addr;
       let frames = Serve_proto.Frames.create () in
-      send_all fd
+      send_hello fd
         (Serve_proto.encode_client
            (Serve_proto.Hello { version = Serve_proto.protocol_version; shards; predict }));
       match read_frame fd frames with

@@ -39,7 +39,7 @@ type config = {
   max_window : int;
       (** largest prediction window a Hello may request; requests above it
           are rejected, 0 disables predict sessions entirely (cost control:
-          window-bounded prediction is super-linear in the window) *)
+          prediction work grows with the window) *)
 }
 
 val default_config : config

@@ -1,8 +1,9 @@
 (* Predictive detection: the window-bounded reordering analysis must agree
    finding-for-finding with the brute-force reordering oracle — on every
-   committed golden trace and on random small fork-join programs — be
-   monotone in the window, shard-invariant, and disjoint from the observed
-   race set.  The lucky trace (test/golden_gen/lucky.ml) is additionally
+   committed golden trace, on random fork-join programs and, for the
+   adjacency core alone, on random and hand-built DAGs — be monotone in
+   the window, disjoint from the observed race set, and re-run only O(w)
+   EDF slots per pin.  The lucky trace (test/golden_gen/lucky.ml) is additionally
    byte-pinned: its racy pair is invisible to every observed-order detector
    and only reachable through prediction, so a silent regeneration drift
    would quietly gut the corpus' predict coverage. *)
@@ -119,26 +120,211 @@ let check_golden_monotone path () =
          (w, cur))
        (0, at 0) [ 1; 2; 3; 4 ])
 
-let check_golden_shards path () =
+(* Nested-loop reference for the candidate scan: every pair at most 2w+1
+   positions apart whose interval sets intersect pairwise (no merge walk)
+   and whose strands are SP-parallel, in (vpos, upos) order. *)
+let brute_candidates ~window (dag : Predict.dag) =
+  let n = Array.length dag.Predict.nodes in
+  let meets aa bb = Array.exists (fun x -> Array.exists (Interval.overlaps x) bb) aa in
+  let acc = ref [] in
+  for v = 0 to n - 1 do
+    for u = 0 to v - 1 do
+      let a = dag.Predict.nodes.(u) and b = dag.Predict.nodes.(v) in
+      if
+        v - u <= (2 * window) + 1
+        && (meets a.Predict.writes b.Predict.writes || meets a.Predict.writes b.Predict.reads
+           || meets a.Predict.reads b.Predict.writes)
+        && Sp_order.parallel dag.Predict.sp a.Predict.sp b.Predict.sp
+      then acc := (u, v) :: !acc
+    done
+  done;
+  List.rev !acc
+
+let check_golden_candidates path () =
   let t = Tracefile.of_bytes (read_file path) in
-  let observed, dag = observe t in
-  let runs =
-    List.map (fun shards -> (shards, Predict.predict ~shards ~window:3 ~observed dag)) [ 1; 2; 4 ]
-  in
-  let _, ref_run = List.hd runs in
-  let diag r k = List.assoc k r.Predict.diagnostics in
+  let _, dag = observe t in
+  for w = 0 to 8 do
+    if Predict.candidates ~window:w dag <> brute_candidates ~window:w dag then
+      Alcotest.failf "%s w=%d: candidate scan disagrees with the nested-loop enumeration" path w
+  done
+
+let diag (r : Predict.result) k = int_of_float (List.assoc k r.Predict.diagnostics)
+
+(* (predict_candidates, predict_windows, predict_infeasible) at w = 0..8,
+   as recorded before prediction was made local: the checkpointed EDF must
+   try the same pins and reject the same pairs. *)
+let pinned_counters =
+  [
+    ( "heat_racy",
+      [ (4, 4, 0); (6, 9, 2); (6, 14, 0); (6, 11, 0); (6, 13, 0); (6, 16, 0); (6, 18, 0); (6, 20, 0);
+        (6, 22, 0) ] );
+    ( "lucky_racy",
+      [ (0, 0, 0); (0, 0, 0); (1, 2, 0); (1, 2, 0); (1, 2, 0); (1, 2, 0); (1, 2, 0); (1, 2, 0);
+        (1, 2, 0) ] );
+    ( "mmul_racy",
+      [ (0, 0, 0); (0, 0, 0); (0, 0, 0); (24, 48, 0); (24, 71, 0); (24, 93, 0); (24, 92, 0);
+        (24, 81, 0); (24, 72, 0) ] );
+    ( "sort_racy",
+      [ (5, 5, 0); (6, 12, 0); (6, 17, 0); (6, 18, 0); (6, 18, 0); (6, 21, 0); (6, 24, 0);
+        (6, 20, 0); (6, 23, 0) ] );
+  ]
+
+let check_golden_counters path () =
+  let name = Filename.chop_suffix (Filename.basename path) ".trace" in
+  match List.assoc_opt name pinned_counters with
+  | None -> Alcotest.failf "%s: no pinned predict counters for this trace" path
+  | Some want ->
+      let observed, dag = observe (Tracefile.of_bytes (read_file path)) in
+      List.iteri
+        (fun w (c, win, inf) ->
+          let r = Predict.predict ~window:w ~observed dag in
+          let got =
+            (diag r "predict_candidates", diag r "predict_windows", diag r "predict_infeasible")
+          in
+          if got <> (c, win, inf) then
+            let c', win', inf' = got in
+            Alcotest.failf "%s w=%d: candidates/windows/infeasible %d/%d/%d, pinned %d/%d/%d" path w
+              c' win' inf' c win inf)
+        want
+
+(* Scaling guard: each pin re-runs O(w) EDF slots, never the whole trace. *)
+let check_edf_slots label ~observed dag =
   List.iter
-    (fun (shards, r) ->
-      if not (Predict.equal_findings r.Predict.predicted ref_run.Predict.predicted) then
-        Alcotest.failf "%s: shards=%d changes the findings" path shards;
-      (* the gated diagnostics are shard-invariant by construction *)
-      List.iter
-        (fun k ->
-          if diag r k <> diag ref_run k then
-            Alcotest.failf "%s: shards=%d changes %s (%g vs %g)" path shards k (diag r k)
-              (diag ref_run k))
-        [ "predict_candidates"; "predict_windows" ])
-    runs
+    (fun w ->
+      let r = Predict.predict ~window:w ~observed dag in
+      let slots = diag r "predict_edf_slots" and pins = diag r "predict_windows" in
+      if slots > 4 * ((2 * w) + 1) * pins then
+        Alcotest.failf "%s w=%d: %d EDF slots for %d pins" label w slots pins)
+    [ 2; 4; 8 ]
+
+let check_golden_edf_slots path () =
+  let observed, dag = observe (Tracefile.of_bytes (read_file path)) in
+  check_edf_slots path ~observed dag
+
+(* A seeded simulator capture of racy sort: 19,582 strands. *)
+let test_sort_edf_slots () =
+  let inst = (Option.get (Registry.find "sort").Workload.racy) ~size:8192 ~base:16 in
+  let d = Nodetect.make () in
+  let driver, finished = Tracefile.capturing d.Detector.driver in
+  let config = { Sim_exec.default_config with n_workers = 4; seed = 5 } in
+  ignore (Sim_exec.run ~config ~driver inst.Workload.run);
+  let observed, dag = observe (finished ()) in
+  check_bool "about 20k strands" true (Array.length dag.Predict.nodes > 15_000);
+  check_edf_slots "sort 8192/16 seed 5" ~observed dag
+
+(* --------------------------------------------------- hand-built DAGs *)
+
+(* A DAG over positions 0..n-1 from forward edges.  Adjacency feasibility
+   reads only the links, so every node shares one strand and writes one
+   word: the oracle's findings are then exactly the unordered pairs that
+   some permissible reordering runs back to back. *)
+let hand_dag n edges =
+  let sp, root = Sp_order.create () in
+  let succs = Array.make n [] and preds = Array.make n [] in
+  List.iter
+    (fun (a, b) ->
+      succs.(a) <- b :: succs.(a);
+      preds.(b) <- a :: preds.(b))
+    edges;
+  {
+    Predict.sp;
+    nodes =
+      Array.init n (fun i ->
+          {
+            Predict.pos = i;
+            uid = i;
+            id = i;
+            sp = root;
+            reads = [||];
+            writes = [| Interval.make 0 0 |];
+            wipes = [];
+            preds = List.rev preds.(i);
+            succs = List.rev succs.(i);
+          });
+  }
+
+(* Every DAG-unordered pair is adjacent under [Sched] (some pin, either
+   order) iff the oracle reports it. *)
+let sched_agrees_with_oracle ~window (dag : Predict.dag) =
+  let n = Array.length dag.Predict.nodes in
+  let reach = Array.make_matrix n n false in
+  for i = n - 1 downto 0 do
+    reach.(i).(i) <- true;
+    List.iter
+      (fun j -> Array.iteri (fun k r -> if r then reach.(i).(k) <- true) reach.(j))
+      dag.Predict.nodes.(i).Predict.succs
+  done;
+  let s = Predict.Sched.make ~window dag in
+  let oracle =
+    List.map (fun f -> (f.Predict.prior, f.Predict.current)) (Predict.oracle ~window ~observed:[] dag)
+  in
+  let ok = ref true in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if not reach.(u).(v) then begin
+        let pinned = ref false in
+        for p = 0 to n - 2 do
+          if Predict.Sched.pin s ~a:u ~b:v ~p || Predict.Sched.pin s ~a:v ~b:u ~p then pinned := true
+        done;
+        if !pinned <> List.mem (u, v) oracle then ok := false
+      end
+    done
+  done;
+  !ok
+
+(* Runs one pin and returns its verdict and the EDF slots it re-ran. *)
+let pin_slots s ~a ~b ~p =
+  let before = Predict.Sched.edf_slots s in
+  let ok = Predict.Sched.pin s ~a ~b ~p in
+  (ok, Predict.Sched.edf_slots s - before)
+
+(* w = 1: strand 0 is free, 1 -> 2 -> ... -> 6 is a chain whose base
+   windows are [i-1, i].  Pinning 0 at slot 0 and 1 at slot 1 raises
+   every chain release by one, five edges past the pin (> 2w), so EDF
+   replays up to boundary 7, past the chain's last deadline. *)
+let test_hand_long_fold () =
+  let dag = hand_dag 7 [ (1, 2); (2, 3); (3, 4); (4, 5); (5, 6) ] in
+  check_bool "oracle agrees" true (sched_agrees_with_oracle ~window:1 dag);
+  let s = Predict.Sched.make ~window:1 dag in
+  check_bool "pin feasible, whole chain replayed" true (pin_slots s ~a:0 ~b:1 ~p:0 = (true, 7))
+
+(* w = 1, edge 0 -> 1: windows 0:[0,1] 1:[1,2] 2:[1,3] 3:[2,3].  The only
+   pin of the pair (0, 3) puts 0 at slot 1 and 3 at slot 2; the fold
+   leaves every window non-empty (1 moves to [2,2]), but nothing can run
+   at slot 0 and 1 and 3 both need slot 2, so only EDF rejects it. *)
+let test_hand_edf_only () =
+  let dag = hand_dag 4 [ (0, 1) ] in
+  check_bool "oracle agrees" true (sched_agrees_with_oracle ~window:1 dag);
+  let s = Predict.Sched.make ~window:1 dag in
+  check_bool "EDF rejects at slot 0" true (pin_slots s ~a:0 ~b:3 ~p:1 = (false, 1));
+  check_bool "reverse order has no pin" true (pin_slots s ~a:3 ~b:0 ~p:2 = (false, 0))
+
+(* w = 2, edge 4 -> 5: base EDF runs 0 1 2 4 3 5, pending {3,5} at
+   boundary 4.  Pinning 0 at slot 2 and 1 at slot 3 (touched deadlines
+   end at 3) runs 2 3 0 1 4 5: at boundary 4 it still holds {4,5}, so the
+   replay must run slot 4 too before rejoining at boundary 5. *)
+let test_hand_late_rejoin () =
+  let dag = hand_dag 6 [ (4, 5) ] in
+  check_bool "oracle agrees" true (sched_agrees_with_oracle ~window:2 dag);
+  let s = Predict.Sched.make ~window:2 dag in
+  check_bool "pin feasible after 5 slots" true (pin_slots s ~a:0 ~b:1 ~p:2 = (true, 5))
+
+let gen_dag =
+  let open QCheck.Gen in
+  int_range 2 9 >>= fun n ->
+  int_range 0 3 >>= fun window ->
+  list_repeat (n * (n - 1) / 2) (int_range 0 3) >>= fun coins ->
+  let pairs = List.concat (List.init n (fun a -> List.init (n - a - 1) (fun k -> (a, a + k + 1)))) in
+  return (n, window, List.filteri (fun i _ -> List.nth coins i = 0) pairs)
+
+let qcheck_sched =
+  QCheck.Test.make ~name:"random DAGs: Sched = oracle adjacency" ~count:300
+    (QCheck.make
+       ~print:(fun (n, w, es) ->
+         Printf.sprintf "n=%d w=%d edges=%s" n w
+           (String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "%d>%d" a b) es)))
+       gen_dag)
+    (fun (n, window, edges) -> sched_agrees_with_oracle ~window (hand_dag n edges))
 
 (* --------------------------------------------- random fork-join programs *)
 
@@ -182,17 +368,17 @@ let gen_leaf =
   int_range 1 (arena_words - off) >>= fun len ->
   bool >>= fun write -> return { off; len; write }
 
-let gen_prog =
+let gen_prog ~blocks:max_blocks ~children:max_children =
   let open QCheck.Gen in
-  int_range 1 2 >>= fun nblocks ->
+  int_range 1 max_blocks >>= fun nblocks ->
   list_repeat nblocks
-    (int_range 1 2 >>= fun n ->
+    (int_range 1 max_children >>= fun n ->
      list_repeat n (gen_leaf >>= fun l -> return (Acc l)))
   >>= fun blocks ->
   frequency
     [
       (2, return None);
-      (1, int_range 0 (nblocks - 1) >>= fun b -> int_range 0 1 >>= fun c -> return (Some (b, c)));
+      (1, int_range 0 (nblocks - 1) >>= fun b -> int_range 0 (max_children - 1) >>= fun c -> return (Some (b, c)));
     ]
   >>= fun free_slot ->
   return
@@ -221,7 +407,10 @@ let print_prog p =
          ^ "]")
        p.blocks)
 
-let arb_prog = QCheck.make ~print:print_prog gen_prog
+let arb_prog = QCheck.make ~print:print_prog (gen_prog ~blocks:2 ~children:2)
+
+(* Up to 6 blocks of 3 children: at most 43 strands. *)
+let arb_big_prog = QCheck.make ~print:print_prog (gen_prog ~blocks:6 ~children:3)
 
 let qcheck_oracle =
   QCheck.Test.make ~name:"random fj: predict = oracle" ~count:60 arb_prog (fun p ->
@@ -249,6 +438,16 @@ let qcheck_monotone =
       in
       sweep (at 0) [ 1; 2; 3; 4 ])
 
+let qcheck_oracle_big =
+  QCheck.Test.make ~name:"larger random fj: predict = oracle" ~count:40 arb_big_prog (fun p ->
+      let observed, dag = observe (capture p) in
+      List.for_all
+        (fun w ->
+          Predict.equal_findings
+            (Predict.predict ~window:w ~observed dag).Predict.predicted
+            (Predict.oracle ~window:w ~observed dag))
+        [ 0; 1; 2; 3; 4; 5 ])
+
 let () =
   let files = golden_files () in
   if files = [] then prerr_endline "test_predict: no golden traces found, nothing to check";
@@ -265,8 +464,20 @@ let () =
         List.map (fun p -> Alcotest.test_case p `Quick (check_golden_disjoint p)) files );
       ( "monotone",
         List.map (fun p -> Alcotest.test_case p `Quick (check_golden_monotone p)) files );
-      ( "shards",
-        List.map (fun p -> Alcotest.test_case p `Quick (check_golden_shards p)) files );
+      ( "candidates",
+        List.map (fun p -> Alcotest.test_case p `Quick (check_golden_candidates p)) files );
+      ( "counters",
+        List.map (fun p -> Alcotest.test_case p `Quick (check_golden_counters p)) files );
+      ( "edf slots",
+        Alcotest.test_case "racy sort capture" `Quick test_sort_edf_slots
+        :: List.map (fun p -> Alcotest.test_case p `Quick (check_golden_edf_slots p)) files );
+      ( "hand-built",
+        [
+          Alcotest.test_case "fold along a long chain" `Quick test_hand_long_fold;
+          Alcotest.test_case "infeasible only by EDF" `Quick test_hand_edf_only;
+          Alcotest.test_case "replay past touched deadlines" `Quick test_hand_late_rejoin;
+        ] );
       ( "random",
-        List.map (QCheck_alcotest.to_alcotest ~long:false) [ qcheck_oracle; qcheck_monotone ] );
+        List.map (QCheck_alcotest.to_alcotest ~long:false)
+          [ qcheck_oracle; qcheck_monotone; qcheck_oracle_big; qcheck_sched ] );
     ]

@@ -326,6 +326,10 @@ let test_daemon_bad_version () =
           | _ -> Alcotest.fail "version mismatch was not rejected"))
 
 let () =
+  (* the daemons run in-process: a write to a socket the peer already
+     closed (the rejected over-admission client) must surface as EPIPE,
+     as under pint_serve, not kill the test binary *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let files = golden_files () in
   if files = [] then prerr_endline "test_serve: no golden traces found, nothing to check";
   Alcotest.run "pint_serve"
