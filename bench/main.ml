@@ -163,7 +163,7 @@ let substrate_tests =
     done;
     let hits = ref 0 in
     for i = 0 to 999 do
-      Itreap.query t (Interval.make (i mod 4096) ((i mod 4096) + 31)) ~f:(fun _ _ -> incr hits)
+      Itreap.query t (Interval.make (i mod 4096) ((i mod 4096) + 31)) ~f:(fun _ _ _ -> incr hits)
     done
   in
   let om_insert () =

@@ -358,12 +358,7 @@ let process_writer t r ~shard (lr : lane_rec) =
   let v0 = Itreap.visits treap in
   let u = lr.u in
   let s = u.Srec.sp in
-  let check kind iv =
-    Itreap.query treap iv ~f:(fun seg prior ->
-        if Policies.race r.ctx.sp ~prior ~current:s then
-          Report.add t.report kind ~prior:(Sp_order.id prior) ~current:(Sp_order.id s)
-            (Interval.inter seg iv))
-  in
+  let check kind iv = Policies.check_treap t.report r.ctx.sp treap kind iv s in
   Array.iter (fun iv -> check Report.Write_read iv) lr.s_reads;
   Array.iter
     (fun iv ->
@@ -386,11 +381,7 @@ let process_reader t r ~right ~shard ~sidx (lr : lane_rec) =
   let u = lr.u in
   let s = u.Srec.sp in
   Array.iter
-    (fun iv ->
-      Itreap.query treap iv ~f:(fun seg prior ->
-          if Policies.race r.ctx.sp ~prior ~current:s then
-            Report.add t.report Report.Read_write ~prior:(Sp_order.id prior)
-              ~current:(Sp_order.id s) (Interval.inter seg iv)))
+    (fun iv -> Policies.check_treap t.report r.ctx.sp treap Report.Read_write iv s)
     lr.s_writes;
   Array.iter
     (fun iv ->

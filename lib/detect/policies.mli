@@ -6,6 +6,18 @@
     [current] iff they are logically parallel. *)
 val race : Sp_order.t -> prior:Sp_order.strand -> current:Sp_order.strand -> bool
 
+(** [check_treap report sp treap kind iv s] adds to [report], as [kind],
+    every interval stored in [treap] that overlaps [iv] and whose owner
+    races with [s]; the witness is the overlap, built only for a race. *)
+val check_treap :
+  Report.t ->
+  Sp_order.t ->
+  Sp_order.strand Itreap.t ->
+  Report.kind ->
+  Interval.t ->
+  Sp_order.strand ->
+  unit
+
 (** Reader-slot update policies.  All take the incumbent reader and the new
     reader [s]; [`Replace] means [s] takes the slot.
 

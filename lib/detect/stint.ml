@@ -19,12 +19,7 @@ let make ?(seed = 2022) ?(obs = Obs.disabled) () =
          Itreap.validate rreader);
     let strands = ref 0 in
     let intervals = ref 0 and work = ref 0 and raw_events = ref 0 in
-    let check treap kind (iv : Interval.t) (s : Sp_order.strand) =
-      Itreap.query treap iv ~f:(fun seg prior ->
-          if Policies.race sp ~prior ~current:s then
-            Report.add report kind ~prior:(Sp_order.id prior) ~current:(Sp_order.id s)
-              (Interval.inter seg iv))
-    in
+    let check treap kind iv s = Policies.check_treap report sp treap kind iv s in
     let clear_all iv =
       Itreap.clear_range writer iv;
       Itreap.clear_range lreader iv;

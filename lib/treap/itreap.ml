@@ -1,10 +1,16 @@
-
-(* Nodes carry the interval endpoints as immediate [int] fields rather than
-   a boxed [Interval.t]: a descent reads [lo]/[hi] straight out of the node
-   block and touches no heap beyond the spine itself. *)
-type 'o node =
-  | Leaf
-  | Node of { left : 'o node; right : 'o node; lo : int; hi : int; owner : 'o; prio : int }
+(* Single-owner arena.  Slot [n]'s fields live at [nodes.(n * stride + f)]
+   for the field offsets below, its owner at [owners.(n)]; [nil] is the
+   empty tree.  Free slots are linked through their [left] field from
+   [free].  Nodes are int indices, never heap blocks, so relinking is a
+   plain int store with no write barrier and no operation allocates once
+   the arena has grown to the working-set size (DESIGN.md §8). *)
+let stride = 5
+let f_left = 0
+let f_right = 1
+let f_lo = 2
+let f_hi = 3
+let f_prio = 4
+let nil = -1
 
 (* Reusable slow-path buffer: parallel arrays instead of an entry record or
    tuple list, so pushing a piece allocates nothing once the arrays have
@@ -21,7 +27,13 @@ type 'o scratch = {
 }
 
 type 'o t = {
-  mutable root : 'o node;
+  mutable nodes : int array;
+  mutable owners : 'o array;
+  mutable free : int;
+  mutable root : int;
+  (* the two halves the last [split]/[split_probe] produced *)
+  mutable split_l : int;
+  mutable split_r : int;
   mutable size : int;
   mutable visits : int;
   mutable covered : int;
@@ -38,7 +50,12 @@ let scratch () = { s_lo = [||]; s_hi = [||]; s_own = [||]; s_len = 0 }
 
 let create ~seed ~owner_eq () =
   {
-    root = Leaf;
+    nodes = [||];
+    owners = [||];
+    free = nil;
+    root = nil;
+    split_l = nil;
+    split_r = nil;
     size = 0;
     visits = 0;
     covered = 0;
@@ -57,8 +74,53 @@ let covered t = t.covered
 let fastpath_hits t = t.fastpath_hits
 let slowpath_hits t = t.slowpath_hits
 let scratch_reuse t = t.scratch_reuse
+let capacity t = Array.length t.owners
 
 let visit t = t.visits <- t.visits + 1
+
+(* ------------------------------------------------------------ the arena *)
+
+let[@inline] left t n = t.nodes.((n * stride) + f_left)
+let[@inline] right t n = t.nodes.((n * stride) + f_right)
+let[@inline] lo_of t n = t.nodes.((n * stride) + f_lo)
+let[@inline] hi_of t n = t.nodes.((n * stride) + f_hi)
+let[@inline] prio_of t n = t.nodes.((n * stride) + f_prio)
+let[@inline] set_left t n x = t.nodes.((n * stride) + f_left) <- x
+let[@inline] set_right t n x = t.nodes.((n * stride) + f_right) <- x
+
+let free_slot t n =
+  set_left t n t.free;
+  t.free <- n
+
+(* The only place the arena allocates: doubles the slot count and threads
+   the new slots onto the free list, lowest index first.  [own] seeds the
+   owner array, which needs an element to exist.  A freed slot keeps its
+   last owner reachable until reuse, so at most [capacity] stale owners are
+   retained. *)
+let grow t own =
+  let cap = capacity t in
+  let ncap = if cap = 0 then 16 else 2 * cap in
+  let nodes = Array.make (ncap * stride) nil and owners = Array.make ncap own in
+  Array.blit t.nodes 0 nodes 0 (cap * stride);
+  Array.blit t.owners 0 owners 0 cap;
+  t.nodes <- nodes;
+  t.owners <- owners;
+  for n = ncap - 1 downto cap do
+    free_slot t n
+  done
+
+let[@pint.hot] alloc t lo hi owner prio =
+  if t.free = nil then grow t owner;
+  let n = t.free in
+  let b = n * stride in
+  t.free <- t.nodes.(b + f_left);
+  t.nodes.(b + f_left) <- nil;
+  t.nodes.(b + f_right) <- nil;
+  t.nodes.(b + f_lo) <- lo;
+  t.nodes.(b + f_hi) <- hi;
+  t.nodes.(b + f_prio) <- prio;
+  t.owners.(n) <- owner;
+  n
 
 (* ------------------------------------------------------- scratch buffers *)
 
@@ -91,158 +153,153 @@ let s_push_coalesce t s lo hi own =
 
 (* ---------------------------------------------------------- tree plumbing *)
 
-(* [split t k n] partitions by low endpoint into (lo < k, lo >= k). *)
-let rec split t k n =
-  match n with
-  | Leaf -> (Leaf, Leaf)
-  | Node nd ->
-      visit t;
-      if nd.lo < k then begin
-        let a, b = split t k nd.right in
-        (Node { nd with right = a }, b)
-      end
-      else begin
-        let a, b = split t k nd.left in
-        (a, Node { nd with left = b })
-      end
-
-(* [join t a b] assumes every key in [a] is smaller than every key in [b]. *)
-let rec join t a b =
-  match (a, b) with
-  | Leaf, x | x, Leaf -> x
-  | Node na, Node nb ->
-      visit t;
-      if na.prio > nb.prio then Node { na with right = join t na.right b }
-      else Node { nb with left = join t a nb.left }
-
-let mk_node t lo hi owner = Node { left = Leaf; right = Leaf; lo; hi; owner; prio = Rng.next t.rng }
+(* Every descent below relinks on the way back up, after its recursive
+   call returns.  Where it calls [visit] and when it draws a priority are
+   part of its contract: the cost model charges per visit, and
+   test_treap's visit-parity test and test_golden's visit pins hold the
+   sequence fixed (DESIGN.md §8). *)
 
 exception Overlap
 
-(* [split_probe t qlo qhi k n] is [split t k n] fused with an intersection
-   probe against [qlo, qhi]: it raises [Overlap] (before allocating any path
-   copies) the moment a visited node intersects the probe range.  Reaching
-   the leaf proves the whole treap is clear of [qlo, qhi]: stored intervals
-   are disjoint, so at any non-intersecting node the subtree we skip lies
+(* [split_probe t qlo qhi k n] partitions [n] by low endpoint into
+   (lo < k) in [t.split_l] and (lo >= k) in [t.split_r], fused with an
+   intersection probe against [qlo, qhi]: it raises [Overlap] (before
+   relinking anything — relinks happen only as the recursion unwinds) the
+   moment a visited node intersects the probe range.  Reaching the leaf
+   proves the whole treap is clear of [qlo, qhi]: stored intervals are
+   disjoint, so at any non-intersecting node the subtree we skip lies
    entirely outside the probe range (went left => skipped keys all exceed
    [qhi]; went right => skipped intervals all end before the node, hence
-   before [qlo]).  The probe and the insert-position split are therefore the
-   same single descent. *)
+   before [qlo]).  The probe and the insert-position split are therefore
+   the same single descent. *)
 let[@pint.hot] rec split_probe t qlo qhi k n =
-  match n with
-  | Leaf -> (Leaf, Leaf)
-  | Node nd ->
-      visit t;
-      if nd.hi >= qlo && nd.lo <= qhi then raise_notrace Overlap;
-      if nd.lo < k then begin
-        let a, b = split_probe t qlo qhi k nd.right in
-        (Node { nd with right = a }, b)
-      end
-      else begin
-        let a, b = split_probe t qlo qhi k nd.left in
-        (a, Node { nd with left = b })
-      end
+  if n = nil then (t.split_l <- nil; t.split_r <- nil)
+  else begin
+    visit t;
+    let lo = lo_of t n in
+    if hi_of t n >= qlo && lo <= qhi then raise_notrace Overlap;
+    if lo < k then begin
+      split_probe t qlo qhi k (right t n);
+      set_right t n t.split_l;
+      t.split_l <- n
+    end
+    else begin
+      split_probe t qlo qhi k (left t n);
+      set_left t n t.split_r;
+      t.split_r <- n
+    end
+  end
 
-(* Three-way join: every key in [a] < [lo, hi] < every key in [b].  Descends
-   from the higher-priority side until the fresh node's priority dominates,
-   then roots it there with [a]/[b] remainders as children — the fresh node
-   sinks straight to its heap position instead of two spine-walking
+(* The plain split: a probe range no stored interval can meet. *)
+let[@pint.hot] split t k n = split_probe t max_int min_int k n
+
+(* [join t a b] assumes every key in [a] is smaller than every key in [b]. *)
+let[@pint.hot] rec join t a b =
+  if a = nil then b
+  else if b = nil then a
+  else begin
+    visit t;
+    if prio_of t a > prio_of t b then (set_right t a (join t (right t a) b); a)
+    else (set_left t b (join t a (left t b)); b)
+  end
+
+(* Three-way join: every key in [a] < fresh node [m] < every key in [b].
+   Descends from the higher-priority side until [m]'s priority dominates,
+   then roots [m] there with [a]/[b] remainders as children — the fresh
+   node sinks straight to its heap position instead of two spine-walking
    two-way joins. *)
-(* The descent is a toplevel function (not a closure over [prio]/[t]) so
-   the fast path allocates nothing beyond the path copies themselves —
-   pint_lint rule R1 checks this. *)
-let[@pint.hot] rec join_mid_desc t prio lo hi owner a b =
-  match (a, b) with
-  | Node na, _ when na.prio > prio && (match b with Node nb -> na.prio > nb.prio | Leaf -> true)
-    ->
-      visit t;
-      Node { na with right = join_mid_desc t prio lo hi owner na.right b }
-  | _, Node nb when nb.prio > prio ->
-      visit t;
-      Node { nb with left = join_mid_desc t prio lo hi owner a nb.left }
-  | _ ->
-      visit t;
-      Node { left = a; right = b; lo; hi; owner; prio }
+let[@pint.hot] rec join_mid_desc t m a b =
+  let prio = prio_of t m in
+  visit t;
+  if a <> nil && prio_of t a > prio && (b = nil || prio_of t a > prio_of t b) then
+    (set_right t a (join_mid_desc t m (right t a) b); a)
+  else if b <> nil && prio_of t b > prio then (set_left t b (join_mid_desc t m a (left t b)); b)
+  else (set_left t m a; set_right t m b; m)
 
-let[@pint.hot] join_mid t a b lo hi owner = join_mid_desc t (Rng.next t.rng) lo hi owner a b
+let[@pint.hot] join_mid t a b lo hi owner =
+  let prio = Rng.next t.rng in
+  join_mid_desc t (alloc t lo hi owner prio) a b
 
 (* Does any stored interval intersect [qlo, qhi]?  Stored intervals are
    disjoint, so low and high endpoints induce the same order and a single
    find-style descent decides. *)
-let rec intersects t qlo qhi n =
-  match n with
-  | Leaf -> false
-  | Node nd ->
-      visit t;
-      if nd.lo > qhi then intersects t qlo qhi nd.left
-      else if nd.hi < qlo then intersects t qlo qhi nd.right
-      else true
+let[@pint.hot] rec intersects t qlo qhi n =
+  n <> nil
+  && begin
+       visit t;
+       if lo_of t n > qhi then intersects t qlo qhi (left t n)
+       else if hi_of t n < qlo then intersects t qlo qhi (right t n)
+       else true
+     end
 
-(* Smallest low endpoint among nodes whose interval reaches [lo0] or beyond.
-   Stored intervals are disjoint, so both endpoints increase with the key and
-   a single descent suffices. *)
-let rec first_overlap_lo t lo0 n =
-  match n with
-  | Leaf -> None
-  | Node nd ->
-      visit t;
-      if nd.hi >= lo0 then begin
-        match first_overlap_lo t lo0 nd.left with
-        | Some _ as found -> found
-        | None -> Some nd.lo
-      end
-      else first_overlap_lo t lo0 nd.right
+(* The node with the smallest low endpoint among those whose interval
+   reaches [lo0] or beyond, or [nil].  Stored intervals are disjoint, so
+   both endpoints increase with the key and a single descent suffices. *)
+let[@pint.hot] rec first_overlap t lo0 n =
+  if n = nil then nil
+  else begin
+    visit t;
+    if hi_of t n >= lo0 then begin
+      let found = first_overlap t lo0 (left t n) in
+      if found = nil then n else found
+    end
+    else first_overlap t lo0 (right t n)
+  end
 
-(* Read-only boundary probes: return the extreme node itself (no removal,
-   no path copying); [remove_max]/[remove_min] rebuild only when a boundary
+(* Read-only boundary probes: return the extreme node itself;
+   [remove_max]/[remove_min] relink (and free its slot) only when a boundary
    merge actually happens. *)
-let rec max_node t n =
-  match n with
-  | Leaf -> Leaf
-  | Node nd -> ( visit t; match nd.right with Leaf -> n | _ -> max_node t nd.right)
+let[@pint.hot] rec max_node t n =
+  if n = nil then nil else (visit t; if right t n = nil then n else max_node t (right t n))
 
-let rec min_node t n =
-  match n with
-  | Leaf -> Leaf
-  | Node nd -> ( visit t; match nd.left with Leaf -> n | _ -> min_node t nd.left)
+let[@pint.hot] rec min_node t n =
+  if n = nil then nil else (visit t; if left t n = nil then n else min_node t (left t n))
 
-let rec remove_max t n =
-  match n with
-  | Leaf -> Leaf
-  | Node nd -> (
-      visit t;
-      match nd.right with Leaf -> nd.left | _ -> Node { nd with right = remove_max t nd.right })
+let[@pint.hot] rec remove_max t n =
+  if n = nil then nil
+  else begin
+    visit t;
+    let r = right t n in
+    if r <> nil then (set_right t n (remove_max t r); n)
+    else (let l = left t n in free_slot t n; l)
+  end
 
-let rec remove_min t n =
-  match n with
-  | Leaf -> Leaf
-  | Node nd -> (
-      visit t;
-      match nd.left with Leaf -> nd.right | _ -> Node { nd with left = remove_min t nd.left })
+let[@pint.hot] rec remove_min t n =
+  if n = nil then nil
+  else begin
+    visit t;
+    let l = left t n in
+    if l <> nil then (set_left t n (remove_min t l); n)
+    else (let r = right t n in free_slot t n; r)
+  end
 
-let rec in_order n acc =
-  match n with
-  | Leaf -> acc
-  | Node nd ->
-      in_order nd.left (({ Interval.lo = nd.lo; hi = nd.hi }, nd.owner) :: in_order nd.right acc)
+let rec in_order t n acc =
+  if n = nil then acc
+  else
+    in_order t (left t n)
+      (({ Interval.lo = lo_of t n; hi = hi_of t n }, t.owners.(n)) :: in_order t (right t n) acc)
 
-let rec fill_ovl t n =
-  match n with
-  | Leaf -> ()
-  | Node nd ->
-      fill_ovl t nd.left;
-      s_push t.ovl nd.lo nd.hi nd.owner;
-      fill_ovl t nd.right
+(* Move a detached subtree's entries into [t.ovl] in address order and
+   return its slots to the free list. *)
+let rec drain_ovl t n =
+  if n <> nil then begin
+    drain_ovl t (left t n);
+    s_push t.ovl (lo_of t n) (hi_of t n) t.owners.(n);
+    let r = right t n in
+    free_slot t n;
+    drain_ovl t r
+  end
 
 (* ---------------------------------------------------------- fast paths *)
 
 (* Insert an interval the caller has just proven (via [split_probe]) to
    overlap nothing stored and to touch no same-owner neighbour: the probe
-   descent already produced the split halves, so all that is left is the
-   three-way join — no overlap bookkeeping, no extra descent. *)
-let insert_disjoint t a b lo hi owner =
+   descent already left the split halves in [t.split_l]/[t.split_r], so all
+   that is left is the three-way join — no overlap bookkeeping, no extra
+   descent. *)
+let insert_disjoint t lo hi owner =
   t.fastpath_hits <- t.fastpath_hits + 1;
-  t.root <- join_mid t a b lo hi owner;
+  t.root <- join_mid t t.split_l t.split_r lo hi owner;
   t.size <- t.size + 1;
   t.covered <- t.covered + (hi - lo + 1)
 
@@ -253,52 +310,56 @@ let note_slow t =
 (* ---------------------------------------------------------- slow path *)
 
 (* Detach all stored intervals overlapping [lo, hi] into [t.ovl] (in address
-   order); returns the trees of everything strictly left / strictly right. *)
+   order, their slots freed); leaves the trees of everything strictly left /
+   strictly right in [t.split_l] / [t.split_r]. *)
 let slow_extract t lo hi =
-  let a, right = split t (hi + 1) t.root in
+  split t (hi + 1) t.root;
+  let upper = t.split_r in
   s_clear t.ovl;
-  match first_overlap_lo t lo a with
-  | None -> (a, right)
-  | Some flo ->
-      let left, mid = split t flo a in
-      fill_ovl t mid;
-      (left, right)
+  let first = first_overlap t lo t.split_l in
+  if first <> nil then begin
+    split t (lo_of t first) t.split_l;
+    drain_ovl t t.split_r;
+    t.split_r <- upper
+  end
 
-(* Replace the overlap region between [left] and [right]: the detached
-   entries sit in [t.ovl], their replacement (sorted, already internally
-   coalesced) in [t.pieces].  Merges with the boundary neighbours when
-   owners match and intervals touch.  Maintains the size/covered ledgers. *)
-let commit t left right =
+(* Replace the overlap region between the trees [slow_extract] left in
+   [t.split_l]/[t.split_r]: the detached entries sit in [t.ovl], their
+   replacement (sorted, already internally coalesced) in [t.pieces].  Merges
+   with the boundary neighbours when owners match and intervals touch.
+   Maintains the size/covered ledgers. *)
+let commit t =
   let ovl = t.ovl and ps = t.pieces in
   let removed_w = ref 0 in
   for i = 0 to ovl.s_len - 1 do
     removed_w := !removed_w + (ovl.s_hi.(i) - ovl.s_lo.(i) + 1)
   done;
   let removed_n = ref ovl.s_len in
-  let left = ref left and right = ref right in
+  let lower = ref t.split_l and upper = ref t.split_r in
   if ps.s_len > 0 then begin
-    (match max_node t !left with
-    | Node m when t.owner_eq m.owner ps.s_own.(0) && m.hi + 1 = ps.s_lo.(0) ->
-        ps.s_lo.(0) <- m.lo;
-        left := remove_max t !left;
-        removed_w := !removed_w + (m.hi - m.lo + 1);
-        incr removed_n
-    | _ -> ());
+    (let m = max_node t !lower in
+     if m <> nil && t.owner_eq t.owners.(m) ps.s_own.(0) && hi_of t m + 1 = ps.s_lo.(0) then begin
+       ps.s_lo.(0) <- lo_of t m;
+       removed_w := !removed_w + (hi_of t m - lo_of t m + 1);
+       incr removed_n;
+       lower := remove_max t !lower
+     end);
     let lst = ps.s_len - 1 in
-    match min_node t !right with
-    | Node m when t.owner_eq m.owner ps.s_own.(lst) && ps.s_hi.(lst) + 1 = m.lo ->
-        ps.s_hi.(lst) <- m.hi;
-        right := remove_min t !right;
-        removed_w := !removed_w + (m.hi - m.lo + 1);
-        incr removed_n
-    | _ -> ()
+    let m = min_node t !upper in
+    if m <> nil && t.owner_eq t.owners.(m) ps.s_own.(lst) && ps.s_hi.(lst) + 1 = lo_of t m then begin
+      ps.s_hi.(lst) <- hi_of t m;
+      removed_w := !removed_w + (hi_of t m - lo_of t m + 1);
+      incr removed_n;
+      upper := remove_min t !upper
+    end
   end;
-  let added_w = ref 0 and middle = ref Leaf in
+  let added_w = ref 0 and middle = ref nil in
   for i = 0 to ps.s_len - 1 do
     added_w := !added_w + (ps.s_hi.(i) - ps.s_lo.(i) + 1);
-    middle := join t !middle (mk_node t ps.s_lo.(i) ps.s_hi.(i) ps.s_own.(i))
+    let m = alloc t ps.s_lo.(i) ps.s_hi.(i) ps.s_own.(i) (Rng.next t.rng) in
+    middle := join t !middle m
   done;
-  t.root <- join t (join t !left !middle) !right;
+  t.root <- join t (join t !lower !middle) !upper;
   t.size <- t.size + ps.s_len - !removed_n;
   t.covered <- t.covered + !added_w - !removed_w
 
@@ -310,27 +371,27 @@ let insert_replace t iv owner =
      a neighbour touches the new interval and may have to coalesce with it,
      which only the general path handles. *)
   match split_probe t (lo - 1) (hi + 1) lo t.root with
-  | a, b -> insert_disjoint t a b lo hi owner
+  | () -> insert_disjoint t lo hi owner
   | exception Overlap ->
     note_slow t;
-    let left, right = slow_extract t lo hi in
+    slow_extract t lo hi;
     let ovl = t.ovl and ps = t.pieces in
     s_clear ps;
     if ovl.s_len > 0 && ovl.s_lo.(0) < lo then s_push ps ovl.s_lo.(0) (lo - 1) ovl.s_own.(0);
     s_push_coalesce t ps lo hi owner;
     if ovl.s_len > 0 && ovl.s_hi.(ovl.s_len - 1) > hi then
       s_push_coalesce t ps (hi + 1) ovl.s_hi.(ovl.s_len - 1) ovl.s_own.(ovl.s_len - 1);
-    commit t left right
+    commit t
 
 let insert_merge t iv owner ~keep =
   let lo = iv.Interval.lo and hi = iv.Interval.hi in
   (* On the no-overlap path the whole range is one uncovered gap: it goes to
      the new strand, same as insert_replace. *)
   match split_probe t (lo - 1) (hi + 1) lo t.root with
-  | a, b -> insert_disjoint t a b lo hi owner
+  | () -> insert_disjoint t lo hi owner
   | exception Overlap ->
     note_slow t;
-    let left, right = slow_extract t lo hi in
+    slow_extract t lo hi;
     let ovl = t.ovl and ps = t.pieces in
     s_clear ps;
     if ovl.s_len > 0 && ovl.s_lo.(0) < lo then s_push ps ovl.s_lo.(0) (lo - 1) ovl.s_own.(0);
@@ -346,7 +407,7 @@ let insert_merge t iv owner ~keep =
     if !cur <= hi then s_push_coalesce t ps !cur hi owner;
     if ovl.s_len > 0 && ovl.s_hi.(ovl.s_len - 1) > hi then
       s_push_coalesce t ps (hi + 1) ovl.s_hi.(ovl.s_len - 1) ovl.s_own.(ovl.s_len - 1);
-    commit t left right
+    commit t
 
 let clear_range t iv =
   let lo = iv.Interval.lo and hi = iv.Interval.hi in
@@ -355,56 +416,99 @@ let clear_range t iv =
   if not (intersects t lo hi t.root) then t.fastpath_hits <- t.fastpath_hits + 1
   else begin
     note_slow t;
-    let left, right = slow_extract t lo hi in
+    slow_extract t lo hi;
     let ovl = t.ovl and ps = t.pieces in
     s_clear ps;
     if ovl.s_len > 0 && ovl.s_lo.(0) < lo then s_push ps ovl.s_lo.(0) (lo - 1) ovl.s_own.(0);
     if ovl.s_len > 0 && ovl.s_hi.(ovl.s_len - 1) > hi then
       s_push ps (hi + 1) ovl.s_hi.(ovl.s_len - 1) ovl.s_own.(ovl.s_len - 1);
-    commit t left right
+    commit t
   end
 
-let query t iv ~f =
-  let qlo = iv.Interval.lo and qhi = iv.Interval.hi in
-  let rec go n =
-    match n with
-    | Leaf -> ()
-    | Node nd ->
-        visit t;
-        if nd.lo > qhi then go nd.left
-        else if nd.hi < qlo then go nd.right
-        else begin
-          go nd.left;
-          f { Interval.lo = nd.lo; hi = nd.hi } nd.owner;
-          go nd.right
-        end
-  in
-  go t.root
+(* A toplevel descent rather than a closure over the query bounds, so a
+   query allocates nothing; [f] gets the stored segment as two ints. *)
+let[@pint.hot] rec query_desc t qlo qhi f n =
+  if n <> nil then begin
+    visit t;
+    let lo = lo_of t n and hi = hi_of t n in
+    if lo > qhi then query_desc t qlo qhi f (left t n)
+    else if hi < qlo then query_desc t qlo qhi f (right t n)
+    else begin
+      query_desc t qlo qhi f (left t n);
+      f lo hi t.owners.(n);
+      query_desc t qlo qhi f (right t n)
+    end
+  end
+
+let[@pint.hot] query t iv ~f = query_desc t iv.Interval.lo iv.Interval.hi f t.root
 
 let find t addr =
   let rec go n =
-    match n with
-    | Leaf -> None
-    | Node nd ->
-        visit t;
-        if addr < nd.lo then go nd.left
-        else if addr > nd.hi then go nd.right
-        else Some ({ Interval.lo = nd.lo; hi = nd.hi }, nd.owner)
+    if n = nil then None
+    else begin
+      visit t;
+      if addr < lo_of t n then go (left t n)
+      else if addr > hi_of t n then go (right t n)
+      else Some ({ Interval.lo = lo_of t n; hi = hi_of t n }, t.owners.(n))
+    end
   in
   go t.root
 
-let iter t ~f = List.iter (fun (iv, o) -> f iv o) (in_order t.root [])
-let to_list t = in_order t.root []
+let iter t ~f = List.iter (fun (iv, o) -> f iv o) (in_order t t.root [])
+let to_list t = in_order t t.root []
 
 let reset t =
-  t.root <- Leaf;
+  t.root <- nil;
   t.size <- 0;
   t.covered <- 0;
   s_clear t.ovl;
-  s_clear t.pieces
+  s_clear t.pieces;
+  t.free <- nil;
+  for n = capacity t - 1 downto 0 do
+    free_slot t n
+  done
 
 let validate t =
   let fail fmt = Printf.ksprintf failwith fmt in
+  (* Slot accounting: every slot is either reachable from the root or on
+     the free list, exactly once — a slot in both, or in neither, is a
+     relink that lost or duplicated a node.  Marking before descending also
+     stops a cyclic link from looping, so this runs before anything walks
+     the tree. *)
+  let cap = capacity t in
+  let seen = Bytes.make cap '\000' in
+  let mark where n =
+    if n < 0 || n >= cap then fail "%s slot %d outside the arena (capacity %d)" where n cap;
+    if Bytes.get seen n <> '\000' then fail "slot %d reached twice (%s)" n where;
+    Bytes.set seen n '\001'
+  in
+  (* Structural BST and heap checks with propagated bounds: the fast path
+     inserts via split/join while the slow path rebuilds through commit, and
+     both must land keys in the same positions for later descents to find
+     them. *)
+  let rec check_tree lo_b hi_b n =
+    if n <> nil then begin
+      mark "tree" n;
+      let lo = lo_of t n in
+      if hi_of t n < lo then fail "malformed interval [%d,%d]" lo (hi_of t n);
+      (match lo_b with Some b when lo <= b -> fail "BST violation (left bound) at %d" lo | _ -> ());
+      (match hi_b with Some b when lo >= b -> fail "BST violation (right bound) at %d" lo | _ -> ());
+      let l = left t n and r = right t n in
+      if l <> nil && prio_of t l > prio_of t n then fail "heap violation (left) at %d" lo;
+      if r <> nil && prio_of t r > prio_of t n then fail "heap violation (right) at %d" lo;
+      check_tree lo_b (Some lo) l;
+      check_tree (Some lo) hi_b r
+    end
+  in
+  check_tree None None t.root;
+  let rec check_free n =
+    if n <> nil then begin
+      mark "free list" n;
+      check_free (left t n)
+    end
+  in
+  check_free t.free;
+  Bytes.iteri (fun n c -> if c = '\000' then fail "slot %d neither in the tree nor free" n) seen;
   let entries = to_list t in
   let n = List.length entries in
   if n <> t.size then fail "size ledger %d but %d entries" t.size n;
@@ -419,34 +523,4 @@ let validate t =
         check_pairs rest
     | _ -> ()
   in
-  check_pairs entries;
-  (* Structural BST check with propagated bounds: the fast path inserts via
-     split/join while the slow path rebuilds through commit, and both must
-     land keys in the same positions for later descents to find them. *)
-  let rec check_bst lo_b hi_b = function
-    | Leaf -> ()
-    | Node nd ->
-        if nd.hi < nd.lo then fail "malformed interval [%d,%d]" nd.lo nd.hi;
-        (match lo_b with
-        | Some b when nd.lo <= b -> fail "BST violation (left bound) at %d" nd.lo
-        | _ -> ());
-        (match hi_b with
-        | Some b when nd.lo >= b -> fail "BST violation (right bound) at %d" nd.lo
-        | _ -> ());
-        check_bst lo_b (Some nd.lo) nd.left;
-        check_bst (Some nd.lo) hi_b nd.right
-  in
-  check_bst None None t.root;
-  let rec check_heap = function
-    | Leaf -> ()
-    | Node nd ->
-        (match nd.left with
-        | Node l when l.prio > nd.prio -> fail "heap violation (left) at %d" nd.lo
-        | _ -> ());
-        (match nd.right with
-        | Node r when r.prio > nd.prio -> fail "heap violation (right) at %d" nd.lo
-        | _ -> ());
-        check_heap nd.left;
-        check_heap nd.right
-  in
-  check_heap t.root
+  check_pairs entries

@@ -24,17 +24,29 @@
 
     Each treap instance is owned by exactly one worker (this is the whole
     point of PINT's design) so nothing here is thread-safe.  Single
-    ownership is also what makes the allocation discipline safe: every
-    mutating operation first probes for an overlap with one read-only
-    descent and, in the (dominant) no-overlap case, inserts with a single
-    split+join and no intermediate structures at all; the general path
-    stages overlap entries and replacement pieces in two scratch buffers
-    owned by the treap and reused across operations (see DESIGN.md §8).
+    ownership is also what lets the treap update itself in place: nodes
+    live in an arena owned by the treap — one flat [int array] holding
+    five ints per slot (left, right, lo, hi, priority; [-1] is the empty
+    tree) and a parallel owner array — and removed nodes go onto a free
+    list threaded through their left links, so the arena grows only when
+    the live set outgrows it ({!capacity}).  Links are int indices rather
+    than mutable pointer fields because storing an int needs no OCaml 5
+    write barrier; the descents relink on the way back up and allocate
+    nothing.  Every mutating operation first probes for an overlap with
+    one descent and, in the (dominant) no-overlap case, inserts with a
+    single split+join; the general path stages overlap entries and
+    replacement pieces in two scratch buffers owned by the treap and
+    reused across operations (see DESIGN.md §8).
 
     Node visits are counted in an internal ledger so the benchmark harness
-    can charge virtual cycles proportional to real structural work; the
-    fast/slow path split is counted too so detectors can report how often
-    the coalesced interval stream let them skip the overlap machinery. *)
+    can charge virtual cycles proportional to real structural work.  A
+    visit is one node a descent examines; the count depends only on the
+    tree's shape, which the keys and the seeded priority draws fix, not on
+    how nodes are stored — so the cost model's per-visit charge
+    ([c_treap_visit]) models one node touch whatever the representation
+    (DESIGN.md §8).  The fast/slow path split is counted too so detectors
+    can report how often the coalesced interval stream let them skip the
+    overlap machinery. *)
 
 type 'o t
 
@@ -65,9 +77,10 @@ val slowpath_hits : 'o t -> int
     buffers (no fresh allocation for overlap/piece staging). *)
 val scratch_reuse : 'o t -> int
 
-(** [query t iv f] calls [f stored owner] for every stored interval
-    overlapping [iv], in increasing address order. *)
-val query : 'o t -> Interval.t -> f:(Interval.t -> 'o -> unit) -> unit
+(** [query t iv ~f] calls [f lo hi owner] for every stored interval
+    [\[lo, hi\]] overlapping [iv], in increasing address order.  [f] must
+    not modify [t]. *)
+val query : 'o t -> Interval.t -> f:(int -> int -> 'o -> unit) -> unit
 
 (** [find t addr] — owner of the interval covering [addr], if any. *)
 val find : 'o t -> int -> (Interval.t * 'o) option
@@ -91,10 +104,15 @@ val iter : 'o t -> f:(Interval.t -> 'o -> unit) -> unit
 (** All stored intervals in address order. *)
 val to_list : 'o t -> (Interval.t * 'o) list
 
-(** Remove everything. *)
+(** Number of node slots in the arena, live or free.  It only grows, and
+    only when an insertion finds the free list empty. *)
+val capacity : 'o t -> int
+
+(** Remove everything; every slot returns to the free list. *)
 val reset : 'o t -> unit
 
 (** Check every structural invariant (BST order, heap order, disjointness,
-    canonical same-owner separation, size accounting); raises [Failure] on
-    violation.  Test-only. *)
+    canonical same-owner separation, size accounting, and that each arena
+    slot is reachable from the root or on the free list exactly once);
+    raises [Failure] on violation.  Test-only. *)
 val validate : 'o t -> unit

@@ -119,6 +119,46 @@ let check_sharded_domains path () =
           (List.length ref_sig))
     [ 2; 4 ]
 
+(* Treap visit pins: the [*_visits] diagnostics of pint at shards 1 and 4
+   and of stint, per golden trace, as the persistent path-copying treap
+   produced them.  Visits are what the cost model charges for treap work
+   ([c_treap_visit]), so a treap change that alters the visit sequence
+   moves the simulated figures and [detect_span]; it must fail here first.
+   A new golden trace needs its row added. *)
+let expected_visits =
+  [
+    ( "heat_racy.trace",
+      [ ("writer_visits", 125.); ("lreader_visits", 102.); ("rreader_visits", 99.) ],
+      [ ("writer_visits", 92.); ("reader_visits", 193.) ] );
+    ( "lucky_racy.trace",
+      [ ("writer_visits", 6.); ("lreader_visits", 0.); ("rreader_visits", 0.) ],
+      [ ("writer_visits", 6.); ("reader_visits", 0.) ] );
+    ( "mmul_racy.trace",
+      [ ("writer_visits", 13313.); ("lreader_visits", 35020.); ("rreader_visits", 31230.) ],
+      [ ("writer_visits", 14448.); ("reader_visits", 66320.) ] );
+    ( "sort_racy.trace",
+      [ ("writer_visits", 554.); ("lreader_visits", 1164.); ("rreader_visits", 1307.) ],
+      [ ("writer_visits", 526.); ("reader_visits", 2291.) ] );
+  ]
+
+let check_visits path () =
+  let t = Tracefile.load path in
+  let base = Filename.basename path in
+  let pint_want, stint_want =
+    match List.find_opt (fun (f, _, _) -> f = base) expected_visits with
+    | Some (_, p, s) -> (p, s)
+    | None -> Alcotest.failf "%s: no pinned visit counts" path
+  in
+  let visits ?shards det keys =
+    let d, _ = Option.get (Systems.make_detector ?shards det) in
+    let diags = (Replay.run t d).Replay.diagnostics in
+    List.map (fun (k, _) -> (k, Option.value ~default:nan (List.assoc_opt k diags))) keys
+  in
+  let pinned = Alcotest.(list (pair string (float 0.))) in
+  Alcotest.check pinned (path ^ ": pint s1") pint_want (visits ~shards:1 "pint" pint_want);
+  Alcotest.check pinned (path ^ ": pint s4") pint_want (visits ~shards:4 "pint" pint_want);
+  Alcotest.check pinned (path ^ ": stint") stint_want (visits "stint" stint_want)
+
 (* Corruption robustness: a damaged trace must always surface as a clean
    [Tracefile.Error] — never an escaping exception from the parser and
    never a silently wrong replay.  The format checks its magic and then a
@@ -249,6 +289,8 @@ let () =
         List.map (fun path -> Alcotest.test_case path `Quick (check_sharded path)) files );
       ( "sharded-domains",
         List.map (fun path -> Alcotest.test_case path `Quick (check_sharded_domains path)) files );
+      ( "visits",
+        List.map (fun path -> Alcotest.test_case path `Quick (check_visits path)) files );
       ( "corruption",
         List.map (fun path -> Alcotest.test_case path `Quick (check_corrupt path)) files );
       ( "corruption-chunked",

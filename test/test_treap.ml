@@ -81,7 +81,7 @@ let test_query_order () =
   List.iter (fun (l, h, o) -> Itreap.insert_replace t (iv l h) o)
     [ (0, 4, 1); (10, 14, 2); (20, 24, 3); (30, 34, 4) ];
   let got = ref [] in
-  Itreap.query t (iv 12 31) ~f:(fun i o -> got := (i.Interval.lo, o) :: !got);
+  Itreap.query t (iv 12 31) ~f:(fun lo _ o -> got := (lo, o) :: !got);
   Alcotest.(check (list (pair int int)))
     "overlaps in address order"
     [ (10, 2); (20, 3); (30, 4) ]
@@ -92,7 +92,7 @@ let test_query_none () =
   Itreap.insert_replace t (iv 0 4) 1;
   Itreap.insert_replace t (iv 10 14) 2;
   let got = ref 0 in
-  Itreap.query t (iv 5 9) ~f:(fun _ _ -> incr got);
+  Itreap.query t (iv 5 9) ~f:(fun _ _ _ -> incr got);
   check_int "gap query" 0 !got
 
 let test_clear_range () =
@@ -276,8 +276,8 @@ let treap_query_model_prop =
       let q = iv qlo (qlo + qw - 1) in
       (* flatten the query result to per-address owners *)
       let from_query = Array.make Model.space None in
-      Itreap.query t q ~f:(fun i o ->
-          for a = max i.Interval.lo q.Interval.lo to min i.Interval.hi q.Interval.hi do
+      Itreap.query t q ~f:(fun lo hi o ->
+          for a = max lo q.Interval.lo to min hi q.Interval.hi do
             from_query.(a) <- Some o
           done);
       let ok = ref true in
@@ -398,6 +398,100 @@ let test_big_sequential_build () =
   let probe_cost = Itreap.visits t - v0 in
   check_bool "log-ish probe" true (probe_cost < 80)
 
+(* Visit parity: a seeded mix of every operation over disjoint, touching
+   and overlapping ranges, pinned to the figures the persistent
+   path-copying treap printed.  The arena relinks through the same
+   descents with the same priority draws, so tree shapes, every counter and
+   the stored entries must match them exactly — a drift here moves
+   [c_treap_visit]-costed figures and [detect_span]. *)
+let test_visit_parity () =
+  let t = make_treap ~seed:2022 () in
+  let rng = Rng.create 13 in
+  let hits = ref 0 and qsum = ref 0 in
+  for _ = 1 to 3000 do
+    (* 1024 cells of 8 addresses: offsets 0/2/5 and lengths 8/4/13 make
+       ranges touch their neighbours, leave gaps, or overlap them *)
+    let cell = Rng.int rng 1024 in
+    let lo = (cell * 8) + match Rng.int rng 3 with 0 -> 0 | 1 -> 2 | _ -> 5 in
+    let hi = lo + match Rng.int rng 3 with 0 -> 7 | 1 -> 3 | _ -> 12 in
+    let owner = Rng.int rng 6 in
+    match Rng.int rng 10 with
+    | 0 | 1 | 2 | 3 -> Itreap.insert_replace t (iv lo hi) owner
+    | 4 | 5 | 6 | 7 -> Itreap.insert_merge t (iv lo hi) owner ~keep:(policy ~new_owner:owner)
+    | 8 -> Itreap.clear_range t (iv lo hi)
+    | _ ->
+        Itreap.query t (iv lo hi) ~f:(fun lo hi o ->
+            incr hits;
+            qsum := (!qsum * 31) + (lo * 7) + (hi * 3) + o)
+  done;
+  Itreap.validate t;
+  check_int "visits" 153049 (Itreap.visits t);
+  check_int "fastpath_hits" 607 (Itreap.fastpath_hits t);
+  check_int "slowpath_hits" 2105 (Itreap.slowpath_hits t);
+  check_int "scratch_reuse" 2104 (Itreap.scratch_reuse t);
+  check_int "size" 1100 (Itreap.size t);
+  check_int "covered" 6826 (Itreap.covered t);
+  check_int "query hits" 333 !hits;
+  check_int "query segments checksum" (-119804958923953794) !qsum;
+  let rendered =
+    String.concat ";" (List.map (fun (l, h, o) -> Printf.sprintf "%d-%d:%d" l h o) (entries t))
+  in
+  Alcotest.(check string)
+    "to_list digest" "9fa04df31644e4ea743ddf3f6e866bd0"
+    (Digest.to_hex (Digest.string rendered))
+
+(* Arena recycling: freed slots are reused before the arena grows, so its
+   capacity is the smallest growth step (16, doubling) that holds the peak
+   live node count, however much churn passes through it.  [validate]
+   checks after each phase that every slot is in the tree or on the free
+   list exactly once. *)
+let arena_step peak =
+  let rec go c = if c >= peak then c else go (2 * c) in
+  go 16
+
+let test_arena_recycling () =
+  let t = make_treap ~seed:5 () in
+  let n = 300 in
+  let fill round =
+    for i = 0 to n - 1 do
+      Itreap.insert_replace t (iv (i * 4) ((i * 4) + 1)) (i + round)
+    done
+  in
+  fill 0;
+  let cap = Itreap.capacity t in
+  check_int "first fill sizes the arena" (arena_step n) cap;
+  for round = 1 to 5 do
+    Itreap.clear_range t (iv 0 (n * 4));
+    check_int "cleared" 0 (Itreap.size t);
+    Itreap.validate t;
+    fill round;
+    Itreap.validate t;
+    check_int "refill reuses freed slots" cap (Itreap.capacity t)
+  done;
+  (* slow-path churn: overlapping rewrites detach, free and reallocate
+     nodes on every operation *)
+  let rng = Rng.create 9 in
+  let peak = ref (Itreap.size t) in
+  for _ = 1 to 2000 do
+    let lo = Rng.int rng (n * 4) in
+    let hi = lo + Rng.int rng 12 in
+    (match Rng.int rng 3 with
+    | 0 -> Itreap.insert_replace t (iv lo hi) (Rng.int rng 4)
+    | 1 -> Itreap.insert_merge t (iv lo hi) (Rng.int rng 4) ~keep:(policy ~new_owner:2)
+    | _ -> Itreap.clear_range t (iv lo hi));
+    peak := max !peak (Itreap.size t)
+  done;
+  Itreap.validate t;
+  check_int "churn stays within the peak's step" (arena_step !peak) (Itreap.capacity t);
+  Itreap.reset t;
+  check_int "reset empties" 0 (Itreap.size t);
+  (* with the root empty, validate accounts for every slot on the free list *)
+  Itreap.validate t;
+  check_int "reset keeps the arena" (arena_step !peak) (Itreap.capacity t);
+  fill 7;
+  Itreap.validate t;
+  check_int "refill after reset" (arena_step !peak) (Itreap.capacity t)
+
 let () =
   Alcotest.run "pint_treap"
     [
@@ -423,6 +517,8 @@ let () =
           Alcotest.test_case "visits counted" `Quick test_visits_counted;
           Alcotest.test_case "path counters" `Quick test_path_counters;
           Alcotest.test_case "big sequential build" `Quick test_big_sequential_build;
+          Alcotest.test_case "visit parity" `Quick test_visit_parity;
+          Alcotest.test_case "arena recycling" `Quick test_arena_recycling;
         ] );
       ( "model",
         [
