@@ -402,7 +402,6 @@ let soak ~sessions ~max_sessions () =
       Serve_server.max_sessions;
       pool_workers = 2;
       shards = 2;
-      bp_rounds = Pint_detector.recommended_bp_rounds;
     }
   in
   let sock =

@@ -12,11 +12,10 @@
      pint_serve client --socket /tmp/pint.sock heat.trace --verify
      pint_serve client --socket /tmp/pint.sock heat.trace --predict 4 --verify
 
-   [client --predict W] opts the session into predictive detection
-   (protocol v2): the daemon builds the strand DAG as it replays and the
-   summary carries the window-W predicted races (see `pint_replay
-   predict`).  The daemon caps W with --max-window and rejects larger
-   requests.
+   [client --predict W] opts the session into predictive detection: the
+   daemon builds the strand DAG as it replays and the summary carries the
+   window-W predicted races (see `pint_replay predict`).  The daemon caps
+   W with --max-window and rejects larger requests.
 
    [client --verify] replays the same trace offline through a fresh
    detector and exits 1 unless the served race set is identical at the
@@ -57,7 +56,7 @@ let host_arg =
 (* -- daemon -------------------------------------------------------------- *)
 
 let daemon_cmd =
-  let run socket port host detector max_sessions domains shards bp_rounds backlog max_window =
+  let run socket port host detector max_sessions domains shards backlog max_window =
     let addr = addr_of ~socket ~port ~host in
     let config =
       {
@@ -66,7 +65,6 @@ let daemon_cmd =
         max_sessions;
         pool_workers = domains;
         shards;
-        bp_rounds;
         backlog_high = backlog;
         max_window;
       }
@@ -108,10 +106,6 @@ let daemon_cmd =
           value
           & opt int Serve_server.default_config.Serve_server.shards
           & info [ "shards" ] ~doc:"Default address-range shards per session (pint).")
-      $ Arg.(
-          value
-          & opt int Serve_server.default_config.Serve_server.bp_rounds
-          & info [ "bp-rounds" ] ~doc:"Collector backpressure window (see pint_replay).")
       $ Arg.(
           value
           & opt int Serve_server.default_config.Serve_server.backlog_high

@@ -542,9 +542,6 @@ let reader_step_idx t idx : Step.t =
     Step.worked ~records:n !visits
   end
 
-let lreader_step t = reader_step_idx t 0
-let rreader_step t = reader_step_idx t t.shards
-
 let reader_steps t =
   List.init (2 * t.shards) (fun idx ->
       let role = if idx < t.shards then Lreader else Rreader in

@@ -139,12 +139,6 @@ val recommended_bp_rounds : int
 (** One collector step (exposed for tests and custom drivers). *)
 val writer_step : t -> Step.t
 
-(** Shard 0 of each reader role (the only shard in the default
-    configuration). *)
-val lreader_step : t -> Step.t
-
-val rreader_step : t -> Step.t
-
 (** All reader workers, named per {!stage_name}. *)
 val reader_steps : t -> (string * (unit -> Step.t)) list
 

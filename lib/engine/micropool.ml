@@ -90,10 +90,6 @@ let join t = Array.iter Domain.join t.domains
 let n_pools t = Array.length t.pools
 let parks t = Array.fold_left (fun acc p -> acc + p.p_parks) 0 t.pools
 
-(* Every stage its own pool: the degenerate grouping for stage lists with
-   no shard structure (non-PINT detectors, ad-hoc stages). *)
-let singletons stages = List.map (fun s -> [ s ]) stages
-
 (* ------------------------------------------------------------- shared pool *)
 
 (* A shared pool generalizes [spawn]/[join] from one-shot to multi-tenant:
@@ -252,4 +248,3 @@ let shutdown sh =
   Array.iter Domain.join sh.sh_domains
 
 let shared_parks sh = Array.fold_left (fun acc w -> acc + w.w_parks) 0 sh.sh_workers
-let n_shared_workers sh = Array.length sh.sh_workers

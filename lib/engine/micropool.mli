@@ -22,9 +22,6 @@ val n_pools : t -> int
 (** Deep-backoff park episodes, summed over pools (idle diagnostics). *)
 val parks : t -> int
 
-(** The degenerate grouping: every stage is its own pool. *)
-val singletons : Stage.t list -> Stage.t list list
-
 (** {2 Shared pools}
 
     Multi-tenant variant for long-lived services (pint_serve): [k] worker
@@ -64,5 +61,3 @@ val shutdown : shared -> unit
 
 (** Park episodes summed over shared workers (idle diagnostics). *)
 val shared_parks : shared -> int
-
-val n_shared_workers : shared -> int

@@ -28,7 +28,7 @@ type config = {
   pools : Stage.t list list;
       (** pipeline stage groups, one pinned micropool domain each; for the
           PINT detector use {!Pint_detector.stage_pools} (one group per
-          shard), or {!Micropool.singletons} for ungrouped stage lists *)
+          shard) *)
   obs : Obs.t;
       (** observability session for the per-domain tracks ([core<w>] steal
           and park instants, [pool<k>] park instants); {!Obs.disabled} (the

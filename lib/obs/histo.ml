@@ -63,9 +63,3 @@ let merge_into ~src ~dst =
   dst.sum <- dst.sum + src.sum;
   if src.max_v > dst.max_v then dst.max_v <- src.max_v
 
-let nonzero_buckets t =
-  let acc = ref [] in
-  for b = nbuckets - 1 downto 0 do
-    if t.buckets.(b) > 0 then acc := (bucket_lo b, t.buckets.(b)) :: !acc
-  done;
-  !acc

@@ -27,6 +27,3 @@ val bucket_of : int -> int
 val quantile : t -> float -> int
 
 val merge_into : src:t -> dst:t -> unit
-
-(** [(bucket_lower_bound, count)] for every populated bucket, ascending. *)
-val nonzero_buckets : t -> (int * int) list

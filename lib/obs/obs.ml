@@ -48,7 +48,6 @@ let histo t name =
         h
 
 let tracks t = t.tracks
-let track_names t = List.map fst t.tracks
 
 let events t = List.fold_left (fun acc (_, r) -> acc + Evring.recorded r) 0 t.tracks
 let dropped t = List.fold_left (fun acc (_, r) -> acc + Evring.dropped r) 0 t.tracks

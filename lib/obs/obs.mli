@@ -33,7 +33,6 @@ val track : t -> string -> Evring.t
 val histo : t -> string -> Histo.t
 
 val tracks : t -> (string * Evring.t) list
-val track_names : t -> string list
 
 (** Total events emitted / dropped across all tracks. *)
 val events : t -> int

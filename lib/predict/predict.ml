@@ -104,11 +104,6 @@ module Builder = struct
     { sp; nodes }
 end
 
-let dag_of_trace tf =
-  let b = Builder.create () in
-  let (_ : Replay.outcome) = Replay.run ~on_strand:(Builder.observer b) tf (Nodetect.make ()) in
-  Builder.dag b
-
 (* ------------------------------------------------------------- findings *)
 
 type finding = { kind : Report.kind; prior : int; current : int; where : Interval.t }

@@ -94,10 +94,6 @@ module Builder : sig
   val count : t -> int
 end
 
-(** [dag_of_trace tf] — decode a trace's DAG by replaying it through the
-    no-detection baseline. *)
-val dag_of_trace : Tracefile.t -> dag
-
 (** A predicted race: [prior]/[current] are the {!Sp_order.id}s of the
     earlier- and later-{e positioned} strands, [where] is the
     lowest-addressed surviving conflict interval (deterministic). *)

@@ -55,4 +55,3 @@ let left_of t u v = Om.precedes t.e_list u.english v.english
 
 let strand_count t = Atomic.get t.next_id
 
-let om_relabels t = (Om.relabel_count t.e_list, Om.relabel_count t.h_list)

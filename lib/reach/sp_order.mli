@@ -58,6 +58,3 @@ val left_of : t -> strand -> strand -> bool
 
 (** Number of strands created so far. *)
 val strand_count : t -> int
-
-(** Diagnostics: relabel totals of the two underlying OM lists. *)
-val om_relabels : t -> int * int

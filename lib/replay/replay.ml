@@ -53,157 +53,19 @@ let push_effects ~aspace ~(sink : Access.sink) (e : Tracefile.entry) (r : Srec.t
   r.Srec.finished_at <- e.Tracefile.finished_at;
   r.Srec.cost <- e.Tracefile.cost
 
-let drive ?aspace ?on_strand (tf : Tracefile.t) (driver : Hooks.driver) =
-  let aspace = match aspace with Some a -> a | None -> Aspace.create () in
-  let by_uid = Hashtbl.create (max 16 (Tracefile.entry_count tf)) in
-  Array.iter (fun (e : Tracefile.entry) -> Hashtbl.replace by_uid e.Tracefile.uid e) tf.Tracefile.entries;
-  (* an entry's index in the file is its observed-schedule position: entries
-     are written in finish order, which is a linearization of the strand DAG *)
-  let pos_of = Hashtbl.create (max 16 (Tracefile.entry_count tf)) in
-  Array.iteri (fun i (e : Tracefile.entry) -> Hashtbl.replace pos_of e.Tracefile.uid i)
-    tf.Tracefile.entries;
-  let entry uid =
-    match Hashtbl.find_opt by_uid uid with
-    | Some e -> e
-    | None -> corrupt "trace links to unknown strand uid %d" uid
-  in
-  let sp, root_sp = Sp_order.create () in
-  let next_uid = ref 0 in
-  let fresh s =
-    incr next_uid;
-    Srec.make ~uid:!next_uid s
-  in
-  let root_rec = fresh root_sp in
-  let cur = ref root_rec in
-  let ctx = { Hooks.aspace; sp; n_workers = 1; current = (fun ~wid:_ -> !cur) } in
-  let hooks = driver ctx in
-  let sink = hooks.Hooks.sink ~wid:0 in
-  let note (e : Tracefile.entry) r =
-    match on_strand with
-    | None -> ()
-    | Some f -> f ~sp ~pos:(Hashtbl.find pos_of e.Tracefile.uid) e r
-  in
-  let feed e r =
-    push_effects ~aspace ~sink e r;
-    note e r
-  in
-  (* Canonical depth-first walk.  [chain] replays the strand [e] as record
-     [r], then follows the recorded DAG: a spawn recurses into the child
-     scope and tail-continues with the continuation; a sync pass
-     tail-continues with the block's sync strand; a return (or the root's
-     final strand) ends the chain.  Stolen/trivial flags from the capture
-     schedule are deliberately dropped — replay is the serial elision. *)
-  let rec chain (e : Tracefile.entry) (r : Srec.t) (start : Events.start_kind)
-      (blocks : block list ref) ~(parent_sync : Srec.t option) =
-    cur := r;
-    hooks.Hooks.on_start ~wid:0 r start;
-    feed e r;
-    match e.Tracefile.finish with
-    | Tracefile.Spawn { cont; sync; child; first } ->
-        let sync_pre, open_block =
-          if first then (None, None)
-          else
-            match !blocks with
-            | top :: _ ->
-                if top.b_uid <> sync then
-                  corrupt "strand %d: spawn links sync %d but the open block's sync is %d"
-                    e.Tracefile.uid sync top.b_uid;
-                (Some top.b_sp, Some top)
-            | [] -> corrupt "strand %d: non-first spawn with no open sync block" e.Tracefile.uid
-        in
-        let child_sp, cont_sp, sync_sp = Sp_order.spawn sp ~sync_pre r.Srec.sp in
-        let cont_rec = fresh cont_sp in
-        let sync_rec =
-          match open_block with
-          | Some b ->
-              b.b_sp <- sync_sp;
-              b.b_rec
-          | None ->
-              let sr = fresh sync_sp in
-              blocks := { b_sp = sync_sp; b_rec = sr; b_uid = sync } :: !blocks;
-              sr
-        in
-        Book.at_spawn ~u:r ~cont:cont_rec ~sync:sync_rec ~first;
-        hooks.Hooks.on_finish ~wid:0 r
-          (Events.F_spawn { cont = cont_rec; sync = sync_rec; first_of_block = first });
-        let child_sr = fresh child_sp in
-        chain (entry child) child_sr Events.S_child (ref []) ~parent_sync:(Some sync_rec);
-        chain (entry cont) cont_rec (Events.S_cont { stolen = false }) blocks ~parent_sync
-    | Tracefile.Sync { trivial = _; sync } ->
-        let top, rest =
-          match !blocks with
-          | top :: rest -> (top, rest)
-          | [] -> corrupt "strand %d: sync finish with no open sync block" e.Tracefile.uid
-        in
-        if top.b_uid <> sync then
-          corrupt "strand %d: sync finish links sync %d but the open block's sync is %d"
-            e.Tracefile.uid sync top.b_uid;
-        hooks.Hooks.on_finish ~wid:0 r (Events.F_sync { trivial = true; sync = top.b_rec });
-        blocks := rest;
-        chain (entry sync) top.b_rec (Events.S_after_sync { trivial = true }) blocks ~parent_sync
-    | Tracefile.Return _ ->
-        if !blocks <> [] then corrupt "strand %d: return with %d open sync block(s)"
-            e.Tracefile.uid (List.length !blocks);
-        hooks.Hooks.on_finish ~wid:0 r (Events.F_return { cont_stolen = false; parent_sync })
-    | Tracefile.Root ->
-        if !blocks <> [] then corrupt "strand %d: root finish with %d open sync block(s)"
-            e.Tracefile.uid (List.length !blocks);
-        hooks.Hooks.on_finish ~wid:0 r Events.F_root
-  in
-  let root_entry = try Tracefile.root tf with Tracefile.Error m -> raise (Corrupt m) in
-  (try chain root_entry root_rec Events.S_root (ref []) ~parent_sync:None
-   with Tracefile.Error m -> raise (Corrupt m));
-  hooks.Hooks.on_done ();
-  if !next_uid <> Tracefile.entry_count tf then
-    corrupt "replay visited %d strands but the trace holds %d" !next_uid
-      (Tracefile.entry_count tf);
-  !next_uid
-
-let run ?aspace ?(wrap = fun d -> d) ?pools ?on_strand tf (d : Detector.t) =
-  (* Real-domain replay: the detector's pipeline stages run on shard
-     micropool domains concurrently with the (still single-threaded,
-     deterministic) strand feed — the same producer/consumer topology as a
-     live [Par_exec] run, driven from a reproducible schedule.  The pools
-     must not spawn until the detector's driver has set up its run (a
-     stage stepped before that fails), so the spawn rides a driver wrapper
-     that fires right after hook creation — the same ordering [Par_exec]
-     gets by construction.  [drive]'s final [on_done] lets every stage
-     reach [`Done], so the join below terminates; the drain after it is
-     then a no-op pass that only publishes latencies. *)
-  let mp = ref None in
-  let spawn_pools driver ctx =
-    let hooks = driver ctx in
-    (match pools with
-    | Some ps when !mp = None -> mp := Some (Micropool.spawn ps)
-    | _ -> ());
-    hooks
-  in
-  let n = drive ?aspace ?on_strand tf (spawn_pools (wrap d.Detector.driver)) in
-  (match !mp with Some p -> Micropool.join p | None -> ());
-  d.Detector.drain ();
-  {
-    detector = d.Detector.name;
-    n_strands = n;
-    races = Report.races d.Detector.report;
-    diagnostics = d.Detector.diagnostics ();
-  }
-
 (* ---------------------------------------------------------------- sessions *)
 
-(* Push-driven replay: the same canonical depth-first walk as [drive], but
-   defunctionalized so it can suspend whenever the next strand's entry has
-   not arrived yet.  [drive]'s recursion encodes "what to replay next" in
-   the call stack; here it is an explicit stack of pending strands — a
-   spawn pushes its continuation and then its child (child on top = DFS),
-   a sync pushes the block's sync strand.  The walk advances exactly while
-   the top-of-stack uid is decodable, so a serially-captured trace (entries
-   in finish order = DFS order) replays with O(1) strands buffered, and a
-   parallel capture buffers only its schedule skew.
-
-   Replay-side uid assignment follows [drive]'s [fresh] order exactly
-   (cont, then sync, then child, then the child subtree), so a session
-   yields race sets bit-identical to the offline replay at the Theorem-5
-   (kind, prior, current) granularity — not merely equivalent. *)
+(* The one replay walk: a canonical depth-first walk over the recorded
+   strand DAG, kept as an explicit stack of pending strands so that it can
+   suspend whenever the next strand's entry has not arrived yet.  A spawn
+   pushes its continuation and then its child (child on top = DFS); a sync
+   pushes the block's sync strand; a return (or the root's final strand)
+   ends the chain.  The walk advances exactly while the top-of-stack uid has
+   arrived, so a serially-captured stream (entries in finish order = DFS
+   order) replays with O(1) strands buffered, a parallel capture buffers
+   only its schedule skew, and a whole file ({!run}) is offered up front
+   and walked in one go.  Stolen/trivial flags from the capture schedule
+   are deliberately dropped — replay is the serial elision. *)
 module Session = struct
   type pend = {
     p_uid : int; (* trace uid of the entry this strand replays *)
@@ -212,6 +74,12 @@ module Session = struct
     p_blocks : block list ref; (* shared along a chain, fresh per child *)
     p_parent_sync : Srec.t option;
   }
+
+  (* A uid's entry and its arrival order (the observed-schedule position),
+     until the walk replays it.  A replayed uid stays in the table, so a
+     second entry with the same uid is rejected at intake and a second link
+     to it leaves the walk stuck. *)
+  type arrival = Arrived of { pos : int; entry : Tracefile.entry } | Replayed
 
   type t = {
     s_det : Detector.t;
@@ -223,8 +91,7 @@ module Session = struct
     s_cur : Srec.t ref;
     s_next_uid : int ref;
     s_root_rec : Srec.t;
-    s_by_uid : (int, Tracefile.entry) Hashtbl.t; (* arrived, not yet replayed *)
-    s_pos : (int, int) Hashtbl.t; (* uid -> arrival order = observed position *)
+    s_strands : (int, arrival) Hashtbl.t; (* every uid offered so far *)
     s_on_strand : strand_observer option;
     s_seen : (Report.kind * int * int, unit) Hashtbl.t; (* races already returned *)
     mutable s_stack : pend list; (* DFS work stack; hd is next *)
@@ -233,18 +100,16 @@ module Session = struct
     mutable s_done : bool; (* on_done fired (eof or abort) *)
   }
 
-  let create ?aspace ?(wrap = fun d -> d) ?max_pending ?on_strand (det : Detector.t) =
-    let aspace = match aspace with Some a -> a | None -> Aspace.create () in
+  let make ~size ?(wrap = fun d -> d) ?max_pending ?on_strand (det : Detector.t) =
+    let aspace = Aspace.create () in
     let sp, root_sp = Sp_order.create () in
-    let next_uid = ref 0 in
-    incr next_uid;
+    let next_uid = ref 1 in
     let root_rec = Srec.make ~uid:!next_uid root_sp in
     let cur = ref root_rec in
     let ctx = { Hooks.aspace; sp; n_workers = 1; current = (fun ~wid:_ -> !cur) } in
-    (* hooks are created eagerly: a caller sharing pool domains may submit
-       the detector's stages right after [create], which requires the
-       driver's run to be set up — the same ordering [run ?pools] gets from
-       its driver wrapper. *)
+    (* hooks are created eagerly: a caller running the detector's stages on
+       pool domains hands them over right after [create], which requires
+       the driver's run to be set up *)
     let hooks = (wrap det.Detector.driver) ctx in
     {
       s_det = det;
@@ -256,8 +121,7 @@ module Session = struct
       s_cur = cur;
       s_next_uid = next_uid;
       s_root_rec = root_rec;
-      s_by_uid = Hashtbl.create 256;
-      s_pos = Hashtbl.create 256;
+      s_strands = Hashtbl.create size;
       s_on_strand = on_strand;
       s_seen = Hashtbl.create 64;
       s_stack = [];
@@ -266,19 +130,21 @@ module Session = struct
       s_done = false;
     }
 
+  let create ?wrap ?max_pending ?on_strand det = make ~size:256 ?wrap ?max_pending ?on_strand det
+
   let fresh t s =
     incr t.s_next_uid;
     Srec.make ~uid:!(t.s_next_uid) s
 
-  (* The body of [drive]'s [chain], minus the recursion. *)
-  let exec_strand t (p : pend) (e : Tracefile.entry) =
+  (* Replay strand [e] as [p.p_rec] and push what follows it.  Records are
+     created in a fixed order (continuation, first sync, child), so replay
+     uids, and with them the race sets, depend only on the DAG. *)
+  let exec_strand t (p : pend) ~pos (e : Tracefile.entry) =
     let r = p.p_rec in
     t.s_cur := r;
     t.s_hooks.Hooks.on_start ~wid:0 r p.p_start;
     push_effects ~aspace:t.s_aspace ~sink:t.s_sink e r;
-    (match t.s_on_strand with
-    | None -> ()
-    | Some f -> f ~sp:t.s_sp ~pos:(Hashtbl.find t.s_pos e.Tracefile.uid) e r);
+    (match t.s_on_strand with None -> () | Some f -> f ~sp:t.s_sp ~pos e r);
     t.s_visited <- t.s_visited + 1;
     match e.Tracefile.finish with
     | Tracefile.Spawn { cont; sync; child; first } ->
@@ -358,21 +224,54 @@ module Session = struct
             (List.length !(p.p_blocks));
         t.s_hooks.Hooks.on_finish ~wid:0 r Events.F_root
 
+  (* Intake of one entry, in stream order: its arrival order is its
+     observed-schedule position, and the root strand starts the walk. *)
+  let offer t (e : Tracefile.entry) =
+    let uid = e.Tracefile.uid in
+    if Hashtbl.mem t.s_strands uid then corrupt "trace holds two strands with uid %d" uid;
+    (match e.Tracefile.start with
+    | Events.S_root ->
+        if t.s_started then corrupt "trace has more than one root strand";
+        t.s_started <- true;
+        t.s_stack <-
+          {
+            p_uid = uid;
+            p_rec = t.s_root_rec;
+            p_start = Events.S_root;
+            p_blocks = ref [];
+            p_parent_sync = None;
+          }
+          :: t.s_stack
+    | _ -> ());
+    Hashtbl.add t.s_strands uid (Arrived { pos = Hashtbl.length t.s_strands; entry = e })
+
   (* Replay as far as the arrived entries allow. *)
-  let advance t =
-    let rec go () =
-      match t.s_stack with
-      | p :: rest -> (
-          match Hashtbl.find_opt t.s_by_uid p.p_uid with
-          | Some e ->
-              Hashtbl.remove t.s_by_uid p.p_uid;
-              t.s_stack <- rest;
-              exec_strand t p e;
-              go ()
-          | None -> ())
-      | [] -> ()
-    in
-    go ()
+  let rec advance t =
+    match t.s_stack with
+    | p :: rest -> (
+        match Hashtbl.find t.s_strands p.p_uid with
+        | Arrived { pos; entry } ->
+            Hashtbl.replace t.s_strands p.p_uid Replayed;
+            t.s_stack <- rest;
+            exec_strand t p ~pos entry;
+            advance t
+        | Replayed | (exception Not_found) -> ())
+    | [] -> ()
+
+  (* End of stream: every offered strand must have been replayed, from one
+     root, with no link left dangling.  Then the detector's run ends. *)
+  let close t =
+    (match t.s_stack with
+    | p :: _ when Hashtbl.mem t.s_strands p.p_uid ->
+        corrupt "trace links to strand uid %d twice" p.p_uid
+    | p :: _ -> corrupt "trace links to unknown strand uid %d" p.p_uid
+    | [] -> ());
+    if not t.s_started then corrupt "trace has no root strand";
+    let unreached = Hashtbl.length t.s_strands - t.s_visited in
+    if unreached <> 0 then
+      corrupt "trace holds %d strand(s) unreachable from the root" unreached;
+    t.s_done <- true;
+    t.s_hooks.Hooks.on_done ()
 
   (* Races reported since the last call, at Theorem-5 key granularity.
      [Report.races] is safe to poll while pool domains are still adding. *)
@@ -387,62 +286,30 @@ module Session = struct
         end)
       (Report.races t.s_det.Detector.report)
 
-  let drain_decoded t =
-    let rec go () =
-      match Tracefile.Decoder.next t.s_dec with
-      | None -> ()
-      | Some e ->
-          if e.Tracefile.start = Events.S_root then begin
-            if t.s_started then corrupt "trace has more than one root strand";
-            t.s_started <- true;
-            t.s_stack <-
-              {
-                p_uid = e.Tracefile.uid;
-                p_rec = t.s_root_rec;
-                p_start = Events.S_root;
-                p_blocks = ref [];
-                p_parent_sync = None;
-              }
-              :: t.s_stack
-          end;
-          (* arrival order is the stream's entry order — the same observed
-             position [drive] reads off the entries array of a whole file *)
-          if not (Hashtbl.mem t.s_pos e.Tracefile.uid) then
-            Hashtbl.replace t.s_pos e.Tracefile.uid (Hashtbl.length t.s_pos);
-          Hashtbl.replace t.s_by_uid e.Tracefile.uid e;
-          go ()
-    in
-    go ()
-
   let feed t ?pos ?len chunk =
     if t.s_done then invalid_arg "Replay.Session.feed: session already finished";
     Tracefile.Decoder.feed t.s_dec ?pos ?len chunk;
-    drain_decoded t;
+    let rec offer_decoded () =
+      match Tracefile.Decoder.next t.s_dec with
+      | Some e ->
+          offer t e;
+          offer_decoded ()
+      | None -> ()
+    in
+    offer_decoded ();
     advance t;
     new_races t
 
+  (* [feed] has offered and walked everything decoded, so the stream
+     holds nothing more once the decoder accepts its end. *)
   let eof t =
     if t.s_done then invalid_arg "Replay.Session.eof: session already finished";
     Tracefile.Decoder.finish t.s_dec;
-    drain_decoded t;
-    advance t;
-    (match t.s_stack with
-    | p :: _ -> corrupt "trace links to unknown strand uid %d" p.p_uid
-    | [] -> ());
-    if not t.s_started then corrupt "trace has no root strand";
-    let expected =
-      match Tracefile.Decoder.entries_expected t.s_dec with Some n -> n | None -> 0
-    in
-    if t.s_visited <> expected then
-      corrupt "replay visited %d strands but the trace holds %d" t.s_visited expected;
-    if Hashtbl.length t.s_by_uid <> 0 then
-      corrupt "trace holds %d strand(s) unreachable from the root" (Hashtbl.length t.s_by_uid);
-    t.s_done <- true;
-    t.s_hooks.Hooks.on_done ();
+    close t;
     new_races t
 
   (* Terminate a failed session's run so pipeline stages still reach
-     [`Done] and shared pool domains are not wedged on a dead tenant. *)
+     [`Done] and pool domains are not wedged on a dead walk. *)
   let abort t =
     if not t.s_done then begin
       t.s_done <- true;
@@ -452,8 +319,6 @@ module Session = struct
   let poll_races t = new_races t
   let finished t = t.s_done
   let fed_strands t = t.s_visited
-  let fed_bytes t = Tracefile.Decoder.fed_bytes t.s_dec
-  let meta t = Option.map snd (Tracefile.Decoder.header t.s_dec)
 
   let outcome t =
     if not t.s_done then invalid_arg "Replay.Session.outcome: session still streaming";
@@ -464,6 +329,28 @@ module Session = struct
       diagnostics = t.s_det.Detector.diagnostics ();
     }
 end
+
+(* Offline replay is a session offered the whole file.  With [pools] the
+   detector's stages run on micropool domains concurrently with the
+   (still single-threaded, deterministic) walk — the producer/consumer
+   topology of a live [Par_exec] run, driven from a reproducible schedule.
+   They spawn once the session has set up the detector's run.  Whatever
+   ends the walk, the session's [on_done] has fired before the pools are
+   joined, so every stage reaches [`Done] and the join terminates; the
+   drain after it is then a no-op pass that only publishes latencies. *)
+let run ?wrap ?pools ?on_strand (tf : Tracefile.t) (d : Detector.t) =
+  let s = Session.make ~size:(Tracefile.entry_count tf) ?wrap ?on_strand d in
+  let mp = Option.map Micropool.spawn pools in
+  Fun.protect
+    ~finally:(fun () ->
+      Session.abort s;
+      Option.iter Micropool.join mp)
+    (fun () ->
+      Array.iter (Session.offer s) tf.Tracefile.entries;
+      Session.advance s;
+      Session.close s);
+  d.Detector.drain ();
+  Session.outcome s
 
 (* ------------------------------------------------------------ differential *)
 

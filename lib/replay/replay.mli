@@ -1,11 +1,18 @@
 (** Deterministic offline replay: drive any detector from a persisted trace.
 
-    Replay reconstructs the run's strand DAG from a {!Tracefile.t} and pushes
+    Replay reconstructs the run's strand DAG from PINTRACE entries and pushes
     it through the {!Hooks} contract exactly as the sequential executor
     would, without re-executing any workload code: [Sp_order] is rebuilt by
     re-issuing the spawn protocol in canonical depth-first order, fresh
     [Srec]s are filled from the recorded interval sets, and every boundary
     event fires with Algorithm-1 bookkeeping applied.
+
+    There is one walk, {!Session}'s: a depth-first walk with an explicit
+    stack of pending strands that advances whenever the next strand's entry
+    has arrived.  A {!Session} is pushed a byte stream chunk by chunk (the
+    [pint_serve] path); {!run} offers it a whole decoded file at once.  Both
+    therefore replay every trace identically, down to the replay-side
+    strand ids.
 
     Canonicalization: whatever schedule produced the capture, replay
     linearizes it to the sequential (serial-elision) order — continuations
@@ -45,29 +52,25 @@ type outcome = {
     {!Sp_order.strand} and id. *)
 type strand_observer = sp:Sp_order.t -> pos:int -> Tracefile.entry -> Srec.t -> unit
 
-(** [drive ?aspace ?on_strand trace driver] — low-level: replay the trace
-    through a raw hook driver (fires [on_start]/sink/[on_finish] per strand,
-    then [on_done]).  Returns the number of strands replayed.  [aspace]
-    defaults to a fresh address space; recorded frees are {!Aspace.reserve}d
-    before being forwarded so the detectors' deferred-free handling runs as
-    live.  [on_strand] observes every strand as it replays.
-    @raise Corrupt if the trace's DAG links are inconsistent. *)
-val drive : ?aspace:Aspace.t -> ?on_strand:strand_observer -> Tracefile.t -> Hooks.driver -> int
-
-(** [run ?aspace ?wrap ?pools trace det] — replay through a detector
-    instance and drain its pipeline.  The detector must be fresh (one
-    instance per replay).  [wrap] (default identity) is applied to the
-    detector's driver before replay — e.g. {!Obs_hooks.instrument} to
-    profile a replay.  [pools] (default: none — the pipeline drains
-    synchronously after the feed) runs the detector's stage groups on
-    {!Micropool} domains concurrently with the strand feed, e.g.
-    [Pint_detector.stage_pools] for a real-domain golden diff; pair it
+(** [run ?wrap ?pools ?on_strand trace det] — replay through a detector
+    instance and drain its pipeline: a {!Session} offered every entry in
+    file order, then closed.  The detector must be fresh (one instance per
+    replay) and gets a fresh address space; recorded frees are
+    {!Aspace.reserve}d before being forwarded, so the detectors'
+    deferred-free handling runs as live.  [wrap] (default identity) is
+    applied to the detector's driver before replay — e.g.
+    {!Obs_hooks.instrument} to profile a replay.  [pools] (default: none —
+    the pipeline drains synchronously after the feed) runs the detector's
+    stage groups on {!Micropool} domains concurrently with the strand feed,
+    e.g. [Pint_detector.stage_pools] for a real-domain golden diff; pair it
     with {!Pint_detector.set_backpressure} so the collector waits out
-    momentarily-full lanes instead of rejecting.  [on_strand] observes every
-    strand as it replays (e.g. {!Predict.observer} to build the strand DAG
-    for predictive detection in the same pass as observed detection). *)
+    momentarily-full lanes instead of rejecting.  [on_strand] observes
+    every strand as it replays (e.g. {!Predict.Builder.observer} to build
+    the strand DAG for predictive detection in the same pass as observed
+    detection).
+    @raise Corrupt if the trace's DAG links are inconsistent — after the
+    detector's run has ended and its [pools] have been joined. *)
 val run :
-  ?aspace:Aspace.t ->
   ?wrap:(Hooks.driver -> Hooks.driver) ->
   ?pools:Stage.t list list ->
   ?on_strand:strand_observer ->
@@ -82,11 +85,9 @@ val run :
     A session owns one fresh detector and one {!Tracefile.Decoder}: callers
     {!Session.feed} socket-sized chunks as they arrive, and the session
     replays every strand whose entry (and whose DFS predecessors) have
-    decoded — the same canonical serial-elision walk as {!run}, suspended
-    wherever the stream is still short.  Race sets are bit-identical to the
-    offline replay of the completed file at the Theorem-5 (kind, prior,
-    current) granularity, because replay-side uid assignment follows the
-    exact same depth-first order.
+    decoded — the walk {!run} uses, suspended wherever the stream is still
+    short.  Race sets are therefore bit-identical to the offline replay of
+    the completed file at the Theorem-5 (kind, prior, current) granularity.
 
     Like {!run}'s [pools] mode, the detector's pipeline stages may run on
     real domains concurrently with the feed: create the session first (the
@@ -95,14 +96,13 @@ val run :
 module Session : sig
   type t
 
-  (** [create ?aspace ?wrap ?max_pending ?on_strand det] — a session at
-      stream start.  [det] must be fresh; [wrap] (default identity) wraps its
+  (** [create ?wrap ?max_pending ?on_strand det] — a session at stream
+      start.  [det] must be fresh; [wrap] (default identity) wraps its
       driver, e.g. {!Obs_hooks.instrument}; [max_pending] bounds the decoder
       (see {!Tracefile.Decoder.create}).  [on_strand] observes each strand as
       it replays; its [pos] is the entry's arrival order in the stream — the
       same observed-schedule position offline replay reads off the file. *)
   val create :
-    ?aspace:Aspace.t ->
     ?wrap:(Hooks.driver -> Hooks.driver) ->
     ?max_pending:int ->
     ?on_strand:strand_observer ->
@@ -113,7 +113,7 @@ module Session : sig
       races newly reported since the last call (Theorem-5 keys, so a pair
       is returned once even if re-witnessed).
       @raise Tracefile.Error on a malformed stream.
-      @raise Corrupt on inconsistent DAG links.
+      @raise Corrupt on inconsistent DAG links or a repeated uid.
       @raise Invalid_argument after {!eof} or {!abort}. *)
   val feed : t -> ?pos:int -> ?len:int -> string -> Report.race list
 
@@ -122,7 +122,8 @@ module Session : sig
       detector's [on_done] (letting pipeline stages reach [`Done]).
       Returns the final batch of new races.
       @raise Tracefile.Error if the stream was truncated.
-      @raise Corrupt if strands were missing, duplicated or unreachable. *)
+      @raise Corrupt if the DAG has no root or a dangling link, or strands
+      were unreachable. *)
   val eof : t -> Report.race list
 
   (** Races newly reported since the last {!feed}/{!eof}/{!poll_races} —
@@ -142,11 +143,6 @@ module Session : sig
   (** Strands replayed so far — compare against the detector's
       ["collected"] diagnostic to estimate pipeline backlog. *)
   val fed_strands : t -> int
-
-  val fed_bytes : t -> int
-
-  (** Trace metadata, once the stream header has decoded. *)
-  val meta : t -> (string * string) list option
 
   (** Final summary; call after {!eof} (and, with real pools, after the
       pool has joined and the detector drained). *)

@@ -111,7 +111,7 @@ let varints ints =
 
 (* One race list on the wire: count, then per race a kind byte and
    prior/current/lo/width varints — shared by ['R'] frames and the
-   Summary's trailing predicted block. *)
+   Summary's predicted block. *)
 let write_races buf rs =
   Varint.write buf (List.length rs);
   List.iter
@@ -134,10 +134,7 @@ let read_races c =
       (kind, prior, current, Interval.make lo hi))
 
 let encode_client = function
-  | Hello { version; shards; predict } ->
-      (* the predict window is a version-2 trailing field: version-1 hellos
-         simply end after [shards], which decodes as predict = 0 *)
-      with_tag 'H' (varints (if predict = 0 then [ version; shards ] else [ version; shards; predict ]))
+  | Hello { version; shards; predict } -> with_tag 'H' (varints [ version; shards; predict ])
   | Data chunk -> with_tag 'D' chunk
   | End -> with_tag 'E' ""
 
@@ -159,9 +156,7 @@ let encode_server = function
           Varint.write buf (String.length v);
           Buffer.add_string buf v)
         stats;
-      (* trailing predicted block (version 2); omitted when empty so
-         version-1 summaries stay byte-identical *)
-      if predicted <> [] then write_races buf predicted;
+      write_races buf predicted;
       with_tag 'S' (Buffer.contents buf)
   | Reject msg -> with_tag 'X' msg
 
@@ -171,6 +166,11 @@ let payload_cursor payload =
 
 let wrap f = try f () with Failure m -> proto_error "corrupt frame: %s" m
 
+(* A fixed-layout frame ends where its last field does. *)
+let whole tag c msg =
+  if not (Varint.at_end c) then proto_error "bytes left over in %C frame" tag;
+  msg
+
 let decode_client payload =
   let tag, c = payload_cursor payload in
   wrap (fun () ->
@@ -178,18 +178,22 @@ let decode_client payload =
       | 'H' ->
           let version = Varint.read c in
           let shards = Varint.read c in
-          let predict = if c.Varint.pos < String.length payload then Varint.read c else 0 in
-          Hello { version; shards; predict }
+          let predict = Varint.read c in
+          whole tag c (Hello { version; shards; predict })
       | 'D' -> Data (String.sub payload 1 (String.length payload - 1))
-      | 'E' -> End
+      | 'E' -> whole tag c End
       | t -> proto_error "unknown client message tag %C" t)
 
 let decode_server payload =
   let tag, c = payload_cursor payload in
   wrap (fun () ->
       match tag with
-      | 'A' -> Accepted { session = Varint.read c }
-      | 'R' -> Races (read_races c)
+      | 'A' ->
+          let session = Varint.read c in
+          whole tag c (Accepted { session })
+      | 'R' ->
+          let races = read_races c in
+          whole tag c (Races races)
       | 'S' ->
           let n_strands = Varint.read c in
           let n_races = Varint.read c in
@@ -200,7 +204,7 @@ let decode_server payload =
                 let v = Varint.read_string c (Varint.read c) in
                 (k, v))
           in
-          let predicted = if c.Varint.pos < String.length payload then read_races c else [] in
-          Summary { n_strands; n_races; stats; predicted }
+          let predicted = read_races c in
+          whole tag c (Summary { n_strands; n_races; stats; predicted })
       | 'X' -> Reject (String.sub payload 1 (String.length payload - 1))
       | t -> proto_error "unknown server message tag %C" t)

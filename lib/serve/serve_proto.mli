@@ -9,25 +9,23 @@
 
     {2 Messages}
 
-    Client → server: ['H'] hello (protocol version + requested shard
-    count, 0 = server default, + optional predict window, 0 = off — a
-    version-2 trailing field, absent from version-1 hellos), ['D'] data
-    (one raw PINTRACE chunk — chunking is transport-level; the server's
-    trace decoder carries state across chunk boundaries, so any split is
-    legal), ['E'] end of stream.
+    Client → server: ['H'] hello (protocol version, requested shard count
+    (0 = server default), prediction window (0 = off)), ['D'] data (one raw
+    PINTRACE chunk — chunking is transport-level; the server's trace
+    decoder carries state across chunk boundaries, so any split is legal),
+    ['E'] end of stream.
 
     Server → client: ['A'] session accepted (session id), ['R'] newly
     found races (Theorem-5 keys plus one witness interval each), ['S']
-    final summary (strand/race counts + diagnostic and obs key-values,
-    plus — for predict sessions — a trailing block of predicted races in
-    the ['R'] layout; omitted when empty, so version-1 summaries are
-    byte-identical), ['X'] rejection/error (admission refusal, malformed
-    stream, corrupt DAG).
+    final summary (strand/race counts, diagnostic and obs key-values, then
+    the predicted races in the ['R'] layout — an empty list unless the
+    session asked for prediction), ['X'] rejection/error (admission
+    refusal, malformed stream, corrupt DAG).
 
-    Version history: 1 — initial; 2 — predictive detection opt-in (the
-    ['H'] predict field and the ['S'] predicted block).  Both trailing
-    fields decode as empty when absent, so a version-2 endpoint reads
-    version-1 frames unchanged. *)
+    There is one protocol version, {!protocol_version}: every field of a
+    frame is required, and ['H'], ['E'], ['A'], ['R'] and ['S'] frames
+    with bytes left over after their last field are malformed.  The
+    daemon rejects a hello of any other version with an ['X'] frame. *)
 
 exception Proto_error of string
 

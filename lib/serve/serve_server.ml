@@ -3,7 +3,6 @@ type config = {
   max_sessions : int;
   pool_workers : int;
   shards : int;
-  bp_rounds : int;
   backlog_high : int;
   max_frame : int;
   max_pending : int;
@@ -17,7 +16,6 @@ let default_config =
     max_sessions = 4;
     pool_workers = 2;
     shards = 2;
-    bp_rounds = 0;
     backlog_high = 4096;
     max_frame = Serve_proto.default_max_frame;
     max_pending = 16 * 1024 * 1024;
@@ -132,9 +130,10 @@ let start_stream t c ~shards ~predict =
   let obs =
     Obs.create ?capacity:cfg.obs_capacity ~clock:Clock.monotonic ()
   in
-  match
-    Systems.make_detector ~shards ~obs ~bp_rounds:cfg.bp_rounds cfg.detector
-  with
+  (* no collector backpressure: a shared-pool slot steps shard 0's
+     collector and its lane's readers on one worker, so waiting out a full
+     lane there could never succeed *)
+  match Systems.make_detector ~shards ~obs cfg.detector with
   | None -> fail_conn t c (Printf.sprintf "unknown detector %S" cfg.detector)
   | Some (det, stages) ->
       (* session first (its driver sets up the detector's run), stages to
@@ -172,9 +171,7 @@ let race_msg races =
 let handle_msg t c msg =
   match (c.c_phase, msg) with
   | Handshake, Serve_proto.Hello { version; shards; predict } ->
-      (* version 1 speaks a strict subset of version 2 (no predict field,
-         whose absence decodes as 0), so both are admitted *)
-      if version < 1 || version > Serve_proto.protocol_version then
+      if version <> Serve_proto.protocol_version then
         fail_conn t c
           (Printf.sprintf "protocol version %d unsupported (server speaks %d)" version
              Serve_proto.protocol_version)

@@ -16,9 +16,7 @@
     - backpressure — a session whose pipeline backlog (strands fed minus
       strands collected) exceeds [backlog_high] stops being read until the
       shared pool catches up, so flow control propagates to that client's
-      socket without affecting other tenants; pair with [bp_rounds] (see
-      {!Pint_detector.recommended_bp_rounds}) to also smooth transient
-      full-lane rejects inside the collector;
+      socket without affecting other tenants;
     - per-session observability — each session carries its own {!Obs}
       session (monotonic clock): detector stage tracks, a ["serve.feed_us"]
       latency histogram per Data frame, with the summary merged into the
@@ -31,7 +29,6 @@ type config = {
   max_sessions : int;  (** admission cap *)
   pool_workers : int;  (** shared micropool domains *)
   shards : int;  (** default shard count (client may request its own) *)
-  bp_rounds : int;  (** collector backpressure window, 0 = reject path *)
   backlog_high : int;  (** feed-minus-collected watermark that pauses reads *)
   max_frame : int;  (** wire-frame payload cap *)
   max_pending : int;  (** per-session decoder buffer cap *)

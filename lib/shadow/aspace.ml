@@ -184,5 +184,4 @@ let frame_pop t ~worker ~base =
   reclaim ()
 
 let stack_used t ~worker = (stack t worker).sp
-let stack_base t ~worker = (stack t worker).region_base
 let is_stack_addr t addr = addr >= 0 && addr < t.heap_base

@@ -81,8 +81,5 @@ val frame_pop : t -> worker:int -> base:int -> unit
 (** Words currently in use (live or awaiting lazy reclaim) on a stack. *)
 val stack_used : t -> worker:int -> int
 
-(** First address of [worker]'s stack region. *)
-val stack_base : t -> worker:int -> int
-
 (** True iff [addr] falls in some worker's stack region. *)
 val is_stack_addr : t -> int -> bool

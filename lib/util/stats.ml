@@ -21,10 +21,6 @@ let count t = t.n
 let mean t = if t.n = 0 then 0. else t.mean
 let stddev t = if t.n < 2 then 0. else sqrt (t.m2 /. float_of_int t.n)
 
-let rel_stddev t =
-  let m = mean t in
-  if m = 0. then 0. else stddev t /. m
-
 let min t = t.min
 let max t = t.max
 

@@ -18,9 +18,6 @@ val mean : t -> float
 (** Population standard deviation; 0. when fewer than two observations. *)
 val stddev : t -> float
 
-(** Relative standard deviation (stddev / mean); 0. when mean is 0. *)
-val rel_stddev : t -> float
-
 val min : t -> float
 val max : t -> float
 

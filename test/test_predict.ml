@@ -448,6 +448,49 @@ let qcheck_oracle_big =
             (Predict.oracle ~window:w ~observed dag))
         [ 0; 1; 2; 3; 4; 5 ])
 
+(* The one replay walk, pushed or offered: a session fed a program's
+   capture in random chunks replays it exactly as [Replay.run] replays the
+   decoded file — the same races (witnesses included), the same strand
+   count, and the same observer sequence of (position, trace uid, replay
+   uid). *)
+let replay_steps ?chunks bytes =
+  let steps = ref [] in
+  let on_strand ~sp:_ ~pos (e : Tracefile.entry) (r : Srec.t) =
+    steps := (pos, e.Tracefile.uid, r.Srec.uid) :: !steps
+  in
+  let det, _ = Option.get (Systems.make_detector "pint") in
+  let o =
+    match chunks with
+    | None -> Replay.run ~on_strand (Tracefile.of_bytes bytes) det
+    | Some sizes ->
+        let s = Replay.Session.create ~on_strand det in
+        let n = String.length bytes in
+        let rec go pos = function
+          | [] -> go pos sizes
+          | k :: ks when pos < n ->
+              let len = min k (n - pos) in
+              ignore (Replay.Session.feed s ~pos ~len bytes);
+              go (pos + len) ks
+          | _ -> ()
+        in
+        go 0 sizes;
+        ignore (Replay.Session.eof s);
+        det.Detector.drain ();
+        Replay.Session.outcome s
+  in
+  (o.Replay.races, o.Replay.n_strands, List.rev !steps)
+
+(* Chunk sizes, cycled over the stream (no shrinker, so sizes stay >= 1). *)
+let arb_chunks =
+  QCheck.make ~print:QCheck.Print.(list int) QCheck.Gen.(list_size (int_range 1 6) (int_range 1 97))
+
+let qcheck_session =
+  QCheck.Test.make ~name:"random fj: chunked session = offline run" ~count:100
+    (QCheck.pair arb_big_prog arb_chunks)
+    (fun (p, sizes) ->
+      let bytes = Tracefile.to_bytes (capture p) in
+      replay_steps ~chunks:sizes bytes = replay_steps bytes)
+
 let () =
   let files = golden_files () in
   if files = [] then prerr_endline "test_predict: no golden traces found, nothing to check";
@@ -479,5 +522,5 @@ let () =
         ] );
       ( "random",
         List.map (QCheck_alcotest.to_alcotest ~long:false)
-          [ qcheck_oracle; qcheck_monotone; qcheck_oracle_big; qcheck_sched ] );
+          [ qcheck_oracle; qcheck_monotone; qcheck_oracle_big; qcheck_sched; qcheck_session ] );
     ]

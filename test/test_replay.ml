@@ -191,47 +191,77 @@ let expect_corrupt name f =
        false
      with Replay.Corrupt _ -> true)
 
+let spawn_one_child () =
+  let b = Fj.alloc_f 8 in
+  Fj.spawn (fun () -> Membuf.set_f b 0 1.0);
+  Fj.sync ()
+
+let without start (t : Tracefile.t) =
+  {
+    t with
+    Tracefile.entries =
+      Array.of_list
+        (List.filter
+           (fun (e : Tracefile.entry) -> e.Tracefile.start <> start)
+           (Array.to_list t.Tracefile.entries));
+  }
+
 let test_corrupt_links_rejected () =
-  let prog () =
-    let b = Fj.alloc_f 8 in
-    Fj.spawn (fun () -> Membuf.set_f b 0 1.0);
-    Fj.sync ()
-  in
-  let t = capture_seq prog in
-  let drive t =
+  let t = capture_seq spawn_one_child in
+  let replay t =
     let d, _ = make_det "none" in
-    Replay.drive t d.Detector.driver
+    Replay.run t d
   in
   (* dropping a linked entry leaves a dangling uid *)
-  let missing =
-    {
-      t with
-      Tracefile.entries =
-        Array.of_list
-          (List.filter
-             (fun (e : Tracefile.entry) -> e.Tracefile.start <> Events.S_child)
-             (Array.to_list t.Tracefile.entries));
-    }
-  in
-  expect_corrupt "dangling child link" (fun () -> drive missing);
+  expect_corrupt "dangling child link" (fun () -> replay (without Events.S_child t));
   (* no root strand at all *)
-  let rootless =
-    {
-      t with
-      Tracefile.entries =
-        Array.of_list
-          (List.filter
-             (fun (e : Tracefile.entry) -> e.Tracefile.start <> Events.S_root)
-             (Array.to_list t.Tracefile.entries));
-    }
-  in
-  expect_corrupt "missing root" (fun () -> drive rootless);
+  expect_corrupt "missing root" (fun () -> replay (without Events.S_root t));
   (* an unreachable extra entry must fail the coverage check *)
   let orphan = { (Tracefile.root t) with Tracefile.uid = 4_096 } in
   let extra =
     { t with Tracefile.entries = Array.append t.Tracefile.entries [| orphan |] }
   in
-  expect_corrupt "unreachable strand" (fun () -> drive extra)
+  expect_corrupt "unreachable strand" (fun () -> replay extra);
+  (* two entries under one uid *)
+  let twice =
+    { t with Tracefile.entries = Array.append t.Tracefile.entries [| Tracefile.root t |] }
+  in
+  expect_corrupt "repeated uid" (fun () -> replay twice);
+  (* a spawn whose child link points back at the spawning strand *)
+  let self_link (e : Tracefile.entry) =
+    match e.Tracefile.finish with
+    | Tracefile.Spawn { cont; sync; child = _; first } ->
+        { e with Tracefile.finish = Tracefile.Spawn { cont; sync; child = e.Tracefile.uid; first } }
+    | _ -> e
+  in
+  expect_corrupt "strand linked twice" (fun () ->
+      replay { t with Tracefile.entries = Array.map self_link t.Tracefile.entries })
+
+(* A corrupt trace replayed with pool domains must end the detector's run
+   and join the pools before [Corrupt] escapes: were each call to leave
+   its domains running, the runtime's domain limit would fail a later
+   spawn long before the last call.  The walk fails at end of stream on a
+   dangling link, and between a strand's start and finish on a sync that
+   links the wrong block. *)
+let test_corrupt_pooled_joins () =
+  let t = capture_seq spawn_one_child in
+  let mislink (e : Tracefile.entry) =
+    match e.Tracefile.finish with
+    | Tracefile.Sync { trivial; sync } ->
+        { e with Tracefile.finish = Tracefile.Sync { trivial; sync = sync + 1 } }
+    | _ -> e
+  in
+  List.iter
+    (fun (name, bad) ->
+      for _ = 1 to 128 do
+        let d, stages = Option.get (Systems.make_detector ~shards:2 "pint") in
+        expect_corrupt name (fun () -> Replay.run ~pools:(Systems.micropools stages) bad d)
+      done)
+    [
+      ("pooled dangling child link", without Events.S_child t);
+      ( "pooled sync linking another block",
+        { t with Tracefile.entries = Array.map mislink t.Tracefile.entries } );
+    ]
 
 let () =
   Alcotest.run "pint_replay"
@@ -261,5 +291,8 @@ let () =
           Alcotest.test_case "diff_races semantics" `Quick test_diff_races_symmetric;
         ] );
       ( "corrupt",
-        [ Alcotest.test_case "inconsistent DAGs rejected" `Quick test_corrupt_links_rejected ] );
+        [
+          Alcotest.test_case "inconsistent DAGs rejected" `Quick test_corrupt_links_rejected;
+          Alcotest.test_case "pooled replay joins its pools" `Quick test_corrupt_pooled_joins;
+        ] );
     ]

@@ -76,11 +76,7 @@ let check_session_pool path () =
   Fun.protect
     ~finally:(fun () -> Micropool.shutdown pool)
     (fun () ->
-      let det, stages =
-        Option.get
-          (Systems.make_detector ~shards:2
-             ~bp_rounds:Pint_detector.recommended_bp_rounds "pint")
-      in
+      let det, stages = Option.get (Systems.make_detector ~shards:2 "pint") in
       let s = Replay.Session.create det in
       let lease = Micropool.submit pool (Systems.micropools stages) in
       let races = feed_all s bytes 512 in
@@ -139,7 +135,6 @@ let test_config =
     Serve_server.max_sessions = 4;
     pool_workers = 2;
     shards = 2;
-    bp_rounds = Pint_detector.recommended_bp_rounds;
   }
 
 (* One client per golden trace, all concurrent, against one daemon: every
@@ -295,35 +290,117 @@ let test_daemon_predict () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "over-cap predict window was accepted")
 
+(* The daemon's first reply to one raw hello frame. *)
+let hello_reply addr hello =
+  let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd addr;
+      ignore (Unix.write_substring fd hello 0 (String.length hello));
+      let frames = Serve_proto.Frames.create () in
+      let buf = Bytes.create 4096 in
+      let rec next () =
+        match Serve_proto.Frames.next frames with
+        | Some payload -> Serve_proto.decode_server payload
+        | None ->
+            let n = Unix.read fd buf 0 (Bytes.length buf) in
+            if n = 0 then failwith "closed without a reply frame";
+            Serve_proto.Frames.feed frames ~len:n (Bytes.to_string buf);
+            next ()
+      in
+      next ())
+
 (* A bad protocol version must be rejected with a framed error. *)
 let test_daemon_bad_version () =
   let server, join = start_daemon test_config in
   Fun.protect ~finally:join (fun () ->
-      let addr = Serve_server.sockaddr server in
-      let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () ->
-          Unix.connect fd addr;
-          let out =
-            Serve_proto.encode_client
-              (Serve_proto.Hello { version = Serve_proto.protocol_version + 1; shards = 0; predict = 0 })
-          in
-          ignore (Unix.write_substring fd out 0 (String.length out));
-          let frames = Serve_proto.Frames.create () in
-          let buf = Bytes.create 4096 in
-          let rec next () =
-            match Serve_proto.Frames.next frames with
-            | Some payload -> Serve_proto.decode_server payload
-            | None ->
-                let n = Unix.read fd buf 0 (Bytes.length buf) in
-                if n = 0 then failwith "closed without a reject frame";
-                Serve_proto.Frames.feed frames ~len:n (Bytes.to_string buf);
-                next ()
-          in
-          match next () with
-          | Serve_proto.Reject _ -> ()
-          | _ -> Alcotest.fail "version mismatch was not rejected"))
+      let version = Serve_proto.protocol_version + 1 in
+      let hello = Serve_proto.encode_client (Serve_proto.Hello { version; shards = 0; predict = 0 }) in
+      match hello_reply (Serve_server.sockaddr server) hello with
+      | Serve_proto.Reject _ -> ()
+      | _ -> Alcotest.fail "version mismatch was not rejected")
+
+(* A version-1 hello (version and shard count, no prediction window) is
+   malformed under the one protocol version: it gets a framed error. *)
+let test_daemon_v1_hello () =
+  let server, join = start_daemon test_config in
+  Fun.protect ~finally:join (fun () ->
+      let buf = Buffer.create 4 in
+      Buffer.add_char buf 'H';
+      List.iter (Varint.write buf) [ 1; 0 ];
+      let hello = Serve_proto.frame (Buffer.contents buf) in
+      match hello_reply (Serve_server.sockaddr server) hello with
+      | Serve_proto.Reject _ -> ()
+      | _ -> Alcotest.fail "a version-1 hello was accepted")
+
+(* ------------------------------------------------------------ the codecs *)
+
+let payload frame = String.sub frame 4 (String.length frame - 4)
+
+let races =
+  [
+    (Report.Write_write, 1, 6, Interval.make 64 71);
+    (Report.Read_write, 300, 70_000, Interval.make 1_048_576 1_048_576);
+  ]
+
+let client_msgs =
+  [
+    Serve_proto.Hello { version = Serve_proto.protocol_version; shards = 0; predict = 0 };
+    Serve_proto.Hello { version = Serve_proto.protocol_version; shards = 4; predict = 300 };
+    Serve_proto.Data "";
+    Serve_proto.Data "PINTRACE\x00\xff";
+    Serve_proto.End;
+  ]
+
+let server_msgs =
+  [
+    Serve_proto.Accepted { session = 0 };
+    Serve_proto.Accepted { session = 1_000_000 };
+    Serve_proto.Races [];
+    Serve_proto.Races races;
+    Serve_proto.Summary { n_strands = 0; n_races = 0; stats = []; predicted = [] };
+    Serve_proto.Summary
+      { n_strands = 97_819; n_races = 2; stats = [ ("k", "1.5"); ("", "") ]; predicted = races };
+    Serve_proto.Reject "";
+    Serve_proto.Reject "server at capacity";
+  ]
+
+let test_round_trip () =
+  List.iter
+    (fun m ->
+      check_bool "client message round-trips" true
+        (Serve_proto.decode_client (payload (Serve_proto.encode_client m)) = m))
+    client_msgs;
+  List.iter
+    (fun m ->
+      check_bool "server message round-trips" true
+        (Serve_proto.decode_server (payload (Serve_proto.encode_server m)) = m))
+    server_msgs
+
+(* One byte past the last field of an H, E, A, R or S frame. *)
+let test_trailing_byte () =
+  let rejected decode frame =
+    match decode (payload frame ^ "\x00") with
+    | exception Serve_proto.Proto_error _ -> true
+    | _ -> false
+  in
+  List.iter
+    (fun m ->
+      match m with
+      | Serve_proto.Data _ -> ()
+      | m ->
+          check_bool "trailing byte in a client frame rejected" true
+            (rejected Serve_proto.decode_client (Serve_proto.encode_client m)))
+    client_msgs;
+  List.iter
+    (fun m ->
+      match m with
+      | Serve_proto.Reject _ -> ()
+      | m ->
+          check_bool "trailing byte in a server frame rejected" true
+            (rejected Serve_proto.decode_server (Serve_proto.encode_server m)))
+    server_msgs
 
 let () =
   (* the daemons run in-process: a write to a socket the peer already
@@ -347,5 +424,11 @@ let () =
           Alcotest.test_case "mid-stream disconnect" `Quick test_daemon_disconnect;
           Alcotest.test_case "predict session" `Quick test_daemon_predict;
           Alcotest.test_case "version mismatch rejected" `Quick test_daemon_bad_version;
+          Alcotest.test_case "version-1 hello rejected" `Quick test_daemon_v1_hello;
+        ] );
+      ( "protocol",
+        [
+          Alcotest.test_case "every message round-trips" `Quick test_round_trip;
+          Alcotest.test_case "trailing byte rejected" `Quick test_trailing_byte;
         ] );
     ]
