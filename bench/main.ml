@@ -526,6 +526,7 @@ let tracked_diags =
     "rreader_visits";
     "reader_visits";
     "fastpath_hits";
+    "inplace_hits";
     "slowpath_hits";
     "fastpath_rate";
     "scratch_reuse";

@@ -644,12 +644,8 @@ let diagnostics t () =
         float_of_int (Array.fold_left ( + ) 0 (Array.sub r.stage_strands lo s))
         /. float_of_int s
       in
-      let fast = sum_treaps Itreap.fastpath_hits and slow = sum_treaps Itreap.slowpath_hits in
-      [
-        ("fastpath_hits", float_of_int fast);
-        ("slowpath_hits", float_of_int slow);
-        ("fastpath_rate", float_of_int fast /. float_of_int (max 1 (fast + slow)));
-        ("scratch_reuse", float_of_int (sum_treaps Itreap.scratch_reuse));
+      Policies.path_diags sum_treaps
+      @ [
         ("queue_min_rescans", float_of_int (Lanes.total_min_rescans r.lanes));
         ( "coal_sort_skips",
           sum (fun c -> float_of_int (fst (Coalescer.sort_stats c))) r.coals );

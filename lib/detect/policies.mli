@@ -18,6 +18,12 @@ val check_treap :
   Sp_order.strand ->
   unit
 
+(** [path_diags sum] — the treap path counters as diagnostics, each summed
+    over a detector's treaps by [sum]: [fastpath_hits], [inplace_hits],
+    [slowpath_hits], [fastpath_rate] (fast over all three) and
+    [scratch_reuse]. *)
+val path_diags : ((Sp_order.strand Itreap.t -> int) -> int) -> (string * float) list
+
 (** Reader-slot update policies.  All take the incumbent reader and the new
     reader [s]; [`Replace] means [s] takes the slot.
 

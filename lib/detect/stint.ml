@@ -89,8 +89,6 @@ let make ?(seed = 2022) ?(obs = Obs.disabled) () =
       on_done =
         (fun () ->
           let sum3 f = f writer + f lreader + f rreader in
-          let fast = sum3 Itreap.fastpath_hits in
-          let slow = sum3 Itreap.slowpath_hits in
           diags :=
             [
               ("strands", float_of_int !strands);
@@ -101,13 +99,12 @@ let make ?(seed = 2022) ?(obs = Obs.disabled) () =
               ("reader_visits", float_of_int (Itreap.visits lreader + Itreap.visits rreader));
               ("writer_size", float_of_int (Itreap.size writer));
               ("reader_size", float_of_int (Itreap.size lreader + Itreap.size rreader));
-              ("fastpath_hits", float_of_int fast);
-              ("slowpath_hits", float_of_int slow);
-              ("fastpath_rate", float_of_int fast /. float_of_int (max 1 (fast + slow)));
-              ("scratch_reuse", float_of_int (sum3 Itreap.scratch_reuse));
-              ("coal_sort_skips", float_of_int (fst (Coalescer.sort_stats coal)));
-              ("coal_sorts", float_of_int (snd (Coalescer.sort_stats coal)));
-            ]);
+            ]
+            @ Policies.path_diags sum3
+            @ [
+                ("coal_sort_skips", float_of_int (fst (Coalescer.sort_stats coal)));
+                ("coal_sorts", float_of_int (snd (Coalescer.sort_stats coal)));
+              ]);
     }
   in
   {

@@ -38,6 +38,7 @@ type 'o t = {
   mutable visits : int;
   mutable covered : int;
   mutable fastpath_hits : int;
+  mutable inplace_hits : int;
   mutable slowpath_hits : int;
   mutable scratch_reuse : int;
   ovl : 'o scratch;
@@ -60,6 +61,7 @@ let create ~seed ~owner_eq () =
     visits = 0;
     covered = 0;
     fastpath_hits = 0;
+    inplace_hits = 0;
     slowpath_hits = 0;
     scratch_reuse = 0;
     ovl = scratch ();
@@ -72,6 +74,7 @@ let size t = t.size
 let visits t = t.visits
 let covered t = t.covered
 let fastpath_hits t = t.fastpath_hits
+let inplace_hits t = t.inplace_hits
 let slowpath_hits t = t.slowpath_hits
 let scratch_reuse t = t.scratch_reuse
 let capacity t = Array.length t.owners
@@ -161,37 +164,67 @@ let s_push_coalesce t s lo hi own =
 
 exception Overlap
 
-(* [split_probe t qlo qhi k n] partitions [n] by low endpoint into
-   (lo < k) in [t.split_l] and (lo >= k) in [t.split_r], fused with an
-   intersection probe against [qlo, qhi]: it raises [Overlap] (before
-   relinking anything — relinks happen only as the recursion unwinds) the
-   moment a visited node intersects the probe range.  Reaching the leaf
-   proves the whole treap is clear of [qlo, qhi]: stored intervals are
-   disjoint, so at any non-intersecting node the subtree we skip lies
-   entirely outside the probe range (went left => skipped keys all exceed
-   [qhi]; went right => skipped intervals all end before the node, hence
-   before [qlo]).  The probe and the insert-position split are therefore
-   the same single descent. *)
-let[@pint.hot] rec split_probe t qlo qhi k n =
+(* Does node [n] end at [lo - 1] or start at [hi + 1] with an owner equal
+   to [owner]?  Such a neighbour must coalesce with [\[lo, hi\]], which only
+   the general path does. *)
+let[@inline] touches_same t n lo hi owner =
+  (hi_of t n + 1 = lo || lo_of t n = hi + 1) && t.owner_eq t.owners.(n) owner
+
+(* [split_probe t lo hi owner n] is the insert probe: one descent that
+   splits [n] at [lo] — (lo' < lo) into [t.split_l], (lo' >= lo) into
+   [t.split_r] — while it looks for a stored interval that intersects
+   [\[lo, hi\]] or touches it with an owner equal to [owner].  Three
+   outcomes:
+   - the first such node is exactly [\[lo, hi\]]: it is returned and
+     nothing is relinked (stored intervals are disjoint, so it is the only
+     intersecting node);
+   - any other such node: [Overlap] is raised, before anything is relinked
+     (relinks happen only as the recursion unwinds);
+   - none: the split completes and [nil] is returned.
+   Reaching the leaf proves nothing stored intersects [\[lo, hi\]]: at any
+   non-intersecting node the skipped subtree lies outside the probe range
+   (went left => skipped keys all exceed [hi]; went right => skipped
+   intervals all end before the node, hence before [lo]).  Both in-order
+   neighbours of the split point lie on the path, so neither touches the
+   new interval with [owner].  The probe and the insert-position split are
+   therefore the same single descent. *)
+let[@pint.hot] rec split_probe t lo hi owner n =
+  if n = nil then (t.split_l <- nil; t.split_r <- nil; nil)
+  else begin
+    visit t;
+    let nlo = lo_of t n and nhi = hi_of t n in
+    if nhi >= lo && nlo <= hi then
+      if nlo = lo && nhi = hi then n else raise_notrace Overlap
+    else if touches_same t n lo hi owner then raise_notrace Overlap
+    else if nlo < lo then begin
+      let hit = split_probe t lo hi owner (right t n) in
+      if hit = nil then (set_right t n t.split_l; t.split_l <- n);
+      hit
+    end
+    else begin
+      let hit = split_probe t lo hi owner (left t n) in
+      if hit = nil then (set_left t n t.split_r; t.split_r <- n);
+      hit
+    end
+  end
+
+(* [split t k n] partitions [n] by low endpoint: (lo < k) into
+   [t.split_l], (lo >= k) into [t.split_r]. *)
+let[@pint.hot] rec split t k n =
   if n = nil then (t.split_l <- nil; t.split_r <- nil)
   else begin
     visit t;
-    let lo = lo_of t n in
-    if hi_of t n >= qlo && lo <= qhi then raise_notrace Overlap;
-    if lo < k then begin
-      split_probe t qlo qhi k (right t n);
+    if lo_of t n < k then begin
+      split t k (right t n);
       set_right t n t.split_l;
       t.split_l <- n
     end
     else begin
-      split_probe t qlo qhi k (left t n);
+      split t k (left t n);
       set_left t n t.split_r;
       t.split_r <- n
     end
   end
-
-(* The plain split: a probe range no stored interval can meet. *)
-let[@pint.hot] split t k n = split_probe t max_int min_int k n
 
 (* [join t a b] assumes every key in [a] is smaller than every key in [b]. *)
 let[@pint.hot] rec join t a b =
@@ -303,6 +336,40 @@ let insert_disjoint t lo hi owner =
   t.size <- t.size + 1;
   t.covered <- t.covered + (hi - lo + 1)
 
+(* Give slot [n], which [split_probe] matched exactly, the owner [owner]
+   without relinking anything.  An owner equal to the incumbent changes
+   nothing.  Otherwise [owner] is the inserting strand, which the probe
+   has already checked against every ancestor of [n], so the only
+   neighbours left to check are the extreme nodes of [n]'s two subtrees.
+   Returns [false], with nothing changed, when one of them touches [n]
+   with [owner]: the two must coalesce, which only the general path
+   does. *)
+let[@pint.hot] update_in_place t n owner =
+  t.owner_eq t.owners.(n) owner
+  || begin
+       let lo = lo_of t n and hi = hi_of t n in
+       let l = left t n and r = right t n in
+       (l = nil || not (touches_same t (max_node t l) lo hi owner))
+       && (r = nil || not (touches_same t (min_node t r) lo hi owner))
+       && (t.owners.(n) <- owner; true)
+     end
+
+(* The front both inserts share: one probe descent, then either a
+   [join_mid] insert of an interval that meets nothing stored, or an
+   in-place update of the one slot holding exactly [\[lo, hi\]], whose new
+   owner [keep] picks from the incumbent.  [false] means neither applied
+   and the tree is as it was, for the general path. *)
+let[@pint.hot] insert_fast t lo hi owner keep =
+  match split_probe t lo hi owner t.root with
+  | exception Overlap -> false
+  | n when n = nil -> insert_disjoint t lo hi owner; true
+  | n ->
+      let incumbent = t.owners.(n) in
+      let owner = match keep ~incumbent with `Keep -> incumbent | `Replace -> owner in
+      update_in_place t n owner && (t.inplace_hits <- t.inplace_hits + 1; true)
+
+let replace_any ~incumbent:_ = `Replace
+
 let note_slow t =
   t.slowpath_hits <- t.slowpath_hits + 1;
   if Array.length t.pieces.s_lo > 0 then t.scratch_reuse <- t.scratch_reuse + 1
@@ -367,12 +434,7 @@ let commit t =
 
 let insert_replace t iv owner =
   let lo = iv.Interval.lo and hi = iv.Interval.hi in
-  (* The probe extends one address each way: a hit on [lo-1] or [hi+1] means
-     a neighbour touches the new interval and may have to coalesce with it,
-     which only the general path handles. *)
-  match split_probe t (lo - 1) (hi + 1) lo t.root with
-  | () -> insert_disjoint t lo hi owner
-  | exception Overlap ->
+  if not (insert_fast t lo hi owner replace_any) then begin
     note_slow t;
     slow_extract t lo hi;
     let ovl = t.ovl and ps = t.pieces in
@@ -382,14 +444,13 @@ let insert_replace t iv owner =
     if ovl.s_len > 0 && ovl.s_hi.(ovl.s_len - 1) > hi then
       s_push_coalesce t ps (hi + 1) ovl.s_hi.(ovl.s_len - 1) ovl.s_own.(ovl.s_len - 1);
     commit t
+  end
 
 let insert_merge t iv owner ~keep =
   let lo = iv.Interval.lo and hi = iv.Interval.hi in
-  (* On the no-overlap path the whole range is one uncovered gap: it goes to
-     the new strand, same as insert_replace. *)
-  match split_probe t (lo - 1) (hi + 1) lo t.root with
-  | () -> insert_disjoint t lo hi owner
-  | exception Overlap ->
+  (* When nothing stored intersects, the whole range is one uncovered gap:
+     it goes to the new strand, same as insert_replace. *)
+  if not (insert_fast t lo hi owner keep) then begin
     note_slow t;
     slow_extract t lo hi;
     let ovl = t.ovl and ps = t.pieces in
@@ -408,6 +469,7 @@ let insert_merge t iv owner ~keep =
     if ovl.s_len > 0 && ovl.s_hi.(ovl.s_len - 1) > hi then
       s_push_coalesce t ps (hi + 1) ovl.s_hi.(ovl.s_len - 1) ovl.s_own.(ovl.s_len - 1);
     commit t
+  end
 
 let clear_range t iv =
   let lo = iv.Interval.lo and hi = iv.Interval.hi in

@@ -32,11 +32,15 @@
     the live set outgrows it ({!capacity}).  Links are int indices rather
     than mutable pointer fields because storing an int needs no OCaml 5
     write barrier; the descents relink on the way back up and allocate
-    nothing.  Every mutating operation first probes for an overlap with
-    one descent and, in the (dominant) no-overlap case, inserts with a
-    single split+join; the general path stages overlap entries and
-    replacement pieces in two scratch buffers owned by the treap and
-    reused across operations (see DESIGN.md §8).
+    nothing.  Every insert starts with one probe descent for a stored
+    interval that intersects the operand, or touches it with the same
+    owner.  If there is none, the operand goes in with that descent's
+    split and one three-way join.  If the first one is exactly the operand
+    and no in-order neighbour touches it with the new owner, its slot
+    takes the new owner in place.  Anything else takes the general path,
+    which stages overlap entries and replacement pieces in two scratch
+    buffers owned by the treap and reused across operations (see
+    DESIGN.md §8).
 
     Node visits are counted in an internal ledger so the benchmark harness
     can charge virtual cycles proportional to real structural work.  A
@@ -44,9 +48,10 @@
     tree's shape, which the keys and the seeded priority draws fix, not on
     how nodes are stored — so the cost model's per-visit charge
     ([c_treap_visit]) models one node touch whatever the representation
-    (DESIGN.md §8).  The fast/slow path split is counted too so detectors
-    can report how often the coalesced interval stream let them skip the
-    overlap machinery. *)
+    (DESIGN.md §8).  Which path each mutating operation took is counted
+    too ({!fastpath_hits}, {!inplace_hits}, {!slowpath_hits}), so
+    detectors can report how often their interval stream let them skip
+    the overlap machinery. *)
 
 type 'o t
 
@@ -64,13 +69,19 @@ val visits : 'o t -> int
 val covered : 'o t -> int
 
 (** Mutating operations ({!insert_replace}, {!insert_merge}, {!clear_range})
-    that found no stored interval intersecting the operand (including, for
-    inserts, its one-address neighbourhood) and took the single-descent
-    no-overlap path. *)
+    that found no stored interval intersecting the operand and finished in
+    the probe descent: for inserts, also no touching neighbour with the new
+    owner, and the interval went in with one three-way join; for
+    {!clear_range}, nothing to do. *)
 val fastpath_hits : 'o t -> int
 
-(** Mutating operations that found an overlap (or a touching neighbour) and
-    ran the general extract/commit machinery. *)
+(** Inserts whose probe found exactly the operand stored, with no in-order
+    neighbour touching it with the segment's new owner, and so set that
+    slot's owner in place (or left it, under [`Keep] or an equal owner). *)
+val inplace_hits : 'o t -> int
+
+(** Mutating operations that took neither of those paths and ran the
+    general extract/commit machinery. *)
 val slowpath_hits : 'o t -> int
 
 (** Slow-path operations that ran entirely inside previously grown scratch

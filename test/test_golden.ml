@@ -120,25 +120,25 @@ let check_sharded_domains path () =
     [ 2; 4 ]
 
 (* Treap visit pins: the [*_visits] diagnostics of pint at shards 1 and 4
-   and of stint, per golden trace, as the persistent path-copying treap
-   produced them.  Visits are what the cost model charges for treap work
-   ([c_treap_visit]), so a treap change that alters the visit sequence
-   moves the simulated figures and [detect_span]; it must fail here first.
-   A new golden trace needs its row added. *)
+   and of stint, per golden trace, as the treap with in-place exact-cover
+   updates produces them (DESIGN.md §8).  Visits are what the cost model
+   charges for treap work ([c_treap_visit]), so a treap change that alters
+   the visit sequence moves the simulated figures and [detect_span]; it
+   must fail here first.  A new golden trace needs its row added. *)
 let expected_visits =
   [
     ( "heat_racy.trace",
-      [ ("writer_visits", 125.); ("lreader_visits", 102.); ("rreader_visits", 99.) ],
-      [ ("writer_visits", 92.); ("reader_visits", 193.) ] );
+      [ ("writer_visits", 59.); ("lreader_visits", 96.); ("rreader_visits", 99.) ],
+      [ ("writer_visits", 56.); ("reader_visits", 187.) ] );
     ( "lucky_racy.trace",
       [ ("writer_visits", 6.); ("lreader_visits", 0.); ("rreader_visits", 0.) ],
       [ ("writer_visits", 6.); ("reader_visits", 0.) ] );
     ( "mmul_racy.trace",
-      [ ("writer_visits", 13313.); ("lreader_visits", 35020.); ("rreader_visits", 31230.) ],
-      [ ("writer_visits", 14448.); ("reader_visits", 66320.) ] );
+      [ ("writer_visits", 8143.); ("lreader_visits", 8165.); ("rreader_visits", 10210.) ],
+      [ ("writer_visits", 7371.); ("reader_visits", 19140.) ] );
     ( "sort_racy.trace",
-      [ ("writer_visits", 554.); ("lreader_visits", 1164.); ("rreader_visits", 1307.) ],
-      [ ("writer_visits", 526.); ("reader_visits", 2291.) ] );
+      [ ("writer_visits", 530.); ("lreader_visits", 814.); ("rreader_visits", 1472.) ],
+      [ ("writer_visits", 488.); ("reader_visits", 1931.) ] );
   ]
 
 let check_visits path () =

@@ -202,16 +202,22 @@ let test_sharded_workloads_clean () =
 let test_sharding_reduces_reader_bottleneck () =
   (* the extension's point: on a treap-bound configuration, the max reader
      clock drops substantially when the readers are sharded.  mmul's buffers
-     span many shard blocks, so the split is effective. *)
+     span many shard blocks, so the split is effective.  mmul 128 with base
+     16 keeps the one-shard run treap-bound (the default 256/64 run is
+     core-bound: its re-covered intervals are cheap in-place updates), and
+     the first check holds that premise, so a run the cores bound fails
+     here instead of passing vacuously. *)
   let w = Registry.find "mmul" in
-  let time shards =
-    let m =
-      Systems.run ~shards ~workload:w ~size:w.Workload.default_size ~base:w.Workload.default_base
-        ~workers:17 Systems.Pint_sys
-    in
-    m.Systems.time
+  let run shards =
+    Systems.run ~shards ~workload:w ~size:128 ~base:16 ~workers:17 Systems.Pint_sys
   in
-  let t1 = time 1 and t4 = time 4 in
+  let m1 = run 1 and m4 = run 4 in
+  let t1 = m1.Systems.time and t4 = m4.Systems.time in
+  check_bool
+    (Printf.sprintf "one shard is treap-bound (%.2f vsec, cores %.2f)" (Systems.vsec t1)
+       (Systems.vsec m1.Systems.core_time))
+    true
+    (t1 >= 2. *. m1.Systems.core_time);
   check_bool (Printf.sprintf "sharded faster (%.2f -> %.2f vsec)" (Systems.vsec t1) (Systems.vsec t4))
     true
     (t4 < 0.6 *. t1)

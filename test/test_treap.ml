@@ -211,6 +211,29 @@ let op_gen =
       (1, map (fun (lo, w) -> Clear (lo, lo + w - 1)) range);
     ]
 
+(* Grid-aligned ranges: a range starts on or halfway into one of the
+   model space's 8-address cells and spans a whole cell, half a cell or two
+   cells, so it often re-covers a stored range exactly, touches one, or
+   straddles a cell boundary; four owners make equal-owner neighbours
+   common.  These reach the probe's in-place and touch-only outcomes, which
+   [op_gen]'s free ranges rarely do. *)
+let grid_op_gen =
+  let open QCheck.Gen in
+  let range =
+    map3
+      (fun cell off len -> ((cell * 8) + off, (cell * 8) + off + len - 1))
+      (int_bound ((Model.space / 8) - 3))
+      (oneofl [ 0; 0; 4 ])
+      (oneofl [ 8; 8; 4; 16 ])
+  in
+  let owner = int_range 0 3 in
+  frequency
+    [
+      (4, map2 (fun (lo, hi) o -> Replace (lo, hi, o)) range owner);
+      (4, map2 (fun (lo, hi) o -> Merge (lo, hi, o)) range owner);
+      (1, map (fun (lo, hi) -> Clear (lo, hi)) range);
+    ]
+
 let op_print = function
   | Replace (l, h, o) -> Printf.sprintf "Replace[%d,%d]@%d" l h o
   | Merge (l, h, o) -> Printf.sprintf "Merge[%d,%d]@%d" l h o
@@ -218,6 +241,44 @@ let op_print = function
 
 (* the merge policy must be a pure function of the owners *)
 let policy ~new_owner ~incumbent = if incumbent <= new_owner then `Keep else `Replace
+
+let apply t = function
+  | Replace (l, h, o) -> Itreap.insert_replace t (iv l h) o
+  | Merge (l, h, o) -> Itreap.insert_merge t (iv l h) o ~keep:(policy ~new_owner:o)
+  | Clear (l, h) -> Itreap.clear_range t (iv l h)
+
+(* How often a run reached the probe's two newer outcomes. *)
+type reached = { mutable inplace : int; mutable touch_only : int }
+
+let reached () = { inplace = 0; touch_only = 0 }
+
+(* Apply [op] to [t] and check the path it took against the entries stored
+   before it: an insert takes the [join_mid] path exactly when nothing
+   stored intersects its range and no touching neighbour has its owner, and
+   is done in place only when an entry is exactly its range. *)
+let apply_tracked r t op =
+  let before = entries t in
+  let fast0 = Itreap.fastpath_hits t and inplace0 = Itreap.inplace_hits t in
+  apply t op;
+  match op with
+  | Clear _ -> true
+  | Replace (l, h, o) | Merge (l, h, o) ->
+      let touches (lo, hi, _) = hi + 1 = l || lo = h + 1 in
+      let meets ((lo, hi, u) as e) = (lo <= h && hi >= l) || (touches e && u = o) in
+      let fast = Itreap.fastpath_hits t - fast0 and inplace = Itreap.inplace_hits t - inplace0 in
+      if fast = 1 && List.exists touches before then r.touch_only <- r.touch_only + 1;
+      if inplace = 1 then r.inplace <- r.inplace + 1;
+      fast = (if List.exists meets before then 0 else 1)
+      && (inplace = 0 || List.exists (fun (lo, hi, _) -> lo = l && hi = h) before)
+
+(* A grid run must have reached both newer outcomes at least once. *)
+let grid_case prop =
+  let r = reached () in
+  let name, speed, run = QCheck_alcotest.to_alcotest (prop r) in
+  Alcotest.test_case name speed (fun () ->
+      run ();
+      check_bool "an exact re-cover was done in place" true (r.inplace > 0);
+      check_bool "a touch-only insert took join_mid" true (r.touch_only > 0))
 
 let agree t (m : Model.t) =
   (* every address agrees with the model *)
@@ -230,27 +291,30 @@ let agree t (m : Model.t) =
   let model_cov = Array.fold_left (fun n x -> if x = None then n else n + 1) 0 m in
   !ok && model_cov = Itreap.covered t
 
-let treap_model_prop =
-  QCheck.Test.make ~name:"treap agrees with per-address model" ~count:400
-    (QCheck.make ~print:QCheck.Print.(list op_print) (QCheck.Gen.list_size (QCheck.Gen.int_range 1 40) op_gen))
+let apply_model m = function
+  | Replace (l, h, o) -> Model.insert_replace m (iv l h) o
+  | Merge (l, h, o) -> Model.insert_merge m (iv l h) o ~keep:(policy ~new_owner:o)
+  | Clear (l, h) -> Model.clear m (iv l h)
+
+let op_list ~max_ops gen =
+  QCheck.make ~print:QCheck.Print.(list op_print)
+    (QCheck.Gen.list_size (QCheck.Gen.int_range 1 max_ops) gen)
+
+let model_prop ~name ~count ~max_ops gen r =
+  QCheck.Test.make ~name ~count (op_list ~max_ops gen)
     (fun ops ->
       let t = make_treap ~seed:7 () in
       let m = Model.create () in
       List.for_all
         (fun op ->
-          (match op with
-          | Replace (l, h, o) ->
-              Itreap.insert_replace t (iv l h) o;
-              Model.insert_replace m (iv l h) o
-          | Merge (l, h, o) ->
-              Itreap.insert_merge t (iv l h) o ~keep:(policy ~new_owner:o);
-              Model.insert_merge m (iv l h) o ~keep:(policy ~new_owner:o)
-          | Clear (l, h) ->
-              Itreap.clear_range t (iv l h);
-              Model.clear m (iv l h));
+          let path_ok = apply_tracked r t op in
+          apply_model m op;
           Itreap.validate t;
-          agree t m)
+          path_ok && agree t m)
         ops)
+
+let treap_model_prop =
+  model_prop ~name:"treap agrees with per-address model" ~count:400 ~max_ops:40 op_gen (reached ())
 
 let treap_query_model_prop =
   QCheck.Test.make ~name:"query returns exactly the overlapping owners" ~count:200
@@ -262,16 +326,9 @@ let treap_query_model_prop =
       let t = make_treap ~seed:11 () in
       let m = Model.create () in
       List.iter
-        (function
-          | Replace (l, h, o) ->
-              Itreap.insert_replace t (iv l h) o;
-              Model.insert_replace m (iv l h) o
-          | Merge (l, h, o) ->
-              Itreap.insert_merge t (iv l h) o ~keep:(policy ~new_owner:o);
-              Model.insert_merge m (iv l h) o ~keep:(policy ~new_owner:o)
-          | Clear (l, h) ->
-              Itreap.clear_range t (iv l h);
-              Model.clear m (iv l h))
+        (fun op ->
+          apply t op;
+          apply_model m op)
         ops;
       let q = iv qlo (qlo + qw - 1) in
       (* flatten the query result to per-address owners *)
@@ -336,29 +393,27 @@ module ListModel = struct
   let clear m l h = m := normalize (erase l h !m)
 end
 
-let treap_list_model_prop =
-  QCheck.Test.make ~name:"treap entries match sorted-list model" ~count:400
-    (QCheck.make
-       ~print:QCheck.Print.(list op_print)
-       (QCheck.Gen.list_size (QCheck.Gen.int_range 1 40) op_gen))
+let apply_list m = function
+  | Replace (l, h, o) -> ListModel.insert_replace m l h o
+  | Merge (l, h, o) -> ListModel.insert_merge m l h o ~keep:(policy ~new_owner:o)
+  | Clear (l, h) -> ListModel.clear m l h
+
+let list_model_prop ~name ~count ~max_ops gen r =
+  QCheck.Test.make ~name ~count (op_list ~max_ops gen)
     (fun ops ->
       let t = make_treap ~seed:13 () in
       let m = ListModel.create () in
       List.for_all
         (fun op ->
-          (match op with
-          | Replace (l, h, o) ->
-              Itreap.insert_replace t (iv l h) o;
-              ListModel.insert_replace m l h o
-          | Merge (l, h, o) ->
-              Itreap.insert_merge t (iv l h) o ~keep:(policy ~new_owner:o);
-              ListModel.insert_merge m l h o ~keep:(policy ~new_owner:o)
-          | Clear (l, h) ->
-              Itreap.clear_range t (iv l h);
-              ListModel.clear m l h);
+          let path_ok = apply_tracked r t op in
+          apply_list m op;
           Itreap.validate t;
-          entries t = !m)
+          path_ok && entries t = !m)
         ops)
+
+let treap_list_model_prop =
+  list_model_prop ~name:"treap entries match sorted-list model" ~count:400 ~max_ops:40 op_gen
+    (reached ())
 
 let test_path_counters () =
   let t = make_treap () in
@@ -381,6 +436,57 @@ let test_path_counters () =
   Itreap.clear_range t (iv 100 200);
   check_int "clear of untouched range is a fast no-op" (f0 + 1) (Itreap.fastpath_hits t);
   Alcotest.check entry_t "still intact" [ (0, 35, 5) ] (entries t);
+  check_int "no in-place update yet" 0 (Itreap.inplace_hits t);
+  Itreap.validate t
+
+(* The probe's two newer outcomes and the cases that still take the
+   general path: an exact re-cover is done in the slot it finds unless a
+   touching neighbour has the new owner, and a touch with a different
+   owner no longer forces the general path. *)
+let test_path_counters_exact () =
+  let t = make_treap () in
+  Itreap.insert_replace t (iv 0 4) 1;
+  Itreap.insert_replace t (iv 10 14) 2;
+  Itreap.insert_replace t (iv 20 24) 3;
+  let slow0 = Itreap.slowpath_hits t in
+  Itreap.insert_replace t (iv 10 14) 4;
+  check_int "exact re-cover by a new owner is done in place" 1 (Itreap.inplace_hits t);
+  check_int "no slow op" slow0 (Itreap.slowpath_hits t);
+  check_int "size unchanged" 3 (Itreap.size t);
+  check_int "covered unchanged" 15 (Itreap.covered t);
+  Alcotest.check entry_t "owner replaced" [ (0, 4, 1); (10, 14, 4); (20, 24, 3) ] (entries t);
+  Itreap.insert_merge t (iv 10 14) 5 ~keep:(fun ~incumbent:_ -> `Keep);
+  check_int "exact merge under Keep is in place" 2 (Itreap.inplace_hits t);
+  Alcotest.check entry_t "Keep leaves the entries"
+    [ (0, 4, 1); (10, 14, 4); (20, 24, 3) ]
+    (entries t);
+  Itreap.insert_replace t (iv 10 14) 4;
+  check_int "an equal owner is in place too" 3 (Itreap.inplace_hits t);
+  check_int "still no slow op" slow0 (Itreap.slowpath_hits t);
+  (* touching, not overlapping, neighbours with other owners *)
+  let fast0 = Itreap.fastpath_hits t in
+  Itreap.insert_replace t (iv 5 9) 6;
+  check_int "a touch with a different owner takes join_mid" (fast0 + 1) (Itreap.fastpath_hits t);
+  check_int "and runs no slow op" slow0 (Itreap.slowpath_hits t);
+  Itreap.validate t;
+  let t = make_treap () in
+  Itreap.insert_replace t (iv 0 4) 1;
+  Itreap.insert_replace t (iv 5 9) 2;
+  check_int "touch: no slow op" 0 (Itreap.slowpath_hits t);
+  Alcotest.check entry_t "touch keeps two entries" [ (0, 4, 1); (5, 9, 2) ] (entries t);
+  (* an exact re-cover whose new owner matches the touching neighbour on
+     the left, then on the right, must coalesce: the general path *)
+  Itreap.insert_replace t (iv 5 9) 1;
+  check_int "left neighbour has the new owner: slow" 1 (Itreap.slowpath_hits t);
+  check_int "not in place" 0 (Itreap.inplace_hits t);
+  Alcotest.check entry_t "coalesced leftwards" [ (0, 9, 1) ] (entries t);
+  let t = make_treap () in
+  Itreap.insert_replace t (iv 0 4) 1;
+  Itreap.insert_replace t (iv 5 9) 2;
+  Itreap.insert_merge t (iv 0 4) 2 ~keep:(fun ~incumbent:_ -> `Replace);
+  check_int "right neighbour has the new owner: slow" 1 (Itreap.slowpath_hits t);
+  check_int "not in place either" 0 (Itreap.inplace_hits t);
+  Alcotest.check entry_t "coalesced rightwards" [ (0, 9, 2) ] (entries t);
   Itreap.validate t
 
 let test_big_sequential_build () =
@@ -399,11 +505,12 @@ let test_big_sequential_build () =
   check_bool "log-ish probe" true (probe_cost < 80)
 
 (* Visit parity: a seeded mix of every operation over disjoint, touching
-   and overlapping ranges, pinned to the figures the persistent
-   path-copying treap printed.  The arena relinks through the same
-   descents with the same priority draws, so tree shapes, every counter and
-   the stored entries must match them exactly — a drift here moves
-   [c_treap_visit]-costed figures and [detect_span]. *)
+   and overlapping ranges.  The content figures (size, covered, query hits
+   and checksum, entry digest) are those the persistent path-copying treap
+   printed; the visit and path counters are those of the probe with
+   in-place exact-cover updates (DESIGN.md §8).  Tree shapes follow from
+   the keys and the priority draws, so every figure must match exactly — a
+   drift here moves [c_treap_visit]-costed figures and [detect_span]. *)
 let test_visit_parity () =
   let t = make_treap ~seed:2022 () in
   let rng = Rng.create 13 in
@@ -425,10 +532,11 @@ let test_visit_parity () =
             qsum := (!qsum * 31) + (lo * 7) + (hi * 3) + o)
   done;
   Itreap.validate t;
-  check_int "visits" 153049 (Itreap.visits t);
-  check_int "fastpath_hits" 607 (Itreap.fastpath_hits t);
-  check_int "slowpath_hits" 2105 (Itreap.slowpath_hits t);
-  check_int "scratch_reuse" 2104 (Itreap.scratch_reuse t);
+  check_int "visits" 146800 (Itreap.visits t);
+  check_int "fastpath_hits" 699 (Itreap.fastpath_hits t);
+  check_int "inplace_hits" 83 (Itreap.inplace_hits t);
+  check_int "slowpath_hits" 1930 (Itreap.slowpath_hits t);
+  check_int "scratch_reuse" 1929 (Itreap.scratch_reuse t);
   check_int "size" 1100 (Itreap.size t);
   check_int "covered" 6826 (Itreap.covered t);
   check_int "query hits" 333 !hits;
@@ -516,6 +624,7 @@ let () =
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "visits counted" `Quick test_visits_counted;
           Alcotest.test_case "path counters" `Quick test_path_counters;
+          Alcotest.test_case "path counters: exact re-cover" `Quick test_path_counters_exact;
           Alcotest.test_case "big sequential build" `Quick test_big_sequential_build;
           Alcotest.test_case "visit parity" `Quick test_visit_parity;
           Alcotest.test_case "arena recycling" `Quick test_arena_recycling;
@@ -525,5 +634,11 @@ let () =
           QCheck_alcotest.to_alcotest treap_model_prop;
           QCheck_alcotest.to_alcotest treap_query_model_prop;
           QCheck_alcotest.to_alcotest treap_list_model_prop;
+          grid_case
+            (model_prop ~name:"grid ops agree with per-address model" ~count:1000 ~max_ops:80
+               grid_op_gen);
+          grid_case
+            (list_model_prop ~name:"grid ops match sorted-list model" ~count:1000 ~max_ops:80
+               grid_op_gen);
         ] );
     ]
