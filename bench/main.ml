@@ -401,7 +401,6 @@ let soak ~sessions ~max_sessions () =
       Serve_server.default_config with
       Serve_server.max_sessions;
       pool_workers = 2;
-      shards = 2;
     }
   in
   let sock =
@@ -414,7 +413,8 @@ let soak ~sessions ~max_sessions () =
   let jobs =
     List.init sessions (fun i ->
         let bytes = List.nth images (i mod List.length images) in
-        Domain.spawn (fun () -> Serve_client.run ~chunk:4096 ~addr bytes))
+        (* 2 shards per session: the count the committed baselines ran at *)
+        Domain.spawn (fun () -> Serve_client.run ~chunk:4096 ~shards:2 ~addr bytes))
   in
   let p50s = ref [] and p99s = ref [] and rejects = ref 0 in
   List.iter

@@ -15,15 +15,22 @@
    [client --predict W] opts the session into predictive detection: the
    daemon builds the strand DAG as it replays and the summary carries the
    window-W predicted races (see `pint_replay predict`).  The daemon caps
-   W with --max-window and rejects larger requests.
+   W with --max-window and rejects larger requests; a DAG the predictor
+   cannot use fails the session with a framed error.
+
+   [client --shards N] runs the session's detector at N address-range
+   shards; 0 (the default) means one.  The daemon accepts 1..--domains,
+   since more shards than pool domains cannot run in parallel, and
+   rejects anything else.
 
    [client --verify] replays the same trace offline through a fresh
    detector and exits 1 unless the served race set is identical at the
    Theorem-5 (kind, prior, current) granularity — the same comparison as
    `pint_replay diff`.  With --predict it also recomputes the predictions
-   offline and fails on any divergence there.  The daemon exits 0 on
-   SIGTERM/SIGINT after a graceful shutdown (sessions aborted, frames
-   flushed, pool joined). *)
+   offline and fails on any divergence there; an offline replay or
+   prediction that fails exits 2.  The daemon exits 0 on SIGTERM/SIGINT
+   after a graceful shutdown (sessions aborted, frames flushed, pool
+   joined). *)
 
 open Cmdliner
 
@@ -56,7 +63,7 @@ let host_arg =
 (* -- daemon -------------------------------------------------------------- *)
 
 let daemon_cmd =
-  let run socket port host detector max_sessions domains shards backlog max_window =
+  let run socket port host detector max_sessions domains backlog max_window =
     let addr = addr_of ~socket ~port ~host in
     let config =
       {
@@ -64,7 +71,6 @@ let daemon_cmd =
         Serve_server.detector;
         max_sessions;
         pool_workers = domains;
-        shards;
         backlog_high = backlog;
         max_window;
       }
@@ -101,11 +107,8 @@ let daemon_cmd =
       $ Arg.(
           value
           & opt int Serve_server.default_config.Serve_server.pool_workers
-          & info [ "domains" ] ~doc:"Shared micropool worker domains.")
-      $ Arg.(
-          value
-          & opt int Serve_server.default_config.Serve_server.shards
-          & info [ "shards" ] ~doc:"Default address-range shards per session (pint).")
+          & info [ "domains" ]
+              ~doc:"Shared micropool worker domains; also the most shards a session may request.")
       $ Arg.(
           value
           & opt int Serve_server.default_config.Serve_server.backlog_high
@@ -124,6 +127,10 @@ let client_cmd =
   let run socket port host path chunk shards predict verify quiet =
     if predict < 0 then begin
       prerr_endline "pint_serve: --predict must be >= 0";
+      exit 2
+    end;
+    if shards < 0 then begin
+      prerr_endline "pint_serve: --shards must be >= 0";
       exit 2
     end;
     let addr = addr_of ~socket ~port ~host in
@@ -169,10 +176,16 @@ let client_cmd =
               Printf.eprintf "%s: corrupt trace: %s\n" path msg;
               exit 2
           in
+          let or_exit what f =
+            try f ()
+            with Failure msg | Replay.Corrupt msg ->
+              Printf.eprintf "%s: offline %s failed: %s\n" path what msg;
+              exit 2
+          in
           let det, _ = Option.get (Systems.make_detector "pint") in
           let builder = if predict > 0 then Some (Predict.Builder.create ()) else None in
           let on_strand = Option.map Predict.Builder.observer builder in
-          let outcome = Replay.run ?on_strand t det in
+          let outcome = or_exit "replay" (fun () -> Replay.run ?on_strand t det) in
           let offline =
             List.sort_uniq compare
               (List.map
@@ -192,8 +205,9 @@ let client_cmd =
           | None -> ()
           | Some b ->
               let pr =
-                Predict.predict ~window:predict ~observed:outcome.Replay.races
-                  (Predict.Builder.dag b)
+                or_exit "prediction" (fun () ->
+                    Predict.predict ~window:predict ~observed:outcome.Replay.races
+                      (Predict.Builder.dag b))
               in
               let offline_p =
                 Serve_client.signature
@@ -221,7 +235,10 @@ let client_cmd =
           value
           & opt int Serve_client.default_chunk
           & info [ "chunk" ] ~doc:"Transport chunk size in bytes.")
-      $ Arg.(value & opt int 0 & info [ "shards" ] ~doc:"Request a shard count (0 = server default).")
+      $ Arg.(
+          value & opt int 0
+          & info [ "shards" ] ~docv:"N"
+              ~doc:"Request $(docv) address-range shards: 0 (one) or 1 up to the daemon's --domains.")
       $ Arg.(
           value & opt int 0
           & info [ "predict" ] ~docv:"W"

@@ -100,13 +100,21 @@ let parks t = Array.fold_left (fun acc p -> acc + p.p_parks) 0 t.pools
    one writing domain for its whole lifetime.  Only the handoff is
    synchronized: a submission enqueues under the worker's mutex, and the
    worker adopts pending groups into its private active set.  Completion
-   flows back through one atomic per slot. *)
+   flows back through one atomic countdown per lease: the worker that
+   retires the lease's last slot takes it to 0 and calls the lease's
+   [notify], so a waiter can sleep on its own event source instead of
+   polling. *)
+
+type lease = {
+  l_left : int Atomic.t; (* slots not yet retired; 0 = every stage Done *)
+  l_notify : unit -> unit; (* called once, by the worker that takes l_left to 0 *)
+}
 
 type slot = {
   sl_stages : Stage.t array;
   sl_finished : bool array; (* adopting worker's private done flags *)
   mutable sl_remaining : int;
-  sl_done : bool Atomic.t; (* set by the worker when the last stage is Done *)
+  sl_lease : lease;
 }
 
 type worker = {
@@ -126,8 +134,6 @@ type shared = {
   sh_stop : bool Atomic.t;
   sh_rr : int Atomic.t; (* submission tie-break cursor *)
 }
-
-type lease = slot list
 
 let adopt w =
   if Atomic.get w.w_pending > 0 then begin
@@ -165,8 +171,8 @@ let run_worker stop w =
       List.filter
         (fun sl ->
           if sl.sl_remaining = 0 then begin
-            Atomic.set sl.sl_done true;
             Atomic.decr w.w_load;
+            if Atomic.fetch_and_add sl.sl_lease.l_left (-1) = 1 then sl.sl_lease.l_notify ();
             false
           end
           else true)
@@ -203,9 +209,12 @@ let shared ?(rings = [||]) k =
   let domains = Array.map (fun w -> Domain.spawn (fun () -> run_worker stop w)) workers in
   { sh_workers = workers; sh_domains = domains; sh_stop = stop; sh_rr = Atomic.make 0 }
 
-let submit sh (groups : Stage.t list list) : lease =
+let submit ?(notify = ignore) sh (groups : Stage.t list list) =
   if Atomic.get sh.sh_stop then invalid_arg "Micropool.submit: pool is shutting down";
-  List.map
+  (* the countdown is complete before any slot is published, so no early
+     retirement can reach 0 while later groups are still being placed *)
+  let lease = { l_left = Atomic.make (List.length groups); l_notify = notify } in
+  List.iter
     (fun g ->
       let stages = Array.of_list g in
       let sl =
@@ -213,7 +222,7 @@ let submit sh (groups : Stage.t list list) : lease =
           sl_stages = stages;
           sl_finished = Array.make (Array.length stages) false;
           sl_remaining = Array.length stages;
-          sl_done = Atomic.make false;
+          sl_lease = lease;
         }
       in
       (* least-loaded worker; round-robin cursor breaks ties so equal-load
@@ -230,11 +239,11 @@ let submit sh (groups : Stage.t list list) : lease =
       Mutex.lock w.w_lock;
       w.w_incoming <- sl :: w.w_incoming;
       Atomic.incr w.w_pending;
-      Mutex.unlock w.w_lock;
-      sl)
-    groups
+      Mutex.unlock w.w_lock)
+    groups;
+  lease
 
-let lease_done (l : lease) = List.for_all (fun sl -> Atomic.get sl.sl_done) l
+let lease_done l = Atomic.get l.l_left = 0
 
 let await l =
   let r = ref 0 in

@@ -41,12 +41,20 @@ type lease
     is worker [i]'s obs track for park events. *)
 val shared : ?rings:Evring.t array -> int -> shared
 
-(** [submit sh groups] assigns each group to the least-loaded worker.
-    The groups' stages must not be driven by anyone else from this point;
-    they run until each reports [`Done] (for a detector: after its run's
-    [on_done] has fired and its lanes drained).
+(** [submit ?notify sh groups] assigns each group to the least-loaded
+    worker.  The groups' stages must not be driven by anyone else from
+    this point; they run until each reports [`Done] (for a detector: after
+    its run's [on_done] has fired and its lanes drained).
+
+    [notify] (default: nothing) is the lease's completion event.  It is
+    called exactly once, by the worker domain that retires the lease's
+    last group, after {!lease_done} has become true; it is never called
+    when [groups] is empty, since that lease is done already.  It runs on
+    that pool worker, between the stage steps of every group the worker
+    holds, so it must neither block nor raise: wake the waiter (write a
+    byte to a non-blocking pipe, signal a condition) and return.
     @raise Invalid_argument after {!shutdown} has begun. *)
-val submit : shared -> Stage.t list list -> lease
+val submit : ?notify:(unit -> unit) -> shared -> Stage.t list list -> lease
 
 (** True once every stage of the lease has reported [`Done]. *)
 val lease_done : lease -> bool

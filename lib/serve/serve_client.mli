@@ -19,12 +19,13 @@ val default_chunk : int
 (** [run ?chunk ?shards ?predict ~addr trace_bytes] — connect, handshake,
     upload the image in [chunk]-byte Data frames (default 64 KiB; any size
     is valid — the server's decoder carries state across chunk boundaries),
-    then gather races until the summary.  [shards = 0] (default) accepts
-    the server's configured shard count.  [predict > 0] opts the session
-    into predictive detection with that window (see {!Predict}); the
-    server rejects windows above its configured cap.  [Error msg] carries
-    the server's framed rejection (admission, malformed stream, corrupt
-    DAG) or a transport failure.
+    then gather races until the summary.  [shards = 0] (default) runs the
+    session at one shard; the server accepts 1 up to its pool size and
+    rejects larger counts.  [predict > 0] opts the session into
+    predictive detection with that window (see {!Predict}); the server
+    rejects windows above its configured cap.  [Error msg] carries the
+    server's framed rejection (admission, out-of-range hello, malformed
+    stream, corrupt DAG, failed prediction) or a transport failure.
     @raise Unix.Unix_error if the connection itself fails. *)
 val run :
   ?chunk:int ->

@@ -10,7 +10,7 @@
     {2 Messages}
 
     Client → server: ['H'] hello (protocol version, requested shard count
-    (0 = server default), prediction window (0 = off)), ['D'] data (one raw
+    (0 = one shard), prediction window (0 = off)), ['D'] data (one raw
     PINTRACE chunk — chunking is transport-level; the server's trace
     decoder carries state across chunk boundaries, so any split is legal),
     ['E'] end of stream.
@@ -20,7 +20,8 @@
     final summary (strand/race counts, diagnostic and obs key-values, then
     the predicted races in the ['R'] layout — an empty list unless the
     session asked for prediction), ['X'] rejection/error (admission
-    refusal, malformed stream, corrupt DAG).
+    refusal, out-of-range hello field, malformed stream, corrupt DAG,
+    failed prediction).
 
     There is one protocol version, {!protocol_version}: every field of a
     frame is required, and ['H'], ['E'], ['A'], ['R'] and ['S'] frames

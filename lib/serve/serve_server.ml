@@ -2,7 +2,6 @@ type config = {
   detector : string;
   max_sessions : int;
   pool_workers : int;
-  shards : int;
   backlog_high : int;
   max_frame : int;
   max_pending : int;
@@ -15,7 +14,6 @@ let default_config =
     detector = "pint";
     max_sessions = 4;
     pool_workers = 2;
-    shards = 2;
     backlog_high = 4096;
     max_frame = Serve_proto.default_max_frame;
     max_pending = 16 * 1024 * 1024;
@@ -61,6 +59,11 @@ type t = {
   listen_fd : Unix.file_descr;
   pool : Micropool.shared;
   stop : bool Atomic.t;
+  (* self-pipe: pool workers (lease completion) and [stop] write a byte to
+     [wake_w]; [wake_r] is in every select read set, so the loop wakes on
+     those events instead of on its poll tick *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
   mutable conns : conn list;
   mutable next_id : int;
   mutable accepted : int;
@@ -78,11 +81,16 @@ let create ?(config = default_config) addr =
   Unix.bind fd addr;
   Unix.listen fd (config.max_sessions * 2);
   Unix.set_nonblock fd;
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
   {
     cfg = config;
     listen_fd = fd;
     pool = Micropool.shared config.pool_workers;
     stop = Atomic.make false;
+    wake_r;
+    wake_w;
     conns = [];
     next_id = 0;
     accepted = 0;
@@ -92,7 +100,19 @@ let create ?(config = default_config) addr =
   }
 
 let sockaddr t = Unix.getsockname t.listen_fd
-let stop t = Atomic.set t.stop true
+
+(* Runs on pool workers (a lease's notify) and in signal handlers: one
+   non-blocking write that never raises.  A full pipe already holds a
+   wake; a wake lost otherwise costs at most one poll tick. *)
+let wake fd = try ignore (Unix.single_write_substring fd "!" 0 1) with Unix.Unix_error _ -> ()
+
+(* Bytes left over after one read keep the pipe readable, so the next
+   select returns at once and reads them. *)
+let drain_wakes fd = try ignore (Unix.read fd (Bytes.create 64) 0 64) with Unix.Unix_error _ -> ()
+
+(* only the false -> true transition writes: after [shutdown] has set the
+   flag and closed the pipe, a late [stop] touches nothing *)
+let stop t = if not (Atomic.exchange t.stop true) then wake t.wake_w
 
 let stats t =
   [
@@ -126,7 +146,7 @@ let fail_conn t c msg =
 
 let start_stream t c ~shards ~predict =
   let cfg = t.cfg in
-  let shards = if shards = 0 then cfg.shards else shards in
+  let shards = if shards = 0 then 1 else shards in
   let obs =
     Obs.create ?capacity:cfg.obs_capacity ~clock:Clock.monotonic ()
   in
@@ -144,7 +164,9 @@ let start_stream t c ~shards ~predict =
         Replay.Session.create ~wrap:(Obs_hooks.instrument obs)
           ~max_pending:cfg.max_pending ?on_strand det
       in
-      let lease = Micropool.submit t.pool (Systems.micropools stages) in
+      let lease =
+        Micropool.submit ~notify:(fun () -> wake t.wake_w) t.pool (Systems.micropools stages)
+      in
       let st =
         {
           st_det = det;
@@ -179,6 +201,12 @@ let handle_msg t c msg =
         fail_conn t c
           (Printf.sprintf "prediction window %d out of range (server allows 0..%d)" predict
              t.cfg.max_window)
+      else if shards < 0 || shards > t.cfg.pool_workers then
+        (* more shards than pool domains cannot run in parallel, and each
+           one costs a treap triple, a lane and a pool slot up front *)
+        fail_conn t c
+          (Printf.sprintf "shard count %d out of range (server allows 0..%d)" shards
+             t.cfg.pool_workers)
       else start_stream t c ~shards ~predict
   | Streaming st, Serve_proto.Data chunk ->
       let t0 = Clock.now Clock.monotonic in
@@ -261,9 +289,6 @@ let handle_writable t c =
           end
           else c.c_out_off <- c.c_out_off + n)
 
-(* Draining → Closing once the tenant's pipeline stages are all [`Done]:
-   only then is it safe for this thread to drain the detector (stages are
-   single-consumer, and the pool has stopped stepping them). *)
 (* Detection runs on pool domains between feeds, so discoveries can land
    at any time: stream them as they appear rather than batching into the
    summary. *)
@@ -274,52 +299,57 @@ let poll_races c =
       if late <> [] then send c (race_msg late)
   | Handshake | Closing -> ()
 
+(* Predict sessions run the window-bounded reordering analysis over the
+   DAG the feed built, after the observed outcome is final (the observed
+   set suppresses already-reported pairs).  A DAG the predictor cannot use
+   fails the session: an empty predicted block would read as "no races". *)
+let predict_session st (o : Replay.outcome) =
+  match st.st_builder with
+  | None -> Ok ([], [])
+  | Some b -> (
+      match Predict.Builder.dag b with
+      | exception Failure m -> Error ("prediction failed: " ^ m)
+      | dag ->
+          let pr = Predict.predict ~window:st.st_predict ~observed:o.Replay.races dag in
+          Ok
+            ( List.map
+                (fun (f : Predict.finding) -> (f.kind, f.prior, f.current, f.where))
+                pr.Predict.predicted,
+              pr.Predict.diagnostics ))
+
+(* Draining → Closing once the tenant's pipeline stages are all [`Done]:
+   only then is it safe for this thread to drain the detector (stages are
+   single-consumer, and the pool has stopped stepping them).  The lease's
+   notify wakes the loop at that moment, through the self-pipe. *)
 let finish_drained t c =
   match c.c_phase with
-  | Draining st when Micropool.lease_done st.st_lease ->
+  | Draining st when Micropool.lease_done st.st_lease -> (
       st.st_det.Detector.drain ();
       (try st.st_det.Detector.validate ()
        with Failure m -> prerr_endline ("pint_serve: validate failed: " ^ m));
       let late = Replay.Session.poll_races st.st_session in
       if late <> [] then send c (race_msg late);
       let o = Replay.Session.outcome st.st_session in
-      (* predict sessions run the window-bounded reordering analysis over
-         the DAG the feed built, after the observed outcome is final (the
-         observed set suppresses already-reported pairs) *)
-      let predicted, predict_diags =
-        match st.st_builder with
-        | None -> ([], [])
-        | Some b -> (
-            match Predict.Builder.dag b with
-            | exception Failure m ->
-                prerr_endline ("pint_serve: predict skipped: " ^ m);
-                ([], [])
-            | dag ->
-                let pr =
-                  Predict.predict ~window:st.st_predict ~observed:o.Replay.races dag
-                in
-                ( List.map
-                    (fun (f : Predict.finding) -> (f.kind, f.prior, f.current, f.where))
-                    pr.Predict.predicted,
-                  pr.Predict.diagnostics ))
-      in
-      let stats =
-        List.map
-          (fun (k, v) -> (k, Printf.sprintf "%.17g" v))
-          (o.Replay.diagnostics @ predict_diags
-          @ [ ("serve.bp_pauses", float_of_int st.st_bp_pauses) ]
-          @ Obs.summary st.st_obs)
-      in
-      send c
-        (Serve_proto.Summary
-           {
-             n_strands = o.Replay.n_strands;
-             n_races = List.length o.Replay.races;
-             stats;
-             predicted;
-           });
-      t.completed <- t.completed + 1;
-      c.c_phase <- Closing
+      match predict_session st o with
+      | Error m -> fail_conn t c m
+      | Ok (predicted, predict_diags) ->
+          let stats =
+            List.map
+              (fun (k, v) -> (k, Printf.sprintf "%.17g" v))
+              (o.Replay.diagnostics @ predict_diags
+              @ [ ("serve.bp_pauses", float_of_int st.st_bp_pauses) ]
+              @ Obs.summary st.st_obs)
+          in
+          send c
+            (Serve_proto.Summary
+               {
+                 n_strands = o.Replay.n_strands;
+                 n_races = List.length o.Replay.races;
+                 stats;
+                 predicted;
+               });
+          t.completed <- t.completed + 1;
+          c.c_phase <- Closing)
   | _ -> ()
 
 let handle_accept t =
@@ -351,15 +381,15 @@ let handle_accept t =
 
 let once t ~timeout =
   let rds =
-    t.listen_fd :: List.filter_map
-                     (fun c -> if conn_wants_read t.cfg c then Some c.c_fd else None)
-                     t.conns
+    t.listen_fd :: t.wake_r
+    :: List.filter_map (fun c -> if conn_wants_read t.cfg c then Some c.c_fd else None) t.conns
   in
   let wrs = List.filter_map (fun c -> if Queue.is_empty c.c_out then None else Some c.c_fd) t.conns in
   let rd, wr, _ =
     try Unix.select rds wrs [] timeout
     with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
   in
+  if List.mem t.wake_r rd then drain_wakes t.wake_r;
   if List.mem t.listen_fd rd then handle_accept t;
   List.iter
     (fun c ->
@@ -375,8 +405,10 @@ let once t ~timeout =
 (* Graceful shutdown: abort what is still streaming (firing each session's
    [on_done] so its lease can finish), flush rejects briefly, then stop the
    shared pool.  SIGTERM-safe end-to-end: the signal handler only flips the
-   stop atomic. *)
+   stop atomic and writes the wake pipe.  The pipe closes last, once the
+   pool workers that write it have been joined. *)
 let shutdown t =
+  Atomic.set t.stop true;
   let addr = try Some (sockaddr t) with Unix.Unix_error _ -> None in
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   List.iter
@@ -403,6 +435,8 @@ let shutdown t =
   done;
   List.iter (fun c -> close_conn t c) t.conns;
   Micropool.shutdown t.pool;
+  Unix.close t.wake_r;
+  Unix.close t.wake_w;
   match addr with
   | Some (Unix.ADDR_UNIX path) when Sys.file_exists path -> (
       try Sys.remove path with Sys_error _ -> ())

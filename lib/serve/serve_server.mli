@@ -7,7 +7,14 @@
     what makes every session's decoder and walk state single-owner
     (OWNERSHIP.md).  The only cross-domain traffic is the one each detector
     already has — its AHQ lanes to the shared pool workers — plus the
-    per-slot completion atomics of {!Micropool.submit}.
+    completion countdown of each {!Micropool.submit} lease, whose [notify]
+    writes one byte to the server's self-pipe.  The pipe's read end is in
+    every [select] read set, so a session whose pipeline drains gets its
+    summary as soon as its lease is done, not at the next poll tick.
+
+    A session runs at one address-range shard unless its Hello asks for
+    more; a request above [pool_workers] (more shards than domains that
+    could run them) or below 0 is rejected with a framed ['X'].
 
     Per-tenant isolation and graceful degradation:
     - admission control — at most [max_sessions] live sessions; an
@@ -27,8 +34,9 @@
 type config = {
   detector : string;  (** detector name per {!Systems.make_detector} *)
   max_sessions : int;  (** admission cap *)
-  pool_workers : int;  (** shared micropool domains *)
-  shards : int;  (** default shard count (client may request its own) *)
+  pool_workers : int;
+      (** shared micropool domains; also the largest shard count a Hello
+          may request *)
   backlog_high : int;  (** feed-minus-collected watermark that pauses reads *)
   max_frame : int;  (** wire-frame payload cap *)
   max_pending : int;  (** per-session decoder buffer cap *)
@@ -53,17 +61,22 @@ val sockaddr : t -> Unix.sockaddr
 (** Run the IO loop until {!stop}, then shut down gracefully: abort live
     sessions (their leases complete, so pool workers never wedge), flush
     pending frames, join the pool, remove a Unix socket path.  [poll]
-    (default 20 ms) is the select timeout that paces lease polling. *)
+    (default 20 ms) is the select timeout.  Lease completion and {!stop}
+    wake the loop through the self-pipe, so the tick only re-checks
+    sessions whose reads are paused by backpressure. *)
 val serve : ?poll:float -> t -> unit
 
-(** Signal-handler-safe: flips an atomic the {!serve} loop observes. *)
+(** Signal-handler-safe: flips an atomic the {!serve} loop observes and,
+    on its first call, writes the self-pipe so a blocked [select]
+    returns at once. *)
 val stop : t -> unit
 
 (** One IO iteration (accept/read/write/drain); exposed for in-process
     harnesses that multiplex the server with other work on one thread. *)
 val once : t -> timeout:float -> unit
 
-(** Manual shutdown for harnesses driving {!once} directly. *)
+(** Manual shutdown for harnesses driving {!once} directly.  Closes the
+    self-pipe after the pool is joined; a later {!stop} is a no-op. *)
 val shutdown : t -> unit
 
 (** Daemon-level counters:

@@ -2,8 +2,11 @@
    shared-pool pipelines), and the pint_serve daemon driven in-process —
    concurrent tenants over the golden corpus must be served race sets
    bit-identical to offline replay at the Theorem-5 (kind, prior, current)
-   granularity, over-admission must be rejected with a framed error, and a
-   mid-stream disconnect must leave the daemon responsive. *)
+   granularity at every shard count a client may request, over-admission,
+   out-of-range hellos and unusable predictions must be rejected with a
+   framed error, a mid-stream disconnect must leave the daemon responsive,
+   and neither a session's summary nor shutdown may wait for the loop's
+   poll tick. *)
 
 let check_bool = Alcotest.(check bool)
 
@@ -68,17 +71,21 @@ let check_session path () =
     [ 1; 97; 65536 ]
 
 (* The same with the detector's pipeline on shared pool domains, detection
-   racing the feed. *)
+   racing the feed.  Its two shard groups may retire on different workers;
+   the lease's notify must still fire exactly once. *)
 let check_session_pool path () =
   let bytes = read_file path in
   let expected = offline_sig bytes in
   let pool = Micropool.shared 2 in
+  let notified = Atomic.make 0 in
   Fun.protect
     ~finally:(fun () -> Micropool.shutdown pool)
     (fun () ->
       let det, stages = Option.get (Systems.make_detector ~shards:2 "pint") in
       let s = Replay.Session.create det in
-      let lease = Micropool.submit pool (Systems.micropools stages) in
+      let lease =
+        Micropool.submit ~notify:(fun () -> Atomic.incr notified) pool (Systems.micropools stages)
+      in
       let races = feed_all s bytes 512 in
       Micropool.await lease;
       det.Detector.drain ();
@@ -87,7 +94,9 @@ let check_session_pool path () =
       if signature races <> expected then
         Alcotest.failf "%s: pooled session diverges from offline replay (%d vs %d races)" path
           (List.length (signature races))
-          (List.length expected))
+          (List.length expected));
+  (* the pool is joined: every notify that will ever run has run *)
+  Alcotest.(check int) (path ^ ": notify fired once") 1 (Atomic.get notified)
 
 (* A malformed stream must fail the session, and abort must be safe. *)
 let test_session_corrupt () =
@@ -119,10 +128,10 @@ let fresh_sock_path =
 
 (* Start an in-process daemon; returns (server, join) where [join] stops
    the IO loop and joins its domain. *)
-let start_daemon config =
+let start_daemon ?(poll = 0.005) config =
   let path = fresh_sock_path () in
   let server = Serve_server.create ~config (Unix.ADDR_UNIX path) in
-  let d = Domain.spawn (fun () -> Serve_server.serve ~poll:0.005 server) in
+  let d = Domain.spawn (fun () -> Serve_server.serve ~poll server) in
   let join () =
     Serve_server.stop server;
     Domain.join d
@@ -134,21 +143,24 @@ let test_config =
     Serve_server.default_config with
     Serve_server.max_sessions = 4;
     pool_workers = 2;
-    shards = 2;
   }
 
-(* One client per golden trace, all concurrent, against one daemon: every
-   served race set must equal that trace's offline replay. *)
+(* One client per golden trace, all concurrent, against one daemon, half
+   of them at the default one shard and half requesting two: every served
+   race set must equal that trace's offline replay. *)
 let test_daemon_concurrent () =
   let files = golden_files () in
   let server, join = start_daemon test_config in
   Fun.protect ~finally:join (fun () ->
       let addr = Serve_server.sockaddr server in
       let jobs =
-        List.map
-          (fun path ->
+        List.mapi
+          (fun i path ->
             let bytes = read_file path in
-            (path, bytes, Domain.spawn (fun () -> Serve_client.run ~chunk:512 ~addr bytes)))
+            let shards = if i mod 2 = 0 then 0 else 2 in
+            ( path,
+              bytes,
+              Domain.spawn (fun () -> Serve_client.run ~chunk:512 ~shards ~addr bytes) ))
           files
       in
       List.iter
@@ -290,13 +302,15 @@ let test_daemon_predict () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "over-cap predict window was accepted")
 
-(* The daemon's first reply to one raw hello frame. *)
+(* The daemon's first reply to one raw hello frame; a daemon that died
+   instead fails the read after 10 s rather than hanging the test. *)
 let hello_reply addr hello =
   let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
       Unix.connect fd addr;
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
       ignore (Unix.write_substring fd hello 0 (String.length hello));
       let frames = Serve_proto.Frames.create () in
       let buf = Bytes.create 4096 in
@@ -333,6 +347,105 @@ let test_daemon_v1_hello () =
       match hello_reply (Serve_server.sockaddr server) hello with
       | Serve_proto.Reject _ -> ()
       | _ -> Alcotest.fail "a version-1 hello was accepted")
+
+(* A hello's shard count must be 0 (one shard) or 1..pool_workers.  A
+   varint that decodes negative and a count above the pool get a framed
+   error, and the daemon then serves a normal session. *)
+let test_daemon_shard_bounds () =
+  let server, join = start_daemon test_config in
+  Fun.protect ~finally:join (fun () ->
+      let addr = Serve_server.sockaddr server in
+      let negative =
+        let buf = Buffer.create 16 in
+        Buffer.add_char buf 'H';
+        Varint.write buf Serve_proto.protocol_version;
+        (* nine bytes that Varint.read decodes to min_int *)
+        Buffer.add_string buf "\x80\x80\x80\x80\x80\x80\x80\x80\x40";
+        Varint.write buf 0;
+        Serve_proto.frame (Buffer.contents buf)
+      in
+      let too_many =
+        Serve_proto.encode_client
+          (Serve_proto.Hello
+             {
+               version = Serve_proto.protocol_version;
+               shards = test_config.Serve_server.pool_workers + 1;
+               predict = 0;
+             })
+      in
+      List.iter
+        (fun (what, hello) ->
+          match hello_reply addr hello with
+          | Serve_proto.Reject _ -> ()
+          | _ -> Alcotest.failf "a hello with %s was not rejected" what)
+        [ ("a negative shard count", negative); ("pool_workers + 1 shards", too_many) ];
+      let bytes = read_file (List.hd (golden_files ())) in
+      match Serve_client.run ~addr bytes with
+      | Error msg -> Alcotest.failf "daemon did not serve after bad hellos: %s" msg
+      | Ok r ->
+          check_bool "session after bad hellos serves the right races" true
+            (Serve_client.signature r.Serve_client.races = offline_sig bytes))
+
+(* The lucky trace re-encoded with its root entry last: replay accepts it,
+   but its strand DAG has a link pointing backwards, so a predict session
+   must end in a framed error counted as failed, not an empty prediction. *)
+let test_daemon_predict_fails () =
+  let t = Tracefile.of_bytes (read_file "golden/lucky_racy.trace") in
+  let root = Tracefile.root t in
+  let rest = List.filter (fun e -> e != root) (Array.to_list t.Tracefile.entries) in
+  let bytes = Tracefile.to_bytes { t with Tracefile.entries = Array.of_list (rest @ [ root ]) } in
+  let server, join = start_daemon test_config in
+  Fun.protect ~finally:join (fun () ->
+      let addr = Serve_server.sockaddr server in
+      (match Serve_client.run ~addr ~predict:4 bytes with
+      | Error msg ->
+          check_bool "the reject names the prediction" true
+            (String.starts_with ~prefix:"prediction failed" msg)
+      | Ok _ -> Alcotest.fail "a prediction that cannot run was served");
+      check_bool "counted as failed" true
+        (List.assoc "serve.failed" (Serve_server.stats server) = 1.))
+
+(* A racy sort 32768/512 capture (1,708 strands), made once. *)
+let sort_capture =
+  lazy
+    (let w = Registry.find "sort" in
+     let inst = (Option.get w.Workload.racy) ~size:32768 ~base:512 in
+     let d, _ = Option.get (Systems.make_detector "none") in
+     let driver, finished = Tracefile.capturing d.Detector.driver in
+     ignore (Seq_exec.run ~driver inst.Workload.run);
+     Tracefile.to_bytes (finished ()))
+
+let slow_tick = 5.0
+
+(* With a 5 s poll tick, a session's summary must still arrive as soon as
+   its pipeline drains: the lease's notify wakes the loop. *)
+let test_daemon_no_tick_wait () =
+  let bytes = Lazy.force sort_capture in
+  let expected = offline_sig bytes in
+  let server, join = start_daemon ~poll:slow_tick test_config in
+  Fun.protect ~finally:join (fun () ->
+      let addr = Serve_server.sockaddr server in
+      for i = 1 to 3 do
+        let t0 = Unix.gettimeofday () in
+        (match Serve_client.run ~addr bytes with
+        | Error msg -> Alcotest.failf "session %d rejected: %s" i msg
+        | Ok r ->
+            check_bool "served races = offline" true
+              (Serve_client.signature r.Serve_client.races = expected));
+        let dt = Unix.gettimeofday () -. t0 in
+        if dt >= 1.0 then Alcotest.failf "session %d took %.2f s under a %.0f s tick" i dt slow_tick
+      done)
+
+(* [stop] wakes a loop blocked in a 5 s select: stop plus join is quick. *)
+let test_daemon_stop_wakes () =
+  let bytes = read_file (List.hd (golden_files ())) in
+  let server, join = start_daemon ~poll:slow_tick test_config in
+  let served = Serve_client.run ~addr:(Serve_server.sockaddr server) bytes in
+  let t0 = Unix.gettimeofday () in
+  join ();
+  let dt = Unix.gettimeofday () -. t0 in
+  (match served with Error msg -> Alcotest.failf "session rejected: %s" msg | Ok _ -> ());
+  if dt >= 1.0 then Alcotest.failf "stop + join took %.2f s under a %.0f s tick" dt slow_tick
 
 (* ------------------------------------------------------------ the codecs *)
 
@@ -425,6 +538,10 @@ let () =
           Alcotest.test_case "predict session" `Quick test_daemon_predict;
           Alcotest.test_case "version mismatch rejected" `Quick test_daemon_bad_version;
           Alcotest.test_case "version-1 hello rejected" `Quick test_daemon_v1_hello;
+          Alcotest.test_case "out-of-range shard count rejected" `Quick test_daemon_shard_bounds;
+          Alcotest.test_case "failed prediction is a typed error" `Quick test_daemon_predict_fails;
+          Alcotest.test_case "summary does not wait for the tick" `Quick test_daemon_no_tick_wait;
+          Alcotest.test_case "stop does not wait for the tick" `Quick test_daemon_stop_wakes;
         ] );
       ( "protocol",
         [
