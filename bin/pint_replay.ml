@@ -1,14 +1,16 @@
-(* pint_replay — capture, inspect, replay and differentially check traces.
+(* pint_replay — inspect, replay and differentially check traces.
 
    Subcommands:
-     capture   run a workload under an executor and record a trace file
      stats     print a trace's metadata and summary counts
      replay    drive one detector from a trace (no workload execution)
      diff      replay two detectors from the same trace and diff race sets
      profile   replay with pipeline tracing and export a Chrome trace
 
+   Traces are recorded by pint_run --capture, e.g.
+     pint_run -w heat -n 32 -b 8 -d none -e seq --racy --capture heat.trace
+   (which exits 1: with no detector a --racy run reports no race).
+
    Examples:
-     pint_replay capture -w heat -n 32 -b 8 --racy -o heat.trace
      pint_replay stats heat.trace
      pint_replay replay heat.trace -d pint
      pint_replay diff heat.trace --left pint --right stint
@@ -37,98 +39,6 @@ let make_detector ?obs ?(shards = 1) name =
       exit 2
 
 let shards_arg ?(names = [ "shards" ]) ~doc () = Arg.(value & opt int 1 & info names ~doc)
-
-(* -- capture ------------------------------------------------------------- *)
-
-let capture_cmd =
-  let run workload size base racy exec workers seed detector shards out =
-    let w =
-      try Registry.find workload
-      with Not_found ->
-        Printf.eprintf "unknown workload %S; available: %s\n" workload
-          (String.concat ", " (List.map (fun w -> w.Workload.name) (Registry.all ())));
-        exit 2
-    in
-    let size = Option.value size ~default:w.Workload.default_size in
-    let base = Option.value base ~default:w.Workload.default_base in
-    let inst =
-      if racy then
-        match w.Workload.racy with
-        | Some f -> f ~size ~base
-        | None ->
-            Printf.eprintf "workload %s has no racy variant\n" workload;
-            exit 2
-      else w.Workload.make ~size ~base
-    in
-    let det, stages = make_detector ~shards detector in
-    let meta =
-      [
-        ("workload", workload);
-        ("size", string_of_int size);
-        ("base", string_of_int base);
-        ("racy", string_of_bool racy);
-        ("detector", detector);
-        ("exec", exec);
-        ("seed", string_of_int seed);
-      ]
-    in
-    let driver = Tracefile.capture ~meta ~path:out det.Detector.driver in
-    let strands =
-      match exec with
-      | "seq" ->
-          let r = Seq_exec.run ~driver inst.Workload.run in
-          r.Seq_exec.n_strands
-      | "sim" ->
-          let config = { Sim_exec.default_config with n_workers = workers; seed; stages } in
-          let r = Sim_exec.run ~config ~driver inst.Workload.run in
-          r.Sim_exec.n_strands
-      | "par" ->
-          let config =
-            {
-              Par_exec.n_workers = workers;
-              seed;
-              pools = Systems.micropools stages;
-              obs = Obs.disabled;
-            }
-          in
-          let r = Par_exec.run ~config ~driver inst.Workload.run in
-          r.Par_exec.n_strands
-      | e ->
-          Printf.eprintf "unknown executor %S (seq|sim|par)\n" e;
-          exit 2
-    in
-    let races = Detector.races det in
-    Printf.printf "captured %d strand(s) to %s (detector=%s races=%d)\n" strands out detector
-      (List.length races)
-  in
-  let workload = Arg.(value & opt string "sort" & info [ "w"; "workload" ] ~doc:"Benchmark.") in
-  let size = Arg.(value & opt (some int) None & info [ "n"; "size" ] ~doc:"Problem size.") in
-  let base = Arg.(value & opt (some int) None & info [ "b"; "base" ] ~doc:"Base-case size.") in
-  let racy = Arg.(value & flag & info [ "racy" ] ~doc:"Capture the race-injected variant.") in
-  let exec =
-    Arg.(value & opt string "seq" & info [ "e"; "exec" ] ~doc:"Executor: seq, sim or par.")
-  in
-  let workers = Arg.(value & opt int 4 & info [ "p"; "workers" ] ~doc:"Core workers (sim/par).") in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Scheduler seed (sim/par).") in
-  let detector =
-    Arg.(
-      value
-      & opt string "none"
-      & info [ "d"; "detector" ] ~doc:"Detector to run during capture (none|stint|cracer|pint).")
-  in
-  let out =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Trace file to write.")
-  in
-  let shards =
-    shards_arg ~doc:"Address-range shards for the capture-time detector (pint only)." ()
-  in
-  Cmd.v
-    (Cmd.info "capture" ~doc:"Run a workload and record its trace")
-    Term.(
-      const run $ workload $ size $ base $ racy $ exec $ workers $ seed $ detector $ shards $ out)
 
 (* -- stats --------------------------------------------------------------- *)
 
@@ -379,9 +289,5 @@ let diff_cmd =
       $ shards_arg ~names:[ "right-shards" ] ~doc:"Shards for the right detector (pint only)." ())
 
 let () =
-  let info =
-    Cmd.info "pint_replay" ~doc:"Capture, replay and differentially check run traces"
-  in
-  exit
-    (Cmd.eval
-       (Cmd.group info [ capture_cmd; stats_cmd; replay_cmd; predict_cmd; diff_cmd; profile_cmd ]))
+  let info = Cmd.info "pint_replay" ~doc:"Inspect, replay and differentially check run traces" in
+  exit (Cmd.eval (Cmd.group info [ stats_cmd; replay_cmd; predict_cmd; diff_cmd; profile_cmd ]))

@@ -67,7 +67,6 @@ let daemon_cmd =
     let addr = addr_of ~socket ~port ~host in
     let config =
       {
-        Serve_server.default_config with
         Serve_server.detector;
         max_sessions;
         pool_workers = domains;

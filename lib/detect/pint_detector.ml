@@ -21,9 +21,6 @@
    shard's address range), so per-shard clear/free ordering is preserved
    verbatim. *)
 
-(* Re-exported shard-decomposition helper (the router owns the scheme). *)
-let iter_shard_subranges ~shards ~shard iv f = Lanes.iter_subranges ~shards ~shard iv f
-
 (* ------------------------------------------------------------- stage roles *)
 
 type role = Writer | Lreader | Rreader
@@ -126,9 +123,7 @@ type run = {
 
 type t = {
   seed : int;
-  queue_capacity : int;
   shards : int;
-  batch : int;
   report : Report.t;
   mutable run : run option;
   mutable stage_list : Stage.t list;
@@ -151,15 +146,14 @@ let dummy_lane_rec =
     (let _, root = Sp_order.create () in
      { u = Srec.make ~uid:(-1) root; s_reads = [||]; s_writes = [||] })
 
-let make ?(seed = 4242) ?(queue_capacity = 4096) ?(shards = 1)
-    ?(batch = Ahq.default_batch) () =
+(* Per-lane AHQ capacity, in strand records. *)
+let queue_capacity = 4096
+
+let make ?(seed = 4242) ?(shards = 1) () =
   if shards < 1 then invalid_arg "Pint_detector.make: shards must be >= 1";
-  if batch < 1 then invalid_arg "Pint_detector.make: batch must be >= 1";
   {
     seed;
-    queue_capacity;
     shards;
-    batch;
     report = Report.create ();
     run = None;
     stage_list = [];
@@ -212,7 +206,7 @@ let driver t (ctx : Hooks.ctx) =
   let lanes =
     (* lane 0 has no writer cursor (the collector processes shard 0's piece
        synchronously at collect time, exactly the paper's writer worker) *)
-    Lanes.create ~capacity:t.queue_capacity ~shards:s
+    Lanes.create ~capacity:queue_capacity ~shards:s
       ~readers_of_lane:(fun k -> if k = 0 then 2 else 3)
       ()
   in
@@ -242,7 +236,7 @@ let driver t (ctx : Hooks.ctx) =
       reg_lock = Mutex.create ();
       lanes;
       consume_bufs =
-        Array.init n_stages (fun _ -> Array.make t.batch (Lazy.force dummy_lane_rec));
+        Array.init n_stages (fun _ -> Array.make Ahq.default_batch (Lazy.force dummy_lane_rec));
       (* shard 0's writer keeps the historical seed so the one-shard treap
          shapes (and hence visit counts) match the paper configuration and
          STINT's matched-seed comparison exactly *)
@@ -315,7 +309,7 @@ let driver t (ctx : Hooks.ctx) =
 
 let process_clears ?(shards = 1) ?(shard = 0) treap (u : Srec.t) =
   let clear (b, l) =
-    iter_shard_subranges ~shards ~shard (Interval.make b (b + l - 1)) (fun sub ->
+    Lanes.iter_subranges ~shards ~shard (Interval.make b (b + l - 1)) (fun sub ->
         Itreap.clear_range treap sub)
   in
   List.iter clear u.clears;
@@ -325,14 +319,14 @@ let process_clears ?(shards = 1) ?(shard = 0) treap (u : Srec.t) =
    the result is an exact-sized array.  Only reached when shards > 1. *)
 let split_owned ~shards ~shard (ivs : Interval.t array) =
   let n = ref 0 in
-  Array.iter (fun iv -> iter_shard_subranges ~shards ~shard iv (fun _ -> incr n)) ivs;
+  Array.iter (fun iv -> Lanes.iter_subranges ~shards ~shard iv (fun _ -> incr n)) ivs;
   if !n = 0 then [||]
   else begin
     let out = Array.make !n (Interval.make 0 0) in
     let i = ref 0 in
     Array.iter
       (fun iv ->
-        iter_shard_subranges ~shards ~shard iv (fun sub ->
+        Lanes.iter_subranges ~shards ~shard iv (fun sub ->
             out.(!i) <- sub;
             incr i))
       ivs;
@@ -542,46 +536,30 @@ let reader_step_idx t idx : Step.t =
     Step.worked ~records:n !visits
   end
 
-let reader_steps t =
-  List.init (2 * t.shards) (fun idx ->
-      let role = if idx < t.shards then Lreader else Rreader in
-      let k = if idx < t.shards then idx else idx - t.shards in
-      (stage_name t role k, fun () -> reader_step_idx t idx))
-
 (* The pipeline stages, in stage-index order: the collector, the shard
    writer workers, then the [2·N] reader workers, registered with the
    engine.  The same stage values are used by every executor (the simulator
-   steps them in virtual time, the multi-domain executor gives each its own
-   domain, [drain] round-robins them), so the per-stage metrics accumulate
-   in one place regardless of who drives the pipeline. *)
+   steps them in virtual time, the multi-domain executor hands each shard's
+   triple to one pool worker, [drain] round-robins them), so the per-stage
+   metrics accumulate in one place regardless of who drives the
+   pipeline. *)
 let default_step_cost ~records ~visits = (100 * records) + (5 * visits)
 
 let stages ?(cost = default_step_cost) t =
   let s = t.shards in
-  let writers =
-    List.init s (fun k ->
-        let step = if k = 0 then fun () -> writer_step t else fun () -> shard_writer_step t k in
-        Stage.make ~name:(stage_name t Writer k) ~cost step)
+  let all =
+    List.init (3 * s) (fun i ->
+        let step =
+          if i = 0 then fun () -> writer_step t
+          else if i < s then fun () -> shard_writer_step t i
+          else fun () -> reader_step_idx t (i - s)
+        in
+        Stage.make ~name:(stage_name_of_idx t i) ~cost step)
   in
-  let readers =
-    List.map (fun (name, step) -> Stage.make ~name ~cost step) (reader_steps t)
-  in
-  let all = writers @ readers in
   t.stage_list <- all;
   all
 
 let current_stages t = match t.stage_list with [] -> stages t | l -> l
-
-(* The shard-micropool grouping of the stage list: pool k is shard k's
-   {writer, lreader, rreader} triple, so one pool domain owns everything
-   that touches lane k and its treaps (Micropool pins the group for the
-   whole run).  This is the authoritative grouping — the stage-index layout
-   is private to this module. *)
-let stage_pools t =
-  let sl = Array.of_list (current_stages t) in
-  let s = t.shards in
-  assert (Array.length sl = 3 * s);
-  List.init s (fun k -> [ sl.(k); sl.(s + k); sl.(2 * s + k) ])
 
 (* The treap-side critical path under the stages' cost model: the slowest
    single stage, which is what bounds detection when every stage has its
@@ -611,8 +589,6 @@ let publish_latencies t =
 let drain t =
   Pipeline.drive (Pipeline.of_stages (current_stages t));
   publish_latencies t
-
-let collected t = match t.run with Some r -> r.n_collected | None -> 0
 
 let stage_diagnostics t =
   match t.stage_list with

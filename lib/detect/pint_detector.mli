@@ -38,32 +38,24 @@
     The sequential executor calls {!drain} once at the end (the paper's
     one-core PINT configuration: all core work first, then the access
     history).  The simulator steps the stages in virtual time; the
-    multi-domain executor runs each on a dedicated domain.  Each step
+    multi-domain executor runs each shard's triple on one pool worker
+    ([Systems.micropools] groups them).  Each step
     reports the number of treap-node visits it caused, which is the cost
     its caller charges in virtual time (through the stage's cost hook). *)
 
 type t
 
-(** [make ?seed ?queue_capacity ?shards ?batch ()].
+(** [make ?seed ?shards ()].
 
     [shards] (default 1, the paper's three-treap-worker configuration)
     selects the address-range shard count: each shard owns the
     {!Lanes.shard_block}-word blocks congruent to it and runs a private
-    {writer, lreader, rreader} treap triple off a private AHQ lane; every
-    treap stays sequential, so correctness needs no concurrent treap.
-    (The readers-only-era [?reader_shards] alias was removed; [?shards]
-    is the one spelling.)
-
-    [batch] bounds how many lane records a consuming treap worker takes
-    per step (default {!Ahq.default_batch}), amortizing cursor updates and
-    slot-recycling checks. *)
-val make :
-  ?seed:int ->
-  ?queue_capacity:int ->
-  ?shards:int ->
-  ?batch:int ->
-  unit ->
-  t
+    {writer, lreader, rreader} treap triple off a private AHQ lane of 4096
+    records; every treap stays sequential, so correctness needs no
+    concurrent treap.  A consuming treap worker takes up to
+    {!Ahq.default_batch} lane records per step, amortizing cursor updates
+    and slot-recycling checks. *)
+val make : ?seed:int -> ?shards:int -> unit -> t
 
 (** The configured shard count. *)
 val shards : t -> int
@@ -115,13 +107,6 @@ val role_mean : role -> (string * int) list -> float
     [ahq_batch] size and the [detect_span] critical path). *)
 val stages : ?cost:(records:int -> visits:int -> int) -> t -> Stage.t list
 
-(** The shard-micropool grouping of the pipeline for the real-domain
-    executor ([Par_exec.config.pools]): pool [k] is shard [k]'s {writer,
-    lreader, rreader} triple, so each micropool domain owns one lane and
-    its treaps outright.  Builds the stages if {!stages} has not been
-    called yet. *)
-val stage_pools : t -> Stage.t list list
-
 (** [set_backpressure t ~rounds] — let the collector ride out a saturated
     lane for up to [rounds] {!Backoff} rounds before rejecting an
     all-or-nothing commit (see {!Lanes.set_backpressure}).  Default 0
@@ -136,27 +121,12 @@ val set_backpressure : t -> rounds:int -> unit
     before a commit is rejected). *)
 val recommended_bp_rounds : int
 
-(** One collector step (exposed for tests and custom drivers). *)
-val writer_step : t -> Step.t
-
-(** All reader workers, named per {!stage_name}. *)
-val reader_steps : t -> (string * (unit -> Step.t)) list
-
 (** Run all treap workers round-robin to completion via the engine's
     {!Pipeline.drive}. *)
 val drain : t -> unit
-
-(** Number of strands the collector has committed so far. *)
-val collected : t -> int
 
 (** The treap-side critical path: the maximum over stages of the stage's
     cost applied to its accumulated metrics.  With one worker per stage
     this is what bounds detection latency; sharding exists to push it
     down. *)
 val detection_span : t -> float
-
-(** [iter_shard_subranges ~shards ~shard iv f] — the block-aligned subranges
-    of [iv] owned by [shard]; the shards partition every interval exactly.
-    (Alias of {!Lanes.iter_subranges} at the default block size, kept for
-    tests and custom shard workers.) *)
-val iter_shard_subranges : shards:int -> shard:int -> Interval.t -> (Interval.t -> unit) -> unit

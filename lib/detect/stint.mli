@@ -1,10 +1,14 @@
 (** STINT (Xu et al., ALENEX'22): the serial interval-based race detector.
 
-    Two treaps — last writer and (left-most) reader — updated synchronously
-    at the end of each strand with the strand's coalesced intervals.  A
-    single reader per location suffices because the computation executes in
-    depth-first serial order (Feng–Leiserson); the left-most-reader policy
-    plus SP pseudo-transitivity guarantees no race is missed.
+    Three treaps — last writer, left-most reader and right-most reader,
+    the roles of PINT's three treap workers — updated synchronously at the
+    end of each strand with the strand's coalesced intervals.  The paper's
+    STINT keeps one reader per location, which suffices because the
+    computation executes in depth-first serial order (Feng–Leiserson): the
+    left-most-reader policy plus SP pseudo-transitivity guarantees no race
+    is missed.  The right-most reader is kept as well so that STINT
+    reports the same deduplicated race set as PINT (Theorem 5), which the
+    differential replay checks rely on.
 
     Must be run on the sequential executor; running it under a parallel
     executor is a usage error (its treaps are not synchronized) and is

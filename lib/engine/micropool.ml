@@ -1,109 +1,30 @@
 (* Shard micropools: the fixed stage-to-domain topology of the real
-   executor (ROADMAP items 1-2, following the pinned-pool pattern of the
-   ebsl OCaml-multicore work).
+   executor and of the streaming service (ROADMAP items 1-2, following the
+   pinned-pool pattern of the ebsl OCaml-multicore work).
 
-   One domain per pool, each cooperatively round-robining its own small
-   set of stages — for PINT, shard k's {writer, lreader, rreader} treap
-   triple — until every stage reports [`Done].  Stages are pinned for the
-   pool's whole lifetime: a stage never migrates between domains, so all
-   the single-owner state the stages carry (treaps, scratch buffers,
-   consume buffers, AHQ cursors, event rings) keeps exactly one writing
-   domain without any synchronization.  (OCaml exposes no portable OS-core
-   affinity API, so "pinned" means pinned to a domain; the OS scheduler
-   keeps a busy domain on its core in practice.)
-
-   This replaces the previous one-domain-per-stage spawn: 3·shards
-   domains, which oversubscribed the machine as soon as shards grew, and
-   whose idle stages each burned a core waiting on their lane.  A pool
-   interleaves its triple on one domain — the three stages of one shard
+   K worker domains serve stage groups (for PINT, shard k's {writer,
+   lreader, rreader} treap triple), which may arrive while the pool runs
+   (pint_serve sessions) or all at once (a [Par_exec] run or a pooled
+   replay, one worker per group).  A submitted group is assigned to
+   exactly one worker domain and never migrates, so all the single-owner
+   state the stages carry (treaps, scratch buffers, consume buffers, AHQ
+   cursors, event rings) keeps exactly one writing domain without any
+   synchronization.  (OCaml exposes no portable OS-core affinity API, so
+   "pinned" means pinned to a domain; the OS scheduler keeps a busy domain
+   on its core in practice.)  Each worker steps all the groups it holds
+   one {!Pipeline.step} round at a time — the three stages of one shard
    share one lane's data anyway, so co-scheduling them is cache-friendly —
-   and backs off with the engine {!Backoff} only when the whole triple is
-   unproductive. *)
+   and backs off with the engine {!Backoff} only when every group it holds
+   is unproductive.
 
-type pool = {
-  p_id : int;
-  p_stages : Stage.t array;
-  p_ring : Evring.t; (* the pool domain's own obs track (Evring.null off) *)
-  mutable p_parks : int; (* deep-backoff rounds: pool-idle diagnostics *)
-}
-
-type t = { pools : pool array; domains : unit Domain.t array }
+   Only the handoff is synchronized: a submission enqueues under the
+   worker's mutex, and the worker adopts pending groups into its private
+   active set.  Completion flows back through one atomic countdown per
+   lease: the worker that retires the lease's last group takes it to 0 and
+   calls the lease's [notify], so a waiter can sleep on its own event
+   source instead of polling. *)
 
 let park_kind = Ev.park
-
-(* Drive one pool to completion: round-robin every unfinished stage; any
-   productive step resets the backoff ladder.  [`Idle]/[`Stalled] steps
-   are counted by the stages themselves (Stage.exec), so per-stage
-   diagnostics stay attributable even though the pool shares the domain. *)
-let run_pool p =
-  let n = Array.length p.p_stages in
-  let finished = Array.make n false in
-  let remaining = ref n in
-  let idle_rounds = ref 0 in
-  while !remaining > 0 do
-    let progressed = ref false in
-    Array.iteri
-      (fun i s ->
-        if not finished.(i) then begin
-          let st = Stage.exec s in
-          if Step.is_done st then begin
-            finished.(i) <- true;
-            decr remaining
-          end
-          else if Step.progressed st then progressed := true
-        end)
-      p.p_stages;
-    if !remaining > 0 then
-      if !progressed then idle_rounds := 0
-      else begin
-        incr idle_rounds;
-        if !idle_rounds = Backoff.yield_round then begin
-          (* entering the parked regime: one instant per park episode,
-             emitted from the pool's own domain into its own ring *)
-          p.p_parks <- p.p_parks + 1;
-          Evring.emit p.p_ring ~kind:park_kind ~arg:p.p_id
-        end;
-        Backoff.relax !idle_rounds
-      end
-  done
-
-let make ?(rings = [||]) (groups : Stage.t list list) =
-  Array.of_list
-    (List.mapi
-       (fun i g ->
-         {
-           p_id = i;
-           p_stages = Array.of_list g;
-           p_ring = (if i < Array.length rings then rings.(i) else Evring.null);
-           p_parks = 0;
-         })
-       groups)
-
-(* Spawn one domain per pool.  The caller joins via {!join}; stages end on
-   their own (`Done) once the upstream pipeline drains. *)
-let spawn ?rings groups =
-  let pools = make ?rings groups in
-  let domains = Array.map (fun p -> Domain.spawn (fun () -> run_pool p)) pools in
-  { pools; domains }
-
-let join t = Array.iter Domain.join t.domains
-let n_pools t = Array.length t.pools
-let parks t = Array.fold_left (fun acc p -> acc + p.p_parks) 0 t.pools
-
-(* ------------------------------------------------------------- shared pool *)
-
-(* A shared pool generalizes [spawn]/[join] from one-shot to multi-tenant:
-   K long-lived worker domains serve stage groups that arrive while the
-   pool runs (pint_serve sessions).  The pinning discipline is unchanged —
-   a submitted group is assigned to exactly one worker domain and never
-   migrates, so every single-owner invariant the stages carry still sees
-   one writing domain for its whole lifetime.  Only the handoff is
-   synchronized: a submission enqueues under the worker's mutex, and the
-   worker adopts pending groups into its private active set.  Completion
-   flows back through one atomic countdown per lease: the worker that
-   retires the lease's last slot takes it to 0 and calls the lease's
-   [notify], so a waiter can sleep on its own event source instead of
-   polling. *)
 
 type lease = {
   l_left : int Atomic.t; (* slots not yet retired; 0 = every stage Done *)
@@ -111,9 +32,7 @@ type lease = {
 }
 
 type slot = {
-  sl_stages : Stage.t array;
-  sl_finished : bool array; (* adopting worker's private done flags *)
-  mutable sl_remaining : int;
+  sl_group : Pipeline.t; (* stepped only by the adopting worker *)
   sl_lease : lease;
 }
 
@@ -146,43 +65,47 @@ let adopt w =
     w.w_active <- w.w_active @ List.rev incoming
   end
 
-let step_slot sl progressed =
-  let n = Array.length sl.sl_stages in
-  for i = 0 to n - 1 do
-    if not sl.sl_finished.(i) then begin
-      let st = Stage.exec sl.sl_stages.(i) in
-      if Step.is_done st then begin
-        sl.sl_finished.(i) <- true;
-        sl.sl_remaining <- sl.sl_remaining - 1
-      end
-      else if Step.progressed st then progressed := true
-    end
-  done
+(* One round over every held group.  Top-level recursion rather than a
+   closure over local flags, so a round that retires nothing allocates
+   nothing. *)
+let rec step_groups progressed = function
+  | [] -> progressed
+  | sl :: rest ->
+      let p = Pipeline.step sl.sl_group in
+      step_groups (p || progressed) rest
+
+let slot_finished sl = Pipeline.finished sl.sl_group
+
+(* Drop finished groups from the active set, counting each down on its
+   lease; run only on a round where some group finished. *)
+let retire w =
+  w.w_active <-
+    List.filter
+      (fun sl ->
+        if slot_finished sl then begin
+          Atomic.decr w.w_load;
+          if Atomic.fetch_and_add sl.sl_lease.l_left (-1) = 1 then sl.sl_lease.l_notify ();
+          false
+        end
+        else true)
+      w.w_active
 
 let run_worker stop w =
   let idle_rounds = ref 0 in
   let running = ref true in
   while !running do
     adopt w;
-    let progressed = ref false in
-    List.iter (fun sl -> step_slot sl progressed) w.w_active;
-    let before = List.length w.w_active in
-    w.w_active <-
-      List.filter
-        (fun sl ->
-          if sl.sl_remaining = 0 then begin
-            Atomic.decr w.w_load;
-            if Atomic.fetch_and_add sl.sl_lease.l_left (-1) = 1 then sl.sl_lease.l_notify ();
-            false
-          end
-          else true)
-        w.w_active;
-    if List.length w.w_active < before then progressed := true;
-    if w.w_active = [] && Atomic.get w.w_pending = 0 && Atomic.get stop then running := false
-    else if !progressed then idle_rounds := 0
+    let progressed = step_groups false w.w_active in
+    if List.exists slot_finished w.w_active then retire w;
+    (* [stop] first: once it reads true, every submission made before
+       [shutdown] is visible in [w_pending] *)
+    if Atomic.get stop && w.w_active = [] && Atomic.get w.w_pending = 0 then running := false
+    else if progressed then idle_rounds := 0
     else begin
       incr idle_rounds;
       if !idle_rounds = Backoff.yield_round then begin
+        (* entering the parked regime: one instant per park episode,
+           emitted from the worker's own domain into its own ring *)
         w.w_parks <- w.w_parks + 1;
         Evring.emit w.w_ring ~kind:park_kind ~arg:w.w_id
       end;
@@ -216,15 +139,7 @@ let submit ?(notify = ignore) sh (groups : Stage.t list list) =
   let lease = { l_left = Atomic.make (List.length groups); l_notify = notify } in
   List.iter
     (fun g ->
-      let stages = Array.of_list g in
-      let sl =
-        {
-          sl_stages = stages;
-          sl_finished = Array.make (Array.length stages) false;
-          sl_remaining = Array.length stages;
-          sl_lease = lease;
-        }
-      in
+      let sl = { sl_group = Pipeline.of_stages g; sl_lease = lease } in
       (* least-loaded worker; round-robin cursor breaks ties so equal-load
          workers share admission evenly *)
       let k = Array.length sh.sh_workers in

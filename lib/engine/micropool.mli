@@ -1,50 +1,34 @@
-(** Shard micropools: one pinned domain per stage group.
+(** Shard micropools: pinned worker domains for stage groups.
 
-    Each pool domain cooperatively round-robins its own stages (for PINT,
-    one shard's {writer, lreader, rreader} treap triple) until all report
-    [`Done], backing off with {!Backoff} when the whole group is
-    unproductive.  Stages never migrate between domains, preserving every
-    single-owner invariant they rely on (OWNERSHIP.md).  See DESIGN.md
-    §13. *)
-
-type t
-
-(** [spawn ?rings groups] — one domain per group.  [rings.(i)], when
-    given, is pool [i]'s observability track (park events are emitted into
-    it from the pool's own domain). *)
-val spawn : ?rings:Evring.t array -> Stage.t list list -> t
-
-(** Wait for every pool domain; returns once all stages are [`Done]. *)
-val join : t -> unit
-
-val n_pools : t -> int
-
-(** Deep-backoff park episodes, summed over pools (idle diagnostics). *)
-val parks : t -> int
-
-(** {2 Shared pools}
-
-    Multi-tenant variant for long-lived services (pint_serve): [k] worker
-    domains outlive any one detector, and stage groups are submitted while
-    the pool runs.  A submitted group is assigned to exactly one worker
-    and never migrates — the same pinning discipline as {!spawn}, so every
-    single-owner invariant still sees one writing domain — and each worker
-    round-robins all the groups currently assigned to it.  See DESIGN.md
-    §14. *)
+    [k] worker domains serve stage groups submitted while the pool runs.
+    A submitted group is assigned to exactly one worker and never
+    migrates, so every single-owner invariant its stages rely on
+    (OWNERSHIP.md) sees one writing domain; each worker steps all the
+    groups it holds one {!Pipeline.step} round at a time, backing off
+    with {!Backoff} when none of them progresses.  A long-lived service
+    (pint_serve) submits one lease per session; a one-run caller
+    ([Par_exec], a pooled [Replay.run]) creates [k] workers for [k]
+    groups, submits them as one lease — group [i] lands on worker [i] —
+    and calls {!shutdown} once the run has ended.  See DESIGN.md §13 and
+    §14.3. *)
 
 type shared
 
 (** A submission handle: the stage groups of one tenant. *)
 type lease
 
-(** [shared ?rings k] spawns [k] long-lived worker domains.  [rings.(i)]
-    is worker [i]'s obs track for park events. *)
+(** [shared ?rings k] spawns [k] worker domains.  [rings.(i)], when
+    given, is worker [i]'s obs track (park events are emitted into it from
+    the worker's own domain).
+    @raise Invalid_argument if [k < 1]. *)
 val shared : ?rings:Evring.t array -> int -> shared
 
 (** [submit ?notify sh groups] assigns each group to the least-loaded
-    worker.  The groups' stages must not be driven by anyone else from
-    this point; they run until each reports [`Done] (for a detector: after
-    its run's [on_done] has fired and its lanes drained).
+    worker, ties going round-robin from worker 0, so on a fresh pool of
+    [k] workers [k] groups land one per worker in order.  The groups'
+    stages must not be driven by anyone else from this point; they run
+    until each reports [`Done] (for a detector: after its run's [on_done]
+    has fired and its lanes drained).
 
     [notify] (default: nothing) is the lease's completion event.  It is
     called exactly once, by the worker domain that retires the lease's

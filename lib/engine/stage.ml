@@ -90,21 +90,6 @@ let exec t =
   | `Done -> if tracing then close_stall t t0);
   st
 
-let run t =
-  let idle = ref 0 in
-  let rec loop () =
-    let st = exec t in
-    if not (Step.is_done st) then begin
-      if Step.progressed st then idle := 0
-      else begin
-        incr idle;
-        Backoff.relax !idle
-      end;
-      loop ()
-    end
-  in
-  loop ()
-
 let diagnostics t =
   let m = t.metrics in
   let key suffix = Printf.sprintf "stage.%s.%s" t.name suffix in

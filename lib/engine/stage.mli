@@ -2,8 +2,9 @@
 
     A stage wraps one logical pipeline worker (PINT's writer treap worker,
     one reader treap worker, …).  All schedulers drive stages exclusively
-    through {!exec} (or the convenience loop {!run}), so the counters below
-    are maintained uniformly no matter which executor is in charge:
+    through {!exec} (the simulator directly, everything else through
+    {!Pipeline.step}), so the counters below are maintained uniformly no
+    matter which executor is in charge:
 
     - [steps] — productive ([`Worked]) steps taken;
     - [records] — pipeline records consumed (batch-aware: one step may
@@ -13,8 +14,8 @@
     - [stalls] — steps blocked on a full downstream queue (backpressure).
 
     A stage is single-consumer: it must be driven by one thread at a time
-    (each [Par_exec] stage domain, the single-threaded simulator, or a
-    drain loop — never two at once). *)
+    (the {!Micropool} worker holding its group, the single-threaded
+    simulator, or a drain loop — never two at once). *)
 
 type metrics = {
   mutable steps : int;
@@ -54,10 +55,6 @@ val ring : t -> Evring.t
 
 (** Drive the stage one step and record the outcome in its metrics. *)
 val exec : t -> Step.t
-
-(** Drive the stage to [`Done] with exponential idle backoff — the loop a
-    dedicated domain runs. *)
-val run : t -> unit
 
 (** The stage's counters as [("stage.<name>.<counter>", value)] pairs. *)
 val diagnostics : t -> (string * float) list

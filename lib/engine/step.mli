@@ -3,11 +3,12 @@
     This is the {e single} definition of the step variant for the whole
     system: every pipeline stage — PINT's writer treap worker, its reader
     treap workers, any auxiliary loop handed to an executor — reports
-    progress through this type, and every scheduler (the round-robin
-    {!Pipeline.drive}, the dedicated domains of [Par_exec], the virtual-time
-    actors of [Sim_exec]) interprets it through the helpers below.  Step
-    implementations should build results with the constructors rather than
-    the raw variant so the representation stays private to this library. *)
+    progress through this type, and every scheduler (the group round
+    {!Pipeline.step}, which {!Pipeline.drive} and the {!Micropool} workers
+    loop, and the virtual-time actors of [Sim_exec]) interprets it through
+    the helpers below.  Step implementations should build results with the
+    constructors rather than the raw variant so the representation stays
+    private to this library. *)
 
 type outcome = {
   records : int;  (** pipeline records consumed (e.g. strands, batched) *)

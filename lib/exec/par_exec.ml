@@ -355,14 +355,19 @@ let run ?aspace ~config ~(driver : Hooks.driver) main =
            main ();
            e_sync ()));
   hooks.Hooks.on_start ~wid:0 root_rec Events.S_root;
-  (* one pinned pool domain per stage group — for PINT, one per shard's
-     {writer, lreader, rreader} triple — instead of the previous one
-     domain per stage (3·shards domains), so [shards] means real cores *)
-  let pool_rings =
-    Array.of_list
-      (List.mapi (fun i _ -> Obs.track config.obs ("pool" ^ string_of_int i)) config.pools)
+  (* one pinned pool worker per stage group — for PINT, one per shard's
+     {writer, lreader, rreader} triple — so [shards] means real cores; on
+     a fresh pool group i lands on worker i, whose track is pool<i> *)
+  let n_pools = List.length config.pools in
+  let pool =
+    match config.pools with
+    | [] -> None
+    | groups ->
+        let rings = Array.init n_pools (fun i -> Obs.track config.obs ("pool" ^ string_of_int i)) in
+        let sh = Micropool.shared ~rings n_pools in
+        ignore (Micropool.submit sh groups);
+        Some sh
   in
-  let pools = Micropool.spawn ~rings:pool_rings config.pools in
   let core_domains =
     Array.to_list
       (Array.map (fun w -> Domain.spawn (fun () -> worker_loop w)) (Array.sub workers 1 (nw - 1)))
@@ -370,7 +375,7 @@ let run ?aspace ~config ~(driver : Hooks.driver) main =
   worker_loop workers.(0);
   List.iter Domain.join core_domains;
   hooks.Hooks.on_done ();
-  Micropool.join pools;
+  Option.iter Micropool.shutdown pool;
   let elapsed_s = Unix.gettimeofday () -. t0 in
   Array.iter (fun w -> assert (Cldeque.is_empty w.deque)) workers;
   {
@@ -381,6 +386,8 @@ let run ?aspace ~config ~(driver : Hooks.driver) main =
     n_strands = Atomic.get next_uid;
     n_spawns = Atomic.get n_spawns;
     n_nontrivial_syncs = Atomic.get n_nontrivial;
-    n_domains = nw + Micropool.n_pools pools;
-    n_parks = Micropool.parks pools + Array.fold_left (fun acc w -> acc + w.parks) 0 workers;
+    n_domains = nw + n_pools;
+    n_parks =
+      Option.fold ~none:0 ~some:Micropool.shared_parks pool
+      + Array.fold_left (fun acc w -> acc + w.parks) 0 workers;
   }

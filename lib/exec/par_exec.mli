@@ -8,12 +8,12 @@
     suspend the function; the last returning child resumes it on its own
     domain.
 
-    Pipeline stages run on shard micropools ({!Micropool}): one pinned
-    domain per stage group — for PINT, one per shard's {writer, lreader,
-    rreader} treap triple — cooperatively round-robined with {!Backoff}
-    when the group is unproductive, so the executor uses
-    [n_workers + length pools] domains total and [shards] maps one-to-one
-    onto detection cores (DESIGN.md §13).
+    Pipeline stages run on a {!Micropool} with one pinned worker domain
+    per stage group — for PINT, one per shard's {writer, lreader, rreader}
+    treap triple — stepped round by round with {!Backoff} when the group is
+    unproductive, so the executor uses [n_workers + length pools] domains
+    total and [shards] maps one-to-one onto detection cores (DESIGN.md
+    §13).
 
     Idle core workers back off the same way: spin ladder first, then
     parked sleeps, so oversubscribed hosts (domains > cores) keep making
@@ -26,9 +26,9 @@ type config = {
   n_workers : int;
   seed : int;  (** victim-selection seed (schedules remain nondeterministic) *)
   pools : Stage.t list list;
-      (** pipeline stage groups, one pinned micropool domain each; for the
-          PINT detector use {!Pint_detector.stage_pools} (one group per
-          shard) *)
+      (** pipeline stage groups, one pinned micropool worker each; for
+          the PINT detector use {!Systems.micropools} on its stages (one
+          group per shard) *)
   obs : Obs.t;
       (** observability session for the per-domain tracks ([core<w>] steal
           and park instants, [pool<k>] park instants); {!Obs.disabled} (the

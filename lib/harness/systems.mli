@@ -49,12 +49,12 @@ val make_detector :
   string ->
   (Detector.t * Stage.t list) option
 
-(** [micropools stages] — group a flat stage list into shard micropools
-    for [Par_exec.config.pools]: stages sharing a shard index (per
-    {!Pint_detector.role_of_stage_name}) form one pool, in shard order;
-    unrecognized stages get singleton pools.  Equals
-    {!Pint_detector.stage_pools} on a PINT stage list, but works on the
-    generic list {!make_detector} returns. *)
+(** [micropools stages] — group a flat stage list into shard micropool
+    groups: stages sharing a shard index (per
+    {!Pint_detector.role_of_stage_name}) form one group, in shard order;
+    unrecognized stages get singleton groups.  The one grouping every
+    pooled caller uses: [Par_exec.config.pools], [Replay.run ~pools] and
+    the pint_serve sessions' [Micropool.submit]. *)
 val micropools : Stage.t list -> Stage.t list list
 
 type measurement = {

@@ -100,7 +100,7 @@ module Session = struct
     mutable s_done : bool; (* on_done fired (eof or abort) *)
   }
 
-  let make ~size ?(wrap = fun d -> d) ?max_pending ?on_strand (det : Detector.t) =
+  let make ~size ?(wrap = fun d -> d) ?on_strand (det : Detector.t) =
     let aspace = Aspace.create () in
     let sp, root_sp = Sp_order.create () in
     let next_uid = ref 1 in
@@ -113,7 +113,7 @@ module Session = struct
     let hooks = (wrap det.Detector.driver) ctx in
     {
       s_det = det;
-      s_dec = Tracefile.Decoder.create ?max_pending ();
+      s_dec = Tracefile.Decoder.create ();
       s_aspace = aspace;
       s_hooks = hooks;
       s_sink = hooks.Hooks.sink ~wid:0;
@@ -130,7 +130,7 @@ module Session = struct
       s_done = false;
     }
 
-  let create ?wrap ?max_pending ?on_strand det = make ~size:256 ?wrap ?max_pending ?on_strand det
+  let create ?wrap ?on_strand det = make ~size:256 ?wrap ?on_strand det
 
   let fresh t s =
     incr t.s_next_uid;
@@ -331,20 +331,28 @@ module Session = struct
 end
 
 (* Offline replay is a session offered the whole file.  With [pools] the
-   detector's stages run on micropool domains concurrently with the
-   (still single-threaded, deterministic) walk — the producer/consumer
-   topology of a live [Par_exec] run, driven from a reproducible schedule.
-   They spawn once the session has set up the detector's run.  Whatever
-   ends the walk, the session's [on_done] has fired before the pools are
-   joined, so every stage reaches [`Done] and the join terminates; the
-   drain after it is then a no-op pass that only publishes latencies. *)
-let run ?wrap ?pools ?on_strand (tf : Tracefile.t) (d : Detector.t) =
+   detector's stages run on micropool workers, one per group, concurrently
+   with the (still single-threaded, deterministic) walk — the
+   producer/consumer topology of a live [Par_exec] run, driven from a
+   reproducible schedule.  They are submitted once the session has set up
+   the detector's run.  Whatever ends the walk, the session's [on_done]
+   has fired before the pool shuts down, so every stage reaches [`Done]
+   and the shutdown terminates; the drain after it is then a no-op pass
+   that only publishes latencies. *)
+let run ?wrap ?(pools = []) ?on_strand (tf : Tracefile.t) (d : Detector.t) =
   let s = Session.make ~size:(Tracefile.entry_count tf) ?wrap ?on_strand d in
-  let mp = Option.map Micropool.spawn pools in
+  let pool =
+    match pools with
+    | [] -> None
+    | groups ->
+        let sh = Micropool.shared (List.length groups) in
+        ignore (Micropool.submit sh groups);
+        Some sh
+  in
   Fun.protect
     ~finally:(fun () ->
       Session.abort s;
-      Option.iter Micropool.join mp)
+      Option.iter Micropool.shutdown pool)
     (fun () ->
       Array.iter (Session.offer s) tf.Tracefile.entries;
       Session.advance s;

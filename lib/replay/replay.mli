@@ -28,7 +28,7 @@
     Replay is single-threaded and deterministic: replaying the same trace
     twice through the same detector yields identical race sets and
     identical diagnostics.  The one opt-in exception is {!run}'s [pools],
-    which moves the detector's {e pipeline} onto real micropool domains —
+    which moves the detector's {e pipeline} onto real micropool workers —
     the strand feed stays the deterministic serial elision, so race sets
     remain schedule-invariant (Theorem 5) while the consumer side
     genuinely runs cross-domain. *)
@@ -61,15 +61,16 @@ type strand_observer = sp:Sp_order.t -> pos:int -> Tracefile.entry -> Srec.t -> 
     applied to the detector's driver before replay — e.g.
     {!Obs_hooks.instrument} to profile a replay.  [pools] (default: none —
     the pipeline drains synchronously after the feed) runs the detector's
-    stage groups on {!Micropool} domains concurrently with the strand feed,
-    e.g. [Pint_detector.stage_pools] for a real-domain golden diff; pair it
-    with {!Pint_detector.set_backpressure} so the collector waits out
+    stage groups on a {!Micropool} with one worker per group, concurrently
+    with the strand feed, e.g. [Systems.micropools] of the detector's
+    stages for a real-domain golden diff; pair it with
+    {!Pint_detector.set_backpressure} so the collector waits out
     momentarily-full lanes instead of rejecting.  [on_strand] observes
     every strand as it replays (e.g. {!Predict.Builder.observer} to build
     the strand DAG for predictive detection in the same pass as observed
     detection).
     @raise Corrupt if the trace's DAG links are inconsistent — after the
-    detector's run has ended and its [pools] have been joined. *)
+    detector's run has ended and its [pools] have shut down. *)
 val run :
   ?wrap:(Hooks.driver -> Hooks.driver) ->
   ?pools:Stage.t list list ->
@@ -96,15 +97,14 @@ val run :
 module Session : sig
   type t
 
-  (** [create ?wrap ?max_pending ?on_strand det] — a session at stream
-      start.  [det] must be fresh; [wrap] (default identity) wraps its
-      driver, e.g. {!Obs_hooks.instrument}; [max_pending] bounds the decoder
-      (see {!Tracefile.Decoder.create}).  [on_strand] observes each strand as
-      it replays; its [pos] is the entry's arrival order in the stream — the
+  (** [create ?wrap ?on_strand det] — a session at stream start.  [det]
+      must be fresh; [wrap] (default identity) wraps its driver, e.g.
+      {!Obs_hooks.instrument}.  The decoder keeps its default bound (see
+      {!Tracefile.Decoder.create}).  [on_strand] observes each strand as it
+      replays; its [pos] is the entry's arrival order in the stream — the
       same observed-schedule position offline replay reads off the file. *)
   val create :
     ?wrap:(Hooks.driver -> Hooks.driver) ->
-    ?max_pending:int ->
     ?on_strand:strand_observer ->
     Detector.t ->
     t

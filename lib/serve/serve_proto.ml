@@ -3,7 +3,7 @@ exception Proto_error of string
 let proto_error fmt = Printf.ksprintf (fun s -> raise (Proto_error s)) fmt
 
 let protocol_version = 2
-let default_max_frame = 1 lsl 20
+let max_frame = 1 lsl 20
 
 type client_msg =
   | Hello of { version : int; shards : int; predict : int }
@@ -43,10 +43,9 @@ module Frames = struct
   type t = {
     mutable buf : string; (* unparsed bytes (plus a consumed prefix) *)
     mutable off : int;
-    max_frame : int;
   }
 
-  let create ?(max_frame = default_max_frame) () = { buf = ""; off = 0; max_frame }
+  let create () = { buf = ""; off = 0 }
 
   let available t = String.length t.buf - t.off
 
@@ -71,7 +70,7 @@ module Frames = struct
     else begin
       let b i = Char.code t.buf.[t.off + i] in
       let n = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
-      if n > t.max_frame then proto_error "frame of %d bytes exceeds the %d limit" n t.max_frame;
+      if n > max_frame then proto_error "frame of %d bytes exceeds the %d limit" n max_frame;
       if available t < 4 + n then None
       else begin
         let payload = String.sub t.buf (t.off + 4) n in

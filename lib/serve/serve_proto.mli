@@ -32,9 +32,9 @@ exception Proto_error of string
 
 val protocol_version : int
 
-(** Default cap on one frame's payload (1 MiB): a peer announcing more is
+(** Cap on one frame's payload (1 MiB): a peer announcing more is
     malformed, not a reason to buffer without bound. *)
-val default_max_frame : int
+val max_frame : int
 
 type client_msg =
   | Hello of { version : int; shards : int; predict : int }
@@ -64,7 +64,8 @@ val frame : string -> string
 module Frames : sig
   type t
 
-  val create : ?max_frame:int -> unit -> t
+  (** A reassembler that rejects frames over {!max_frame}. *)
+  val create : unit -> t
 
   (** Append raw socket bytes. *)
   val feed : t -> ?pos:int -> ?len:int -> string -> unit

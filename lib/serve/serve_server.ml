@@ -3,9 +3,6 @@ type config = {
   max_sessions : int;
   pool_workers : int;
   backlog_high : int;
-  max_frame : int;
-  max_pending : int;
-  obs_capacity : int option;
   max_window : int;  (* largest per-session prediction window a Hello may request *)
 }
 
@@ -15,9 +12,6 @@ let default_config =
     max_sessions = 4;
     pool_workers = 2;
     backlog_high = 4096;
-    max_frame = Serve_proto.default_max_frame;
-    max_pending = 16 * 1024 * 1024;
-    obs_capacity = None;
     max_window = 16;
   }
 
@@ -147,9 +141,7 @@ let fail_conn t c msg =
 let start_stream t c ~shards ~predict =
   let cfg = t.cfg in
   let shards = if shards = 0 then 1 else shards in
-  let obs =
-    Obs.create ?capacity:cfg.obs_capacity ~clock:Clock.monotonic ()
-  in
+  let obs = Obs.create ~clock:Clock.monotonic () in
   (* no collector backpressure: a shared-pool slot steps shard 0's
      collector and its lane's readers on one worker, so waiting out a full
      lane there could never succeed *)
@@ -160,10 +152,7 @@ let start_stream t c ~shards ~predict =
          the shared pool second — the ordering every executor guarantees *)
       let builder = if predict > 0 then Some (Predict.Builder.create ()) else None in
       let on_strand = Option.map Predict.Builder.observer builder in
-      let session =
-        Replay.Session.create ~wrap:(Obs_hooks.instrument obs)
-          ~max_pending:cfg.max_pending ?on_strand det
-      in
+      let session = Replay.Session.create ~wrap:(Obs_hooks.instrument obs) ?on_strand det in
       let lease =
         Micropool.submit ~notify:(fun () -> wake t.wake_w) t.pool (Systems.micropools stages)
       in
@@ -361,7 +350,7 @@ let handle_accept t =
         {
           c_id = t.next_id;
           c_fd = fd;
-          c_in = Serve_proto.Frames.create ~max_frame:t.cfg.max_frame ();
+          c_in = Serve_proto.Frames.create ();
           c_out = Queue.create ();
           c_out_off = 0;
           c_phase = Handshake;

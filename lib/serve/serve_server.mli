@@ -38,9 +38,6 @@ type config = {
       (** shared micropool domains; also the largest shard count a Hello
           may request *)
   backlog_high : int;  (** feed-minus-collected watermark that pauses reads *)
-  max_frame : int;  (** wire-frame payload cap *)
-  max_pending : int;  (** per-session decoder buffer cap *)
-  obs_capacity : int option;  (** per-track ring size, [None] = default *)
   max_window : int;
       (** largest prediction window a Hello may request; requests above it
           are rejected, 0 disables predict sessions entirely (cost control:

@@ -1,5 +1,5 @@
-(* Engine-layer tests: the shared Step/Stage/Pipeline machinery that every
-   executor drives PINT's treap workers through. *)
+(* Engine-layer tests: the shared Step/Stage/Pipeline/Micropool machinery
+   that every executor drives PINT's treap workers through. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -37,9 +37,11 @@ let test_step_helpers () =
   check_bool "done is done" true (Step.is_done Step.finished);
   check_int "default records" 1 (Step.records (Step.worked 3))
 
+let drive_one st = Pipeline.drive (Pipeline.of_stages [ st ])
+
 let test_stage_metrics () =
   let st = synthetic ~name:"x" ~records_per_step:8 ~idles:3 ~stalls:2 ~work:5 () in
-  Stage.run st;
+  drive_one st;
   let m = Stage.metrics st in
   check_int "steps" 5 m.Stage.steps;
   check_int "records" 40 m.Stage.records;
@@ -52,7 +54,7 @@ let test_stage_metrics () =
 
 let test_stage_diagnostics_keys () =
   let st = synthetic ~name:"writer" ~idles:1 ~stalls:1 ~work:2 () in
-  Stage.run st;
+  drive_one st;
   let d = Stage.diagnostics st in
   List.iter
     (fun k -> check_bool (k ^ " present") true (List.mem_assoc k d))
@@ -63,16 +65,41 @@ let test_stage_diagnostics_keys () =
 let test_pipeline_drive_completes () =
   let a = synthetic ~name:"a" ~idles:10 ~stalls:0 ~work:7 () in
   let b = synthetic ~name:"b" ~idles:0 ~stalls:4 ~work:3 () in
-  let p = Pipeline.create () in
-  Pipeline.register p a;
-  Pipeline.register p b;
-  check_int "two stages" 2 (List.length (Pipeline.stages p));
+  let p = Pipeline.of_stages [ a; b ] in
   Pipeline.drive p;
+  check_bool "group finished" true (Pipeline.finished p);
   check_int "a drained" 7 (Stage.metrics a).Stage.steps;
   check_int "b drained" 3 (Stage.metrics b).Stage.steps;
-  (* driving again only retires the already-done stages *)
-  Pipeline.drive p;
+  (* a fresh group over finished stages retires each on its first step *)
+  Pipeline.drive (Pipeline.of_stages [ a; b ]);
   check_int "no double work" 7 (Stage.metrics a).Stage.steps
+
+(* A stage that counts how often it is stepped, whatever it reports. *)
+let counting ~name calls step =
+  Stage.make ~name (fun () ->
+      incr calls;
+      step ())
+
+let test_pipeline_step () =
+  let a = synthetic ~name:"a" ~idles:1 ~stalls:0 ~work:1 () in
+  let b = synthetic ~name:"b" ~idles:0 ~stalls:1 ~work:0 () in
+  let p = Pipeline.of_stages [ a; b ] in
+  check_bool "idle + stalled round: no progress" false (Pipeline.step p);
+  check_bool "worked + retired round: progress" true (Pipeline.step p);
+  check_bool "a still running" false (Pipeline.finished p);
+  check_bool "retiring the last stage is progress" true (Pipeline.step p);
+  check_bool "finished" true (Pipeline.finished p);
+  (* a finished group steps no stage, whether driven or stepped *)
+  let calls = ref 0 in
+  let c = counting ~name:"c" calls (fun () -> Step.finished) in
+  let q = Pipeline.of_stages [ c ] in
+  Pipeline.drive q;
+  check_int "one step retires c" 1 !calls;
+  Pipeline.drive q;
+  check_bool "round on a finished group" false (Pipeline.step q);
+  check_int "finished group stepped no stage" 1 !calls;
+  (* an empty group is finished from the start *)
+  check_bool "empty group finished" true (Pipeline.finished (Pipeline.of_stages []))
 
 let test_pipeline_producer_consumer () =
   (* a queue between two stages: the producer stalls when it is full, the
@@ -119,6 +146,45 @@ let test_pipeline_diagnostics () =
   check_bool "a steps" true (List.assoc "stage.a.steps" d = 2.);
   check_bool "b stalls" true (List.assoc "stage.b.stalls" d = 1.)
 
+(* Placement on a fresh pool: k one-stage groups submitted as one lease to
+   k workers land one per worker, each stepped by exactly one domain for
+   its whole life — the pinning [Par_exec] and pooled [Replay.run] rely
+   on. *)
+let test_pool_placement k () =
+  let pool = Micropool.shared k in
+  let seen = Array.init k (fun _ -> ref []) in
+  let groups =
+    List.init k (fun i ->
+        let left = ref 200 in
+        [
+          Stage.make ~name:(Printf.sprintf "g%d" i) (fun () ->
+              seen.(i) := (Domain.self () :> int) :: !(seen.(i));
+              if !left = 0 then Step.finished
+              else begin
+                decr left;
+                Step.worked 1
+              end);
+        ])
+  in
+  let notified = Atomic.make 0 in
+  let lease = Micropool.submit ~notify:(fun () -> Atomic.incr notified) pool groups in
+  Micropool.await lease;
+  Micropool.shutdown pool;
+  let main = (Domain.self () :> int) in
+  let homes =
+    Array.to_list
+      (Array.mapi
+         (fun i cell ->
+           match List.sort_uniq compare !cell with
+           | [ d ] ->
+               check_bool (Printf.sprintf "group %d off the caller's domain" i) true (d <> main);
+               d
+           | ds -> Alcotest.failf "group %d stepped by %d domains" i (List.length ds))
+         seen)
+  in
+  check_int "one domain per group" k (List.length (List.sort_uniq compare homes));
+  check_int "notify fired once" 1 (Atomic.get notified)
+
 let test_backoff_terminates () =
   (* relax must be bounded for any round count *)
   List.iter (fun n -> Backoff.relax n) [ 0; 1; 5; 8; 20; 62; 1000 ];
@@ -135,7 +201,10 @@ let () =
           Alcotest.test_case "pipeline drives to done" `Quick test_pipeline_drive_completes;
           Alcotest.test_case "producer/consumer backpressure" `Quick
             test_pipeline_producer_consumer;
+          Alcotest.test_case "pipeline step rounds" `Quick test_pipeline_step;
           Alcotest.test_case "pipeline diagnostics" `Quick test_pipeline_diagnostics;
+          Alcotest.test_case "pool placement k=2" `Quick (test_pool_placement 2);
+          Alcotest.test_case "pool placement k=3" `Quick (test_pool_placement 3);
           Alcotest.test_case "backoff terminates" `Quick test_backoff_terminates;
         ] );
     ]

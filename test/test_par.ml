@@ -76,7 +76,7 @@ let test_pint_on_domains_race () =
   let d = Pint_detector.detector p in
   let _ =
     Par_exec.run
-      ~config:(config ~n_workers:4 ~pools:(Pint_detector.stage_pools p) ())
+      ~config:(config ~n_workers:4 ~pools:(Systems.micropools (Pint_detector.stages p)) ())
       ~driver:d.Detector.driver
       (fun () ->
         let b = Fj.alloc_f 8 in
@@ -92,7 +92,7 @@ let test_pint_on_domains_clean () =
   let out = ref 0. in
   let r =
     Par_exec.run
-      ~config:(config ~n_workers:4 ~pools:(Pint_detector.stage_pools p) ())
+      ~config:(config ~n_workers:4 ~pools:(Systems.micropools (Pint_detector.stages p)) ())
       ~driver:d.Detector.driver (fib_prog 13 out)
   in
   Alcotest.(check (float 0.)) "fib value" (float_of_int (fib_ref 13)) !out;
@@ -121,7 +121,9 @@ let test_pint_domains_random_equivalence () =
     let p = Pint_detector.make () in
     let d = Pint_detector.detector p in
     let _ =
-      Par_exec.run ~config:(config ~n_workers:3 ~pools:(Pint_detector.stage_pools p) ()) ~driver:d.Detector.driver prog
+      Par_exec.run
+        ~config:(config ~n_workers:3 ~pools:(Systems.micropools (Pint_detector.stages p)) ())
+        ~driver:d.Detector.driver prog
     in
     if Detector.races d <> [] <> expected then
       Alcotest.failf "seed %d: pint-on-domains got %b want %b" seed (Detector.races d <> [])
@@ -135,7 +137,7 @@ let test_par_heap_and_frames () =
       let d = Pint_detector.detector p in
       let _ =
         Par_exec.run
-          ~config:(config ~n_workers ~pools:(Pint_detector.stage_pools p) ())
+          ~config:(config ~n_workers ~pools:(Systems.micropools (Pint_detector.stages p)) ())
           ~driver:d.Detector.driver
           (fun () ->
             for _ = 1 to 6 do

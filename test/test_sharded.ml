@@ -25,7 +25,7 @@ let test_shard_subranges () =
       let iv = Interval.make lo hi in
       let seen = Hashtbl.create 64 in
       for shard = 0 to shards - 1 do
-        Pint_detector.iter_shard_subranges ~shards ~shard iv (fun sub ->
+        Lanes.iter_subranges ~shards ~shard iv (fun sub ->
             check_bool "within" true (sub.Interval.lo >= lo && sub.Interval.hi <= hi);
             check_int "single block" (sub.Interval.lo / block) (sub.Interval.hi / block);
             check_int "right shard" shard (sub.Interval.lo / block mod shards);
@@ -46,7 +46,7 @@ let test_shard_subranges () =
 
 let subranges ~shards ~shard iv =
   let acc = ref [] in
-  Pint_detector.iter_shard_subranges ~shards ~shard iv (fun sub ->
+  Lanes.iter_subranges ~shards ~shard iv (fun sub ->
       acc := (sub.Interval.lo, sub.Interval.hi) :: !acc);
   List.rev !acc
 

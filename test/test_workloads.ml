@@ -96,7 +96,9 @@ let test_par_spot name () =
   let inst = w.Workload.make ~size ~base in
   let p = Pint_detector.make () in
   let det = Pint_detector.detector p in
-  let config = { Par_exec.default_config with n_workers = 3; pools = Pint_detector.stage_pools p } in
+  let config =
+    { Par_exec.default_config with n_workers = 3; pools = Systems.micropools (Pint_detector.stages p) }
+  in
   let _ = Par_exec.run ~config ~driver:det.Detector.driver inst.Workload.run in
   check_bool (name ^ " correct under par/pint") true (inst.Workload.check ());
   check_int (name ^ " race-free under par/pint") 0 (List.length (Detector.races det))
