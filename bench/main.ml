@@ -1,92 +1,37 @@
-(* Benchmark executable.
+(* Case runner for the CI perf-regression gate.
 
-   Three parts:
-   1. Regenerates every evaluation table of the paper (Figures 1-4) from the
-      virtual-time harness — these are the rows EXPERIMENTS.md quotes.
-   2. Bechamel wall-clock microbenchmarks of the real data structures and
-      detectors (one Test.make group per figure plus the substrate ops), so
-      the actual OCaml implementation cost of each component is measured,
-      not simulated.
-   3. A machine-readable mode (`--json PATH`, optionally `--runs N`) that
-      times one representative configuration per figure with a plain
-      wall-clock stopwatch and writes per-case median/min/max/sample-count
-      plus key detector diagnostics (treap visits, fast-path hit rate) as
-      JSON.  The committed BENCH_*.json files are generated this way,
-      giving successive PRs a perf trajectory to diff against and
-      tools/bench_gate a baseline to compare fresh runs to.  `--profile
-      PATH` additionally runs one profiled heat48/pint simulation, writes
-      its Chrome trace to PATH and merges the "obs.*" aggregates into the
-      JSON. *)
+   Usage: main.exe --json PATH [--runs N]
 
-open Bechamel
-open Toolkit
+   Times 29 cases — one group per paper figure plus replay, shard-sweep,
+   real-domain, service and prediction groups — with a plain wall-clock
+   stopwatch (N runs each, default 5) and writes per-case
+   median/min/max/sample-count plus key detector diagnostics (treap visits,
+   fast-path hit rate, detect_span, ...) as JSON.  The committed
+   BENCH_*.json files are generated this way, giving successive changes a
+   perf trajectory to diff against and tools/bench_gate a baseline to
+   compare fresh runs to.  The paper's figure tables themselves come from
+   `experiments all`. *)
 
-let small = 48 (* small workload size so each bechamel sample is a full run *)
+let small = 48
 
 (* All detector construction goes through the shared factory so bench,
    pint_run and pint_replay agree on what each name means. *)
 let make_det ?(shards = 1) name = Option.get (Systems.make_detector ~shards name)
 
-let run_detector_once name workers detector () =
-  let w = Registry.find name in
-  let inst = w.Workload.make ~size:small ~base:8 in
-  let d, stages = make_det detector in
-  match detector with
+(* One run of a (workload, detector) configuration; returns the detector's
+   diagnostics so the JSON can carry treap visits / fast-path rates next to
+   the wall-clock numbers. *)
+let detector_run ?shards ~workload ~size ~base ~workers det () =
+  let w = Registry.find workload in
+  let inst = w.Workload.make ~size ~base in
+  let d, stages = make_det ?shards det in
+  (match det with
   | "stint" -> ignore (Seq_exec.run ~driver:d.Detector.driver inst.Workload.run)
   | _ ->
       let config = { Sim_exec.default_config with n_workers = workers; stages } in
-      ignore (Sim_exec.run ~config ~driver:d.Detector.driver inst.Workload.run)
-
-(* Figure 1 group: full detector runs on a small heat instance. *)
-let fig1_tests =
-  Test.make_grouped ~name:"fig1:heat48"
-    [
-      Test.make ~name:"baseline" (Staged.stage (run_detector_once "heat" 4 "none"));
-      Test.make ~name:"stint" (Staged.stage (run_detector_once "heat" 4 "stint"));
-      Test.make ~name:"pint" (Staged.stage (run_detector_once "heat" 4 "pint"));
-      Test.make ~name:"cracer" (Staged.stage (run_detector_once "heat" 4 "cracer"));
-    ]
-
-(* Figure 2 group: the PINT pipeline at two base-case granularities (the
-   strand/interval density is what the work breakdown depends on). *)
-let fig2_tests =
-  let go base () =
-    let w = Registry.find "sort" in
-    let inst = w.Workload.make ~size:4096 ~base in
-    let d, stages = make_det "pint" in
-    let config = { Sim_exec.default_config with n_workers = 4; stages } in
-    ignore (Sim_exec.run ~config ~driver:d.Detector.driver inst.Workload.run)
-  in
-  Test.make_grouped ~name:"fig2:pint-pipeline"
-    [
-      Test.make ~name:"sort4096/b64" (Staged.stage (go 64));
-      Test.make ~name:"sort4096/b256" (Staged.stage (go 256));
-    ]
-
-(* Figure 3 group: same computation at increasing simulated worker counts. *)
-let fig3_tests =
-  Test.make_grouped ~name:"fig3:strong-scaling"
-    [
-      Test.make ~name:"mmul/p1" (Staged.stage (run_detector_once "mmul" 1 "pint"));
-      Test.make ~name:"mmul/p8" (Staged.stage (run_detector_once "mmul" 8 "pint"));
-      Test.make ~name:"mmul/p32" (Staged.stage (run_detector_once "mmul" 32 "pint"));
-    ]
-
-(* Figure 4 group: weak-scaling step (size grows with workers). *)
-let fig4_tests =
-  let go size p () =
-    let w = Registry.find "heat" in
-    let inst = w.Workload.make ~size ~base:8 in
-    let d, stages = make_det "pint" in
-    let config = { Sim_exec.default_config with n_workers = p; stages } in
-    ignore (Sim_exec.run ~config ~driver:d.Detector.driver inst.Workload.run)
-  in
-  Test.make_grouped ~name:"fig4:weak-scaling"
-    [
-      Test.make ~name:"heat32/p1" (Staged.stage (go 32 1));
-      Test.make ~name:"heat64/p4" (Staged.stage (go 64 4));
-      Test.make ~name:"heat128/p16" (Staged.stage (go 128 16));
-    ]
+      ignore (Sim_exec.run ~config ~driver:d.Detector.driver inst.Workload.run));
+  d.Detector.drain ();
+  d.Detector.diagnostics ()
 
 (* Replay-driven timing: one shared capture of the heat workload, then each
    detector is timed on the identical recorded strand stream.  This isolates
@@ -107,22 +52,11 @@ let replay_run ?shards det () =
   let d, _ = make_det ?shards det in
   (Replay.run t d).Replay.diagnostics
 
-let replay_tests =
-  let go det () = ignore (replay_run det ()) in
-  Test.make_grouped ~name:"replay:heat48"
-    [
-      Test.make ~name:"stint" (Staged.stage (go "stint"));
-      Test.make ~name:"pint" (Staged.stage (go "pint"));
-      Test.make ~name:"cracer" (Staged.stage (go "cracer"));
-    ]
-
 (* Predictive detection: observed detection and the strand DAG come from
    one replay pass, then the window-bounded reordering analysis runs on
    top.  The capture is the RACY heat variant — the plain one has no
    conflicting parallel pairs, so its candidate counters would be zero and
-   the gate would have nothing to pin.  Timed end to end (replay +
-   predict); the deterministic candidate/window counters are the gated
-   payload. *)
+   the gate would have nothing to pin. *)
 let predict_trace =
   lazy
     (let w = Registry.find "heat" in
@@ -140,198 +74,12 @@ let predict_run ~window () =
   let pr = Predict.predict ~window ~observed:o.Replay.races (Predict.Builder.dag b) in
   pr.Predict.diagnostics
 
-let predict_tests =
-  let go window () = ignore (predict_run ~window ()) in
-  Test.make_grouped ~name:"predict:heat48"
-    [
-      Test.make ~name:"w2" (Staged.stage (go 2));
-      Test.make ~name:"w8" (Staged.stage (go 8));
-    ]
-
-(* Substrate microbenchmarks: the individual data structures. *)
-let substrate_tests =
-  let treap_insert () =
-    let t = Itreap.create ~seed:1 ~owner_eq:Int.equal () in
-    for i = 0 to 999 do
-      Itreap.insert_replace t (Interval.make (i * 7 mod 4096) ((i * 7 mod 4096) + 3)) i
-    done
-  in
-  let treap_query () =
-    let t = Itreap.create ~seed:1 ~owner_eq:Int.equal () in
-    for i = 0 to 255 do
-      Itreap.insert_replace t (Interval.make (i * 16) ((i * 16) + 7)) i
-    done;
-    let hits = ref 0 in
-    for i = 0 to 999 do
-      Itreap.query t (Interval.make (i mod 4096) ((i mod 4096) + 31)) ~f:(fun _ _ _ -> incr hits)
-    done
-  in
-  let om_insert () =
-    let om = Om.create () in
-    let r = ref (Om.base om) in
-    for _ = 1 to 1000 do
-      r := Om.insert_after om !r
-    done
-  in
-  let sp_query () =
-    let sp, root = Sp_order.create () in
-    let a, b, _ = Sp_order.spawn sp ~sync_pre:None root in
-    let sink = ref false in
-    for _ = 1 to 1000 do
-      sink := Sp_order.parallel sp a b
-    done
-  in
-  let coalescer () =
-    let c = Coalescer.create () in
-    for i = 0 to 999 do
-      Coalescer.add_read c ~addr:(i * 2) ~len:1
-    done;
-    ignore (Coalescer.finish c)
-  in
-  let trace_pipe () =
-    let _, root = Sp_order.create () in
-    let tr = Trace.create ~id:0 ~owner:0 in
-    for i = 0 to 999 do
-      Trace.push tr (Srec.make ~uid:i root)
-    done;
-    for _ = 0 to 999 do
-      ignore (Trace.peek tr);
-      Trace.pop tr
-    done
-  in
-  let ahq_pipe () =
-    let _, root = Sp_order.create () in
-    let q = Ahq.create ~capacity:2048 () in
-    for i = 0 to 999 do
-      ignore (Ahq.try_enqueue q (Srec.make ~uid:i root))
-    done;
-    for _ = 0 to 999 do
-      ignore (Ahq.peek q Ahq.l);
-      Ahq.advance q Ahq.l;
-      ignore (Ahq.peek q Ahq.r);
-      Ahq.advance q Ahq.r
-    done
-  in
-  let ahq_pipe_batched () =
-    (* same 1k records, consumed through the batched interface: one cursor
-       update and one recycling scan per 32 records instead of per record *)
-    let _, root = Sp_order.create () in
-    let q = Ahq.create ~capacity:2048 () in
-    for i = 0 to 999 do
-      ignore (Ahq.try_enqueue q (Srec.make ~uid:i root))
-    done;
-    let drain side =
-      let rec go () =
-        let b = Ahq.peek_batch q side in
-        if Array.length b > 0 then begin
-          Ahq.advance_n q side (Array.length b);
-          go ()
-        end
-      in
-      go ()
-    in
-    drain Ahq.l;
-    drain Ahq.r
-  in
-  Test.make_grouped ~name:"substrate"
-    [
-      Test.make ~name:"treap-1k-inserts" (Staged.stage treap_insert);
-      Test.make ~name:"treap-1k-queries" (Staged.stage treap_query);
-      Test.make ~name:"om-1k-inserts" (Staged.stage om_insert);
-      Test.make ~name:"sporder-1k-queries" (Staged.stage sp_query);
-      Test.make ~name:"coalescer-1k" (Staged.stage coalescer);
-      Test.make ~name:"trace-1k-pipe" (Staged.stage trace_pipe);
-      Test.make ~name:"ahq-1k-pipe" (Staged.stage ahq_pipe);
-      Test.make ~name:"ahq-1k-pipe-batch32" (Staged.stage ahq_pipe_batched);
-    ]
-
-(* Minimal reporting: name + ns/run from the OLS estimate. *)
-let report tests =
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.4) () in
-  let instances = Instance.[ monotonic_clock ] in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Instance.monotonic_clock raw
-  in
-  let rows = Hashtbl.fold (fun name r acc -> (name, r) :: acc) ols [] in
-  List.iter
-    (fun (name, r) ->
-      match Analyze.OLS.estimates r with
-      | Some [ est ] -> Printf.printf "  %-40s %14.0f ns/run\n%!" name est
-      | _ -> Printf.printf "  %-40s (no estimate)\n%!" name)
-    (List.sort compare rows)
-
-(* Per-stage pipeline diagnostics from one representative PINT run, so
-   backpressure (writer stalls), idle spinning and the achieved AHQ batch
-   size can be attributed stage by stage. *)
-let print_stage_diagnostics () =
-  let w = Registry.find "heat" in
-  let inst = w.Workload.make ~size:small ~base:8 in
-  let d, stages = make_det "pint" in
-  let config = { Sim_exec.default_config with n_workers = 4; stages } in
-  ignore (Sim_exec.run ~config ~driver:d.Detector.driver inst.Workload.run);
-  d.Detector.drain ();
-  print_endline "=== PINT per-stage pipeline diagnostics (heat48, 4 workers) ===";
-  List.iter
-    (fun (k, v) ->
-      if
-        String.length k > 6 && String.sub k 0 6 = "stage."
-        || k = "writer_stalls" || k = "ahq_batch"
-      then Printf.printf "  %-28s %12.1f\n" k v)
-    (d.Detector.diagnostics ())
-
-let default_main () =
-  print_endline "=== PINT evaluation tables (virtual-time harness) ===";
-  print_newline ();
-  let _, f1 = Figures.fig1 () in
-  print_string f1;
-  print_newline ();
-  let _, f2 = Figures.fig2 () in
-  print_string f2;
-  print_newline ();
-  let _, f3 = Figures.fig3 () in
-  print_string f3;
-  print_newline ();
-  let _, f4 = Figures.fig4 () in
-  print_string f4;
-  print_newline ();
-  print_stage_diagnostics ();
-  print_newline ();
-  print_endline "=== Bechamel wall-clock benchmarks (real implementation) ===";
-  List.iter report
-    [ fig1_tests; fig2_tests; fig3_tests; fig4_tests; replay_tests; predict_tests; substrate_tests ]
-
-(* ------------------------------------------------- machine-readable mode *)
-
-(* One run of a (workload, detector) configuration; returns the detector's
-   diagnostics so the JSON can carry treap visits / fast-path rates next to
-   the wall-clock numbers. *)
-let detector_run ?shards ~workload ~size ~base ~workers det () =
-  let w = Registry.find workload in
-  let inst = w.Workload.make ~size ~base in
-  let d, stages = make_det ?shards det in
-  (match det with
-  | "stint" -> ignore (Seq_exec.run ~driver:d.Detector.driver inst.Workload.run)
-  | _ ->
-      let config = { Sim_exec.default_config with n_workers = workers; stages } in
-      ignore (Sim_exec.run ~config ~driver:d.Detector.driver inst.Workload.run));
-  d.Detector.drain ();
-  d.Detector.diagnostics ()
-
-(* Host core budget for the real-domain cases: --domains overrides the
-   machine's recommended count (CI pins it so the gate's scaling check has
-   a trustworthy "did this host actually have 4 cores" signal). *)
-let domains_override = ref None
-
-let host_domains () =
-  match !domains_override with Some d -> d | None -> Domain.recommended_domain_count ()
-
 (* One real-domain detection run: PINT sharded across micropool domains
    under Par_exec, wall clock.  Core workers are fixed at 1 so the fork-join
    side contributes identical work at every shard count; collector
-   backpressure is on (real consumers drain the lanes concurrently). *)
+   backpressure is on (real consumers drain the lanes concurrently).  The
+   recorded "domains" is the host's core budget, which the gate's scaling
+   check reads to decide whether this host could scale at all. *)
 let par_run ~shards ~workload ~size ~base () =
   let w = Registry.find workload in
   let inst = w.Workload.make ~size ~base in
@@ -344,7 +92,7 @@ let par_run ~shards ~workload ~size ~base () =
   in
   let r = Par_exec.run ~config ~driver:d.Detector.driver inst.Workload.run in
   d.Detector.drain ();
-  ("domains", float_of_int (host_domains ()))
+  ("domains", float_of_int (Domain.recommended_domain_count ()))
   :: ("domains_used", float_of_int r.Par_exec.n_domains)
   :: ("steals", float_of_int r.Par_exec.n_steals)
   :: ("steal_cas_failures", float_of_int r.Par_exec.n_steal_cas_failures)
@@ -436,8 +184,9 @@ let soak ~sessions ~max_sessions () =
     ("feed_us_p99", List.fold_left max 0. !p99s);
   ]
 
-(* The representative case list: one group per paper figure, mirroring the
-   bechamel groups above but sized to finish in seconds so CI can smoke it. *)
+(* The case list: one group per paper figure, sized to finish in seconds
+   so CI can smoke it, plus the replay, shard-sweep, real-domain, service
+   and prediction groups. *)
 let json_cases =
   [
     ( "fig1:heat48",
@@ -563,25 +312,7 @@ let tracked_diags =
     "predicted";
   ]
 
-(* One profiled representative run (fig1's heat48/pint under the simulator,
-   virtual-time clock): writes the Chrome trace next to the bench JSON and
-   returns the aggregate "obs.*" metrics for the JSON's "obs" object. *)
-let profiled_run ~path () =
-  let w = Registry.find "heat" in
-  let inst = w.Workload.make ~size:small ~base:8 in
-  let obs = Obs.create ~clock:(Clock.manual ()) () in
-  let d, stages = Option.get (Systems.make_detector ~obs "pint") in
-  let driver = Obs_hooks.instrument obs d.Detector.driver in
-  let config =
-    { Sim_exec.default_config with n_workers = 4; stages; obs_clock = Obs.clock obs }
-  in
-  ignore (Sim_exec.run ~config ~driver inst.Workload.run);
-  d.Detector.drain ();
-  Obs.write_chrome ~meta:[ ("bench", "fig1:heat48/pint"); ("exec", "sim") ] obs ~path;
-  Printf.printf "  profiled heat48/pint -> %s\n%!" path;
-  Obs.summary obs
-
-let json_mode ~path ~runs ~profile =
+let json_mode ~path ~runs =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
@@ -625,49 +356,25 @@ let json_mode ~path ~runs ~profile =
         cases;
       add "    }%s\n" (if gi = List.length json_cases - 1 then "" else ","))
     json_cases;
-  (match profile with
-  | None -> add "  }\n"
-  | Some ppath ->
-      add "  },\n";
-      let s = profiled_run ~path:ppath () in
-      add "  \"obs\": {%s}\n"
-        (String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %.3f" k v) s)));
+  add "  }\n";
   add "}\n";
   let oc = open_out path in
   output_string oc (Buffer.contents buf);
   close_out oc;
   Printf.printf "wrote %s\n%!" path
 
+let usage () =
+  prerr_endline "usage: main.exe --json PATH [--runs N]   (N > 0, default 5)";
+  exit 2
+
 let () =
-  let argv = Sys.argv in
-  let n = Array.length argv in
-  let json_path = ref None and runs = ref 5 and profile = ref None in
-  let i = ref 1 in
-  while !i < n do
-    (match argv.(!i) with
-    | "--json" ->
-        if !i + 1 < n && String.length argv.(!i + 1) > 0 && argv.(!i + 1).[0] <> '-' then begin
-          incr i;
-          json_path := Some argv.(!i)
-        end
-        else json_path := Some "BENCH_10.json"
-    | "--runs" when !i + 1 < n ->
-        incr i;
-        runs := int_of_string argv.(!i)
-    | "--profile" when !i + 1 < n ->
-        incr i;
-        profile := Some argv.(!i)
-    | "--domains" when !i + 1 < n ->
-        incr i;
-        domains_override := Some (int_of_string argv.(!i))
-    | a ->
-        Printf.eprintf
-          "bench: unknown argument %s (supported: --json [PATH] --runs N --profile PATH --domains \
-           N)\n"
-          a;
-        exit 2);
-    incr i
-  done;
-  match !json_path with
-  | Some path -> json_mode ~path ~runs:!runs ~profile:!profile
-  | None -> default_main ()
+  let rec parse path runs = function
+    | [] -> (path, runs)
+    | "--json" :: p :: rest -> parse (Some p) runs rest
+    | "--runs" :: n :: rest -> (
+        match int_of_string_opt n with Some n when n > 0 -> parse path n rest | _ -> usage ())
+    | _ -> usage ()
+  in
+  match parse None 5 (List.tl (Array.to_list Sys.argv)) with
+  | Some path, runs -> json_mode ~path ~runs
+  | None, _ -> usage ()

@@ -6,7 +6,11 @@ type cell = {
 
 type shard = { lock : Mutex.t; tbl : (int, cell) Hashtbl.t }
 
-let make ?(shards = 64) ?(obs = Obs.disabled) () =
+(* Shadow-map lock shards; a power of two, so [addr land (shards - 1)]
+   picks one. *)
+let shards = 64
+
+let make ?(obs = Obs.disabled) () =
   let report = Report.create () in
   let diags = ref [] in
   let driver (ctx : Hooks.ctx) =

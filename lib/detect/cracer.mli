@@ -11,4 +11,4 @@
 (** [obs]: with a live session, each strand's shadow-map processing is
     emitted as a span on the finishing worker's ["cracer<w>"] track
     (span arg = coalesced interval count). *)
-val make : ?shards:int -> ?obs:Obs.t -> unit -> Detector.t
+val make : ?obs:Obs.t -> unit -> Detector.t

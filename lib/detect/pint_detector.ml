@@ -100,7 +100,6 @@ type run = {
      ever straddled an ownership boundary). *)
   mutable split_intervals : int;
   mutable split_subranges : int;
-  stage_strands : int array; (* strands processed, per stage index *)
   mutable next_trace_id : int;
   (* Aggregate workload counters, bumped from [on_finish] which runs on
      every core-worker domain concurrently under [Par_exec] — hence atomic
@@ -127,7 +126,6 @@ type t = {
   report : Report.t;
   mutable run : run option;
   mutable stage_list : Stage.t list;
-  mutable last_diags : (string * float) list;
   mutable obs : Obs.t;
   (* Lane backpressure window (Backoff rounds the collector rides out a
      saturated lane before rejecting a commit).  0 — the default — is
@@ -157,7 +155,6 @@ let make ?(seed = 4242) ?(shards = 1) () =
     report = Report.create ();
     run = None;
     stage_list = [];
-    last_diags = [];
     obs = Obs.disabled;
     bp_rounds = 0;
   }
@@ -251,7 +248,6 @@ let driver t (ctx : Hooks.ctx) =
       n_collected = 0;
       split_intervals = 0;
       split_subranges = 0;
-      stage_strands = Array.make n_stages 0;
       next_trace_id = 0;
       agg_intervals = Atomic.make 0;
       agg_work = Atomic.make 0;
@@ -360,13 +356,12 @@ let process_writer t r ~shard (lr : lane_rec) =
       Itreap.insert_replace treap iv s)
     lr.s_writes;
   process_clears ~shards:t.shards ~shard treap u;
-  r.stage_strands.(shard) <- r.stage_strands.(shard) + 1;
   Itreap.visits treap - v0
 
 (* Shard k's reader-treap work: the lane record's subranges are already
    this shard's share, so no re-splitting — check writes against the reader
    treap (Read_write), insert reads under the role's keep policy. *)
-let process_reader t r ~right ~shard ~sidx (lr : lane_rec) =
+let process_reader t r ~right ~shard (lr : lane_rec) =
   let treap, keep =
     if right then (r.rreaders.(shard), Policies.keep_rightmost)
     else (r.lreaders.(shard), Policies.keep_leftmost)
@@ -382,7 +377,6 @@ let process_reader t r ~right ~shard ~sidx (lr : lane_rec) =
       Itreap.insert_merge treap iv s ~keep:(fun ~incumbent -> keep r.ctx.sp ~s ~incumbent))
     lr.s_reads;
   process_clears ~shards:t.shards ~shard treap u;
-  r.stage_strands.(sidx) <- r.stage_strands.(sidx) + 1;
   Itreap.visits treap - v0
 
 (* Last done_count bump (the 3N'th): the strand has passed all treap
@@ -529,7 +523,7 @@ let reader_step_idx t idx : Step.t =
     let visits = ref 0 in
     for i = 0 to n - 1 do
       let lr = buf.(i) in
-      visits := !visits + process_reader t r ~right ~shard ~sidx lr;
+      visits := !visits + process_reader t r ~right ~shard lr;
       bump_done r ~slot:sidx ~ring:r.obs_stage.(sidx) lr.u
     done;
     Ahq.advance_n lane cursor n;
@@ -610,15 +604,16 @@ let stage_diagnostics t =
 
 let diagnostics t () =
   match t.run with
-  | None -> t.last_diags
+  | None -> []
   | Some r ->
       let s = t.shards in
       let sum f arr = Array.fold_left (fun acc x -> acc +. f x) 0. arr in
       let sum_role f arr = Array.fold_left (fun a tr -> a + f tr) 0 arr in
       let sum_treaps f = sum_role f r.writers + sum_role f r.lreaders + sum_role f r.rreaders in
-      let role_strands lo =
-        float_of_int (Array.fold_left ( + ) 0 (Array.sub r.stage_strands lo s))
-        /. float_of_int s
+      (* strands per stage of a role, averaged over its shards *)
+      let role_strands role =
+        role_mean role
+          (List.map (fun st -> (Stage.name st, (Stage.metrics st).Stage.records)) t.stage_list)
       in
       Policies.path_diags sum_treaps
       @ [
@@ -627,9 +622,9 @@ let diagnostics t () =
           sum (fun c -> float_of_int (fst (Coalescer.sort_stats c))) r.coals );
         ("coal_sorts", sum (fun c -> float_of_int (snd (Coalescer.sort_stats c))) r.coals);
         ("collected", float_of_int r.n_collected);
-        ("writer_strands", role_strands 0);
-        ("l_strands", role_strands s);
-        ("r_strands", role_strands (2 * s));
+        ("writer_strands", role_strands Writer);
+        ("l_strands", role_strands Lreader);
+        ("r_strands", role_strands Rreader);
         ("writer_visits", float_of_int (sum_role Itreap.visits r.writers));
         ("lreader_visits", float_of_int (sum_role Itreap.visits r.lreaders));
         ("rreader_visits", float_of_int (sum_role Itreap.visits r.rreaders));

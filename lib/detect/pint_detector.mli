@@ -35,7 +35,7 @@
     race set equals the [shards = 1] paper configuration's (the golden
     differential-replay suite asserts this at Theorem-5 granularity).
 
-    The sequential executor calls {!drain} once at the end (the paper's
+    The sequential executor calls [Detector.drain] once at the end (the paper's
     one-core PINT configuration: all core work first, then the access
     history).  The simulator steps the stages in virtual time; the
     multi-domain executor runs each shard's triple on one pool worker
@@ -80,10 +80,6 @@ val set_obs : t -> Obs.t -> unit
 
 type role = Writer | Lreader | Rreader
 
-(** [stage_name t role k] — the stage/track name of shard [k]'s worker for
-    [role]. *)
-val stage_name : t -> role -> int -> string
-
 (** Parse a stage name back to its role and shard ([Some (role, 0)] for the
     bare one-shard names); [None] for non-detector stage names. *)
 val role_of_stage_name : string -> (role * int) option
@@ -101,7 +97,7 @@ val role_mean : role -> (string * int) list -> float
     [cost] converts a step's treap-node visit count into virtual cycles
     (the harness supplies the calibrated model; the default charges a small
     constant plus a per-visit cost).  The returned stages are remembered by
-    the detector: {!drain} drives the same values, and their per-stage
+    the detector: [Detector.drain] drives the same values, and their per-stage
     metrics appear in [Detector.diagnostics] (keys
     [stage.<name>.<counter>], plus [writer_stalls], the achieved
     [ahq_batch] size and the [detect_span] critical path). *)
@@ -120,13 +116,3 @@ val set_backpressure : t -> rounds:int -> unit
     {!set_backpressure} absent a reason to differ (≈2.5 ms of waiting
     before a commit is rejected). *)
 val recommended_bp_rounds : int
-
-(** Run all treap workers round-robin to completion via the engine's
-    {!Pipeline.drive}. *)
-val drain : t -> unit
-
-(** The treap-side critical path: the maximum over stages of the stage's
-    cost applied to its accumulated metrics.  With one worker per stage
-    this is what bounds detection latency; sharding exists to push it
-    down. *)
-val detection_span : t -> float

@@ -37,7 +37,6 @@ let name t = t.name
 let cost t ~records ~visits = t.cost ~records ~visits
 let metrics t = t.metrics
 let set_ring t ring = t.ring <- ring
-let ring t = t.ring
 
 let reset_metrics t =
   let m = t.metrics in

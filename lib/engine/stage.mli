@@ -51,8 +51,6 @@ val reset_metrics : t -> unit
     bool load. *)
 val set_ring : t -> Evring.t -> unit
 
-val ring : t -> Evring.t
-
 (** Drive the stage one step and record the outcome in its metrics. *)
 val exec : t -> Step.t
 

@@ -9,15 +9,3 @@ type finish_kind =
   | F_return of { cont_stolen : bool; parent_sync : Srec.t option }
   | F_sync of { trivial : bool; sync : Srec.t }
   | F_root
-
-let pp_start fmt = function
-  | S_root -> Format.fprintf fmt "root"
-  | S_child -> Format.fprintf fmt "child"
-  | S_cont { stolen } -> Format.fprintf fmt "cont(stolen=%b)" stolen
-  | S_after_sync { trivial } -> Format.fprintf fmt "after-sync(trivial=%b)" trivial
-
-let pp_finish fmt = function
-  | F_spawn { first_of_block; _ } -> Format.fprintf fmt "spawn(first=%b)" first_of_block
-  | F_return { cont_stolen; _ } -> Format.fprintf fmt "return(cont_stolen=%b)" cont_stolen
-  | F_sync { trivial; _ } -> Format.fprintf fmt "sync(trivial=%b)" trivial
-  | F_root -> Format.fprintf fmt "root-end"

@@ -23,6 +23,3 @@ type finish_kind =
       (** the strand leads into a sync with at least one spawn in its block
           (a no-spawn sync is not a strand boundary at all) *)
   | F_root  (** final strand of the computation *)
-
-val pp_start : Format.formatter -> start_kind -> unit
-val pp_finish : Format.formatter -> finish_kind -> unit

@@ -59,8 +59,6 @@ type result = {
   core_work : int;  (** sum of all strand costs (1-worker-equivalent time) *)
 }
 
-val default_strand_cost : Srec.t -> Events.finish_kind -> int
-
 val default_config : config
 
 (** [run ?aspace ~config ~driver main] — simulate [main] under [config] with

@@ -40,9 +40,3 @@ let make ~uid sp =
     cost = 0;
     obs_ts = 0;
   }
-
-let sp_id t = Sp_order.id t.sp
-
-let pp fmt t =
-  Format.fprintf fmt "strand#%d(sp=%d,%dr/%dw)" t.uid (sp_id t) (Array.length t.reads)
-    (Array.length t.writes)

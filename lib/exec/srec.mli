@@ -47,8 +47,3 @@ type t = {
 (** [make ~uid sp] — a fresh record with empty intervals and zeroed
     bookkeeping. *)
 val make : uid:int -> Sp_order.strand -> t
-
-(** Strand id shorthand (= [Sp_order.id t.sp]). *)
-val sp_id : t -> int
-
-val pp : Format.formatter -> t -> unit

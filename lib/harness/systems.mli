@@ -13,8 +13,6 @@
 
 type system = Base | Stint_sys | Pint_sys | Cracer_sys
 
-val system_name : system -> string
-
 (** The detector names {!make_detector} accepts, in canonical order. *)
 val detector_names : string list
 

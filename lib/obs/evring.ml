@@ -44,7 +44,6 @@ let create ~name ~clock ~capacity =
   }
 
 let name t = t.name
-let capacity t = t.cap
 let enabled t = t.enabled
 let now t = Clock.now t.clock
 let is_virtual t = Clock.is_virtual t.clock

@@ -18,7 +18,6 @@ val null : t
 val create : name:string -> clock:Clock.t -> capacity:int -> t
 
 val name : t -> string
-val capacity : t -> int
 val enabled : t -> bool
 
 (** Read the ring's clock (advances a counter clock). *)

@@ -14,10 +14,8 @@
 
 type t
 
-val default_capacity : int
-
 (** [create ?capacity ~clock ()] — a live session; [capacity] is the
-    per-track ring size (default {!default_capacity}). *)
+    per-track ring size (default 16384). *)
 val create : ?capacity:int -> clock:Clock.t -> unit -> t
 
 (** The inert session: no tracks, no cost. *)

@@ -46,8 +46,6 @@ module Builder = struct
     t.n <- t.n + 1;
     t.acc <- (pos, e, r.Srec.sp) :: t.acc
 
-  let count t = t.n
-
   let dag t =
     let sp =
       match t.sp with

@@ -89,9 +89,6 @@ module Builder : sig
   (** Finalize.  @raise Failure if no strand was observed or the recorded
       positions/links are inconsistent. *)
   val dag : t -> dag
-
-  (** Strands observed so far. *)
-  val count : t -> int
 end
 
 (** A predicted race: [prior]/[current] are the {!Sp_order.id}s of the

@@ -32,10 +32,6 @@ exception Proto_error of string
 
 val protocol_version : int
 
-(** Cap on one frame's payload (1 MiB): a peer announcing more is
-    malformed, not a reason to buffer without bound. *)
-val max_frame : int
-
 type client_msg =
   | Hello of { version : int; shards : int; predict : int }
       (** [predict] — requested prediction window [w] for this session
@@ -64,7 +60,9 @@ val frame : string -> string
 module Frames : sig
   type t
 
-  (** A reassembler that rejects frames over {!max_frame}. *)
+  (** A reassembler that rejects frames with a payload over 1 MiB: a peer
+      announcing more is malformed, not a reason to buffer without
+      bound. *)
   val create : unit -> t
 
   (** Append raw socket bytes. *)

@@ -68,14 +68,6 @@ val serve : ?poll:float -> t -> unit
     returns at once. *)
 val stop : t -> unit
 
-(** One IO iteration (accept/read/write/drain); exposed for in-process
-    harnesses that multiplex the server with other work on one thread. *)
-val once : t -> timeout:float -> unit
-
-(** Manual shutdown for harnesses driving {!once} directly.  Closes the
-    self-pipe after the pool is joined; a later {!stop} is a no-op. *)
-val shutdown : t -> unit
-
 (** Daemon-level counters:
     [serve.accepted/rejected/completed/failed/pool_parks]. *)
 val stats : t -> (string * float) list

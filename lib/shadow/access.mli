@@ -27,9 +27,6 @@ val install : sink -> unit
 (** Reset the calling domain's sink to {!noop}. *)
 val uninstall : unit -> unit
 
-(** The calling domain's current sink. *)
-val current : unit -> sink
-
 val emit_read : addr:int -> len:int -> unit
 val emit_write : addr:int -> len:int -> unit
 val emit_free : base:int -> len:int -> unit

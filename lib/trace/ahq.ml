@@ -79,8 +79,6 @@ let create ?(capacity = 4096) ?(readers = 2) () =
     obs_r = Array.make readers Evring.null;
   }
 
-let n_readers t = Array.length t.cursors
-
 let set_obs t ~writer ~readers =
   if Array.length readers <> Array.length t.cursors then
     invalid_arg "Ahq.set_obs: one reader ring per cursor";
@@ -203,10 +201,6 @@ let enqueued t = Atomic.get t.head
 let processed t i = Atomic.get (cursor t i)
 let min_rescans t = t.min_rescans
 let peak_occupancy t = t.peak_occ
-
-(* Exact current depth: enqueued minus the slowest cursor.  Diagnostics
-   only — scans the cursors every call. *)
-let depth t = Atomic.get t.head - min_cursor t
 
 let drained t =
   let h = Atomic.get t.head in

@@ -32,8 +32,6 @@ val r : reader
 (** [create ?capacity ~readers ()] — [readers >= 1] cursors. *)
 val create : ?capacity:int -> ?readers:int -> unit -> 'a t
 
-val n_readers : 'a t -> int
-
 (** Install observability tracks (before the pipeline starts): the writer
     ring receives an {!Ev.enqueue} occupancy sample per successful enqueue,
     reader ring [i] receives {!Ev.recycle} slot-recycling events and
@@ -103,10 +101,6 @@ val min_rescans : 'a t -> int
 (** High-water occupancy mark observed by the producer (against the cached
     cursor bound, so conservative the same way the emitted samples are). *)
 val peak_occupancy : 'a t -> int
-
-(** Exact current depth (enqueued minus the slowest cursor); scans the
-    cursors, so diagnostics-side only. *)
-val depth : 'a t -> int
 
 (** All readers fully caught up with the producer. *)
 val drained : 'a t -> bool

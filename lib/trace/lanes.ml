@@ -69,7 +69,6 @@ let create ?capacity ~shards ~readers_of_lane () =
     bp_waits = 0;
   }
 
-let shards t = Array.length t.lanes
 let lane t k = t.lanes.(k)
 
 let set_backpressure t ~rounds =

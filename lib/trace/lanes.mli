@@ -31,8 +31,6 @@ type 'a t
     [k] with [readers_of_lane k] reader cursors. *)
 val create : ?capacity:int -> shards:int -> readers_of_lane:(int -> int) -> unit -> 'a t
 
-val shards : 'a t -> int
-
 (** The underlying ring of lane [k] (consumers peek/advance it directly). *)
 val lane : 'a t -> int -> 'a Ahq.t
 

@@ -36,7 +36,6 @@
 
 exception Error of string
 
-val magic : string
 val current_version : int
 
 (** Why a strand ended, with record references flattened to uids.  [Spawn]
@@ -142,9 +141,6 @@ module Decoder : sig
 
   val fed_bytes : t -> int
   val entries_decoded : t -> int
-
-  (** [n_entries] from the header, once parsed. *)
-  val entries_expected : t -> int option
 end
 
 (** {2 Capture} *)

@@ -516,7 +516,6 @@ let find t addr =
   in
   go t.root
 
-let iter t ~f = List.iter (fun (iv, o) -> f iv o) (in_order t t.root [])
 let to_list t = in_order t t.root []
 
 let reset t =

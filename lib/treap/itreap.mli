@@ -109,9 +109,6 @@ val insert_merge : 'o t -> Interval.t -> 'o -> keep:(incumbent:'o -> [ `Keep | `
     intervals that straddle its boundary. *)
 val clear_range : 'o t -> Interval.t -> unit
 
-(** In-order traversal of all stored intervals. *)
-val iter : 'o t -> f:(Interval.t -> 'o -> unit) -> unit
-
 (** All stored intervals in address order. *)
 val to_list : 'o t -> (Interval.t * 'o) list
 

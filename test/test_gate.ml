@@ -23,8 +23,7 @@ let is_waived = function Gate.Waived _ -> true | _ -> false
 
 let base = cases_of [ ("a", 0.1, 0.09, 5); ("b", 0.2, 0.19, 5) ]
 
-let gate ?threshold ?min_samples ?waivers current =
-  Gate.compare_cases ?threshold ?min_samples ?waivers ~baseline:base ~current ()
+let gate ?waivers current = Gate.compare_cases ?waivers ~baseline:base ~current ()
 
 let identical_passes () =
   let v = gate base in
@@ -44,12 +43,25 @@ let undersampled_skips () =
   (* n=1 smoke data must never produce a verdict, even when 10x slower *)
   let v = gate (cases_of [ ("a", 1.0, 1.0, 1); ("b", 0.2, 0.19, 1) ]) in
   check_int "all skipped" 2 (count is_skipped v);
-  check_int "no regressions" 0 (count is_regressed v)
+  check_int "no regressions" 0 (count is_regressed v);
+  (* the floor is 3 samples: n=2 skips, n=3 is judged *)
+  let doubled n = gate (cases_of [ ("a", 0.2, 0.18, n) ]) in
+  check_int "n=2 skipped" 1 (count is_skipped (doubled 2));
+  check_int "n=3 judged" 1 (count is_regressed (doubled 3))
 
 let too_fast_skips () =
   let tiny = cases_of [ ("a", 0.0001, 0.0001, 5) ] in
   let v = Gate.compare_cases ~baseline:tiny ~current:tiny () in
-  check_int "sub-millisecond case skipped" 1 (count is_skipped v)
+  check_int "sub-millisecond case skipped" 1 (count is_skipped v);
+  (* the floor is a 5 ms baseline median: 4.9 ms skips, 5.1 ms is judged *)
+  let doubled median =
+    Gate.compare_cases
+      ~baseline:(cases_of [ ("a", median, median, 5) ])
+      ~current:(cases_of [ ("a", 2. *. median, 2. *. median, 5) ])
+      ()
+  in
+  check_int "4.9 ms skipped" 1 (count is_skipped (doubled 0.0049));
+  check_int "5.1 ms judged" 1 (count is_regressed (doubled 0.0051))
 
 let unknown_case_skips () =
   let v = gate (cases_of [ ("new-case", 9.9, 9.9, 5) ]) in
@@ -73,10 +85,10 @@ let waiver_parsing () =
   check_bool "missing reason defaulted" true (List.assoc "g/b" ws = "no reason given")
 
 let threshold_respected () =
-  (* 1.2x is over a 10% threshold but under the default 25% *)
-  let cur = cases_of [ ("a", 0.12, 0.108, 5); ("b", 0.2, 0.19, 5) ] in
-  check_int "default passes" 0 (count is_regressed (gate cur));
-  check_int "tight threshold trips" 1 (count is_regressed (gate ~threshold:0.1 cur))
+  (* the threshold is +25% on the best sample (a's is 0.09) *)
+  let scaled f = gate (cases_of [ ("a", 0.1 *. f, 0.09 *. f, 5); ("b", 0.2, 0.19, 5) ]) in
+  check_int "1.24x passes" 0 (count is_regressed (scaled 1.24));
+  check_int "1.26x regresses" 1 (count is_regressed (scaled 1.26))
 
 (* -- gated diagnostics: detect_span rides the same ratio test ----------- *)
 
@@ -145,8 +157,7 @@ let par_doc ~domains ~s1 ~s4 =
 
 let par_cases ~domains ~s1 ~s4 = Gate.cases_of_json (Jsonx.parse (par_doc ~domains ~s1 ~s4))
 
-let scaling ?max_ratio ?min_domains cases =
-  Gate.check_scaling ?max_ratio ?min_domains ~slow:"par:heat48/s1" ~fast:"par:heat48/s4" cases
+let scaling cases = Gate.check_scaling ~slow:"par:heat48/s1" ~fast:"par:heat48/s4" cases
 
 let scaling_ok_when_faster () =
   match scaling (par_cases ~domains:8. ~s1:1.0 ~s4:0.5) with
@@ -164,19 +175,28 @@ let scaling_fails_when_flat () =
   | _ -> Alcotest.fail "expected Scaling_failed just over the ratio"
 
 let scaling_ratio_respected () =
-  (* 0.95x fails the default 0.9 bar but passes a lax 0.99 one *)
-  let cases = par_cases ~domains:8. ~s1:1.0 ~s4:0.95 in
-  (match scaling ~max_ratio:0.99 cases with
+  (* the bar is 0.9 of the slow case's best time *)
+  (match scaling (par_cases ~domains:8. ~s1:1.0 ~s4:0.89) with
   | Gate.Scaling_ok _ -> ()
-  | _ -> Alcotest.fail "lax ratio should pass")
+  | _ -> Alcotest.fail "0.89x should pass");
+  match scaling (par_cases ~domains:8. ~s1:1.0 ~s4:0.91) with
+  | Gate.Scaling_failed _ -> ()
+  | _ -> Alcotest.fail "0.91x should fail"
 
 let scaling_skips_small_host () =
   (* a 1-core container time-shares the micropools: skip, never fail *)
-  match scaling (par_cases ~domains:1. ~s1:1.0 ~s4:1.4) with
+  (match scaling (par_cases ~domains:1. ~s1:1.0 ~s4:1.4) with
   | Gate.Scaling_skipped { why; _ } ->
       check_bool "mentions domains" true
         (String.length why > 0 && String.lowercase_ascii why <> "")
-  | _ -> Alcotest.fail "expected skip on a 1-domain host"
+  | _ -> Alcotest.fail "expected skip on a 1-domain host");
+  (* the floor is 4 recorded domains: 3 skip, 4 are judged *)
+  (match scaling (par_cases ~domains:3. ~s1:1.0 ~s4:1.0) with
+  | Gate.Scaling_skipped _ -> ()
+  | _ -> Alcotest.fail "expected skip at 3 domains");
+  match scaling (par_cases ~domains:4. ~s1:1.0 ~s4:1.0) with
+  | Gate.Scaling_failed _ -> ()
+  | _ -> Alcotest.fail "expected a verdict at 4 domains"
 
 let scaling_skips_missing_pieces () =
   (* missing case *)
@@ -194,17 +214,17 @@ let scaling_skips_missing_pieces () =
   | Gate.Scaling_skipped _ -> ()
   | _ -> Alcotest.fail "expected skip without a domains diagnostic"
 
-let schema2_fallbacks () =
-  (* no "n"/"min_s": count and min come from samples_s *)
-  let j =
-    Jsonx.parse
-      "{\"figures\": {\"g\": {\"a\": {\"median_s\": 0.1, \"samples_s\": [0.11, 0.1, 0.09]}}}}"
+let missing_fields_rejected () =
+  (* a case without "n" or "min_s" is a parse error, not a guess *)
+  let rejected case =
+    match Gate.cases_of_json (Jsonx.parse ("{\"figures\": {\"g\": {\"a\": " ^ case ^ "}}}")) with
+    | _ -> false
+    | exception Failure _ -> true
   in
-  match Gate.cases_of_json j with
-  | [ c ] ->
-      check_int "n from samples" 3 c.Gate.n;
-      check_bool "min from samples" true (abs_float (c.Gate.min_s -. 0.09) < 1e-9)
-  | l -> Alcotest.failf "expected 1 case, got %d" (List.length l)
+  check_bool "complete case parses" false
+    (rejected "{\"median_s\": 0.1, \"min_s\": 0.09, \"n\": 3}");
+  check_bool "missing n rejected" true (rejected "{\"median_s\": 0.1, \"min_s\": 0.09}");
+  check_bool "missing min_s rejected" true (rejected "{\"median_s\": 0.1, \"n\": 3}")
 
 let () =
   Alcotest.run "bench_gate"
@@ -224,7 +244,7 @@ let () =
           Alcotest.test_case "diag improvement passes" `Quick diag_improvement_passes;
           Alcotest.test_case "diag waiver suppresses" `Quick diag_waiver_suppresses;
           Alcotest.test_case "diag absent is silent" `Quick diag_absent_is_silent;
-          Alcotest.test_case "schema-2 fallbacks" `Quick schema2_fallbacks;
+          Alcotest.test_case "missing n or min_s rejected" `Quick missing_fields_rejected;
         ] );
       ( "scaling",
         [

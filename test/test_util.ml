@@ -1,4 +1,4 @@
-(* Unit and property tests for Pint_util: Rng, Vec, Stats. *)
+(* Unit and property tests for Pint_util: Rng, Vec. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -148,53 +148,6 @@ let vec_model_prop =
         ops;
       List.rev !model = Array.to_list (Vec.to_array v))
 
-(* ---------------------------------------------------------------- Stats *)
-
-let test_stats_basic () =
-  let s = Stats.create () in
-  List.iter (Stats.add s) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
-  check_int "count" 8 (Stats.count s);
-  Alcotest.(check (float 1e-9)) "mean" 5.0 (Stats.mean s);
-  Alcotest.(check (float 1e-9)) "stddev" 2.0 (Stats.stddev s);
-  Alcotest.(check (float 1e-9)) "min" 2.0 (Stats.min s);
-  Alcotest.(check (float 1e-9)) "max" 9.0 (Stats.max s)
-
-let test_stats_empty () =
-  let s = Stats.create () in
-  Alcotest.(check (float 0.)) "mean empty" 0. (Stats.mean s);
-  Alcotest.(check (float 0.)) "stddev empty" 0. (Stats.stddev s)
-
-let test_stats_merge () =
-  let a = Stats.create () and b = Stats.create () and whole = Stats.create () in
-  List.iter
-    (fun x ->
-      Stats.add whole x;
-      if x < 5. then Stats.add a x else Stats.add b x)
-    [ 1.; 2.; 3.; 6.; 7.; 8.; 9. ];
-  let m = Stats.merge a b in
-  Alcotest.(check (float 1e-9)) "merged mean" (Stats.mean whole) (Stats.mean m);
-  Alcotest.(check (float 1e-9)) "merged stddev" (Stats.stddev whole) (Stats.stddev m);
-  check_int "merged count" (Stats.count whole) (Stats.count m)
-
-let stats_merge_prop =
-  QCheck.Test.make ~name:"stats merge = concat" ~count:200
-    QCheck.(pair (list (float_bound_exclusive 100.)) (list (float_bound_exclusive 100.)))
-    (fun (xs, ys) ->
-      let a = Stats.create () and b = Stats.create () and whole = Stats.create () in
-      List.iter
-        (fun x ->
-          Stats.add a x;
-          Stats.add whole x)
-        xs;
-      List.iter
-        (fun y ->
-          Stats.add b y;
-          Stats.add whole y)
-        ys;
-      let m = Stats.merge a b in
-      Float.abs (Stats.mean m -. Stats.mean whole) < 1e-6
-      && Float.abs (Stats.stddev m -. Stats.stddev whole) < 1e-6)
-
 let () =
   Alcotest.run "pint_util"
     [
@@ -220,12 +173,5 @@ let () =
           Alcotest.test_case "sort/truncate" `Quick test_vec_sort_truncate;
           Alcotest.test_case "iter/fold" `Quick test_vec_iter_fold;
           QCheck_alcotest.to_alcotest vec_model_prop;
-        ] );
-      ( "stats",
-        [
-          Alcotest.test_case "basic" `Quick test_stats_basic;
-          Alcotest.test_case "empty" `Quick test_stats_empty;
-          Alcotest.test_case "merge" `Quick test_stats_merge;
-          QCheck_alcotest.to_alcotest stats_merge_prop;
         ] );
     ]

@@ -1,49 +1,37 @@
 (* bench_gate — CI perf-regression gate over bench --json files.
 
    Usage:
-     bench_gate --baseline BENCH_5.json --current BENCH_smoke.json
-                [--threshold 0.25] [--min-samples 3] [--min-time 0.005]
+     bench_gate --baseline BENCH_10.json --current BENCH_smoke.json
                 [--waivers GATE_WAIVERS] [--inflate F]
-                [--require-scaling SLOW FAST] [--scaling-ratio 0.9]
-                [--min-domains 4] [--gated-diag NAME]...
-
-   --gated-diag (repeatable) overrides the deterministic diagnostics the
-   ratio test gates (default: detect_span, predict_candidates,
-   predict_windows).
+                [--require-scaling SLOW FAST]
 
    Compares per-case best-of-N times (see gate.ml for why min, not
-   median); exits 1 if any case regressed past the threshold and is not
-   waived, 0 otherwise (skipped cases never fail the gate).  --inflate
+   median, and for the fixed threshold, sample and time floors and gated
+   diagnostics); exits 1 if any case regressed past the threshold and is
+   not waived, 0 otherwise (skipped cases never fail the gate).  --inflate
    multiplies every current sample by F before comparing — CI uses it to
    prove the gate actually trips on a doctored 2x-slower result.
 
    --require-scaling SLOW FAST additionally asserts, within the CURRENT
-   file alone, that case FAST's best time is at most --scaling-ratio of
-   case SLOW's (e.g. par:heat48/s4 vs par:heat48/s1 — real-domain sharding
-   must buy wall clock, not just detect_span).  The assertion is skipped —
+   file alone, that case FAST's best time is at most 0.9 of case SLOW's
+   (e.g. par:heat48/s4 vs par:heat48/s1 — real-domain sharding must buy
+   wall clock, not just detect_span).  The assertion is skipped —
    reported, never silently — when the FAST case's recorded "domains"
-   diagnostic says the host had fewer than --min-domains cores, since a
-   time-shared run cannot scale. *)
+   diagnostic says the host had fewer than 4 cores, since a time-shared
+   run cannot scale. *)
 
 let usage () =
   prerr_endline
-    "usage: bench_gate --baseline FILE --current FILE [--threshold F] [--min-samples N]\n\
-    \       [--waivers FILE] [--inflate F] [--require-scaling SLOW FAST]\n\
-    \       [--scaling-ratio F] [--min-domains N] [--gated-diag NAME]...";
+    "usage: bench_gate --baseline FILE --current FILE [--waivers FILE] [--inflate F]\n\
+    \       [--require-scaling SLOW FAST]";
   exit 2
 
 let () =
   let baseline = ref None
   and current = ref None
-  and threshold = ref 0.25
-  and min_samples = ref 3
-  and min_time = ref 0.005
   and waiver_file = ref None
   and inflate = ref 1.0
-  and scaling = ref None
-  and scaling_ratio = ref 0.9
-  and min_domains = ref 4
-  and gated_diags = ref [] in
+  and scaling = ref None in
   let argv = Sys.argv in
   let i = ref 1 in
   let next () =
@@ -55,18 +43,12 @@ let () =
     (match argv.(!i) with
     | "--baseline" -> baseline := Some (next ())
     | "--current" -> current := Some (next ())
-    | "--threshold" -> threshold := float_of_string (next ())
-    | "--min-samples" -> min_samples := int_of_string (next ())
-    | "--min-time" -> min_time := float_of_string (next ())
     | "--waivers" -> waiver_file := Some (next ())
     | "--inflate" -> inflate := float_of_string (next ())
     | "--require-scaling" ->
         let slow = next () in
         let fast = next () in
         scaling := Some (slow, fast)
-    | "--scaling-ratio" -> scaling_ratio := float_of_string (next ())
-    | "--min-domains" -> min_domains := int_of_string (next ())
-    | "--gated-diag" -> gated_diags := next () :: !gated_diags
     | _ -> usage ());
     incr i
   done;
@@ -85,15 +67,9 @@ let () =
     | _ -> []
   in
   Printf.printf "bench_gate: %s vs baseline %s (threshold +%.0f%%, min %d samples%s)\n"
-    current_path baseline_path (100. *. !threshold) !min_samples
+    current_path baseline_path (100. *. Gate.threshold) Gate.min_samples
     (if !inflate <> 1.0 then Printf.sprintf ", medians inflated %.2fx" !inflate else "");
-  let gated_diags =
-    match !gated_diags with [] -> Gate.default_gated_diags | ds -> List.rev ds
-  in
-  let verdicts =
-    Gate.compare_cases ~threshold:!threshold ~min_samples:!min_samples ~min_time:!min_time
-      ~gated_diags ~waivers ~baseline:base_cases ~current:cur_cases ()
-  in
+  let verdicts = Gate.compare_cases ~waivers ~baseline:base_cases ~current:cur_cases () in
   List.iter (Gate.pp_verdict stdout) verdicts;
   (* --inflate doctors wall clocks only, so it must not break the scaling
      ratio: the check reads the undoctored current file *)
@@ -101,10 +77,7 @@ let () =
     match !scaling with
     | None -> false
     | Some (slow, fast) ->
-        let v =
-          Gate.check_scaling ~max_ratio:!scaling_ratio ~min_domains:!min_domains ~slow ~fast
-            (Gate.cases_of_file current_path)
-        in
+        let v = Gate.check_scaling ~slow ~fast (Gate.cases_of_file current_path) in
         Gate.pp_scaling stdout v;
         (match v with Gate.Scaling_failed _ -> true | _ -> false)
   in

@@ -1,5 +1,5 @@
 (* Perf-regression gate core: compare a freshly-measured bench JSON
-   (schema >= 2) against a committed baseline, case by case.
+   (schema 3) against a committed baseline, case by case.
 
    A case regresses when its current best (minimum) sample exceeds the
    baseline's by more than the threshold fraction.  The minimum, not the
@@ -7,9 +7,8 @@
    wall-clock sample, so best-of-N is the stable estimate of the true cost
    and the one that doesn't flag identical code at small N.  Noise control
    is otherwise structural, not statistical: a case is only judged when
-   both sides carry at least [min_samples] samples (schema-3 files say so
-   via "n"; for schema-2 baselines the "samples_s" array length is used) —
-   so a --runs 1 smoke file never produces a verdict — and when its
+   both sides carry at least [min_samples] samples ("n") — so a --runs 1
+   smoke file never produces a verdict — and when its
    baseline median clears [min_time] (sub-millisecond cases are jitter,
    not signal).  Known/accepted regressions are waived by listing
    "group/case" in a waiver file, one per line, with an optional
@@ -17,7 +16,7 @@
 
    Wall clocks are not the only gated quantity: each case may carry
    tracked detector diagnostics, and the deterministic ones named in
-   [gated_diags] (default: "detect_span", the treap-side critical path in
+   [gated_diags] ("detect_span", the treap-side critical path in
    virtual cycles, plus the predictive analysis' candidate and
    window-expansion counters) are compared by the same ratio test under
    the key "group/case#diag".  Unlike wall time these are exact functions
@@ -65,26 +64,14 @@ let cases_of_json (j : Jsonx.t) : case list =
     (fun (group, gj) ->
       List.map
         (fun (name, cj) ->
-          let median_s =
-            match Option.bind (Jsonx.member "median_s" cj) Jsonx.to_float with
-            | Some m -> m
-            | None -> parse_error "bench json: %s/%s has no median_s" group name
+          let float_field field =
+            match Option.bind (Jsonx.member field cj) Jsonx.to_float with
+            | Some v -> v
+            | None -> parse_error "bench json: %s/%s has no %s" group name field
           in
-          let samples =
-            match Option.bind (Jsonx.member "samples_s" cj) Jsonx.to_list with
-            | Some l -> List.filter_map Jsonx.to_float l
-            | None -> []
-          in
-          let n =
-            match Option.bind (Jsonx.member "n" cj) Jsonx.to_float with
-            | Some n -> int_of_float n
-            | None -> List.length samples (* schema 2 predates the explicit count *)
-          in
-          let min_s =
-            match Option.bind (Jsonx.member "min_s" cj) Jsonx.to_float with
-            | Some m -> m
-            | None -> List.fold_left min median_s samples
-          in
+          let median_s = float_field "median_s" in
+          let min_s = float_field "min_s" in
+          let n = int_of_float (float_field "n") in
           let diags =
             match Option.bind (Jsonx.member "diagnostics" cj) Jsonx.to_obj with
             | Some kvs ->
@@ -130,10 +117,12 @@ let parse_waivers text =
 
 (* -- comparison ---------------------------------------------------------- *)
 
-let default_gated_diags = [ "detect_span"; "predict_candidates"; "predict_windows" ]
+let threshold = 0.25
+let min_samples = 3
+let min_time = 0.005
+let gated_diags = [ "detect_span"; "predict_candidates"; "predict_windows" ]
 
-let compare_cases ?(threshold = 0.25) ?(min_samples = 3) ?(min_time = 0.005)
-    ?(gated_diags = default_gated_diags) ?(waivers = []) ~baseline ~current () =
+let compare_cases ?(waivers = []) ~baseline ~current () =
   let base_tbl = Hashtbl.create 16 in
   List.iter (fun c -> Hashtbl.replace base_tbl (key c) c) baseline;
   (* one ratio test, shared by wall clocks and gated diagnostics *)
@@ -192,7 +181,7 @@ let regressions verdicts =
 
 (* The wall-clock scaling assertion for the real-domain shard sweep: the
    fast configuration's best sample must beat the slow configuration's by
-   the given factor — e.g. par:heat48/s4 at <= 0.9 x par:heat48/s1.  Unlike
+   [max_scaling_ratio] — e.g. par:heat48/s4 at <= 0.9 x par:heat48/s1.  Unlike
    the regression test this compares two cases of the SAME file (the fresh
    run), so it asserts a property of the code on this host rather than a
    trajectory across commits.  It only fires when the current file's
@@ -205,7 +194,10 @@ type scaling_verdict =
   | Scaling_failed of { slow : string; fast : string; slow_s : float; fast_s : float; ratio : float }
   | Scaling_skipped of { slow : string; fast : string; why : string }
 
-let check_scaling ?(max_ratio = 0.9) ?(min_domains = 4) ~slow:slow_key ~fast:fast_key cases =
+let max_scaling_ratio = 0.9
+let min_domains = 4
+
+let check_scaling ~slow:slow_key ~fast:fast_key cases =
   let find k = List.find_opt (fun c -> key c = k) cases in
   match (find slow_key, find fast_key) with
   | None, _ -> Scaling_skipped { slow = slow_key; fast = fast_key; why = slow_key ^ " not in file" }
@@ -227,7 +219,7 @@ let check_scaling ?(max_ratio = 0.9) ?(min_domains = 4) ~slow:slow_key ~fast:fas
             Scaling_skipped { slow = slow_key; fast = fast_key; why = "zero slow-case time" }
           else begin
             let ratio = fast.min_s /. slow.min_s in
-            if ratio <= max_ratio then
+            if ratio <= max_scaling_ratio then
               Scaling_ok
                 { slow = slow_key; fast = fast_key; slow_s = slow.min_s; fast_s = fast.min_s; ratio }
             else

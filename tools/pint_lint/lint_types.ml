@@ -277,7 +277,6 @@ let sync_hof_prefixes =
     "Printexc.";
     "Buffer.";
     "Vec.";
-    "Stats.";
     "Jsonx.";
   ]
 
