@@ -25,11 +25,8 @@ let detector_run ?shards ~workload ~size ~base ~workers det () =
   let w = Registry.find workload in
   let inst = w.Workload.make ~size ~base in
   let d, stages = make_det ?shards det in
-  (match det with
-  | "stint" -> ignore (Seq_exec.run ~driver:d.Detector.driver inst.Workload.run)
-  | _ ->
-      let config = { Sim_exec.default_config with n_workers = workers; stages } in
-      ignore (Sim_exec.run ~config ~driver:d.Detector.driver inst.Workload.run));
+  let config = { Sim_exec.default_config with n_workers = workers; stages } in
+  ignore (Sim_exec.run ~config ~driver:d.Detector.driver inst.Workload.run);
   d.Detector.drain ();
   d.Detector.diagnostics ()
 
@@ -44,7 +41,7 @@ let replay_trace =
      let inst = w.Workload.make ~size:small ~base:8 in
      let d, _ = make_det "none" in
      let driver, finished = Tracefile.capturing d.Detector.driver in
-     ignore (Seq_exec.run ~driver inst.Workload.run);
+     ignore (Sim_exec.run ~config:Sim_exec.serial ~driver inst.Workload.run);
      finished ())
 
 let replay_run ?shards det () =
@@ -63,7 +60,7 @@ let predict_trace =
      let inst = (Option.get w.Workload.racy) ~size:small ~base:8 in
      let d, _ = make_det "none" in
      let driver, finished = Tracefile.capturing d.Detector.driver in
-     ignore (Seq_exec.run ~driver inst.Workload.run);
+     ignore (Sim_exec.run ~config:Sim_exec.serial ~driver inst.Workload.run);
      finished ())
 
 let predict_run ~window () =

@@ -41,7 +41,8 @@ let run_one workload detector exec workers domains shards size base racy seed ma
     | None -> Obs.disabled
     | Some _ ->
         (* sim runs profile on the virtual timeline (deterministic traces);
-           real executors use wall-time microseconds *)
+           seq runs, which have no virtual time, and par runs use wall-time
+           microseconds *)
         let clock = match exec with Sim -> Clock.manual () | Seq | Par -> Clock.monotonic in
         Obs.create ~clock ()
   in
@@ -82,9 +83,8 @@ let run_one workload detector exec workers domains shards size base racy seed ma
     detector shards racy;
   (match exec with
   | Seq ->
-      let r = Seq_exec.run ~driver inst.Workload.run in
-      Printf.printf "executor=seq strands=%d spawns=%d syncs=%d\n" r.Seq_exec.n_strands
-        r.Seq_exec.n_spawns r.Seq_exec.n_syncs
+      let r = Sim_exec.run ~config:Sim_exec.serial ~driver inst.Workload.run in
+      Printf.printf "executor=seq strands=%d spawns=%d\n" r.Sim_exec.n_strands r.Sim_exec.n_spawns
   | Sim ->
       let config =
         { Sim_exec.default_config with n_workers = Option.value workers ~default:4; seed; stages;
@@ -148,7 +148,11 @@ let detector_arg =
   Arg.(value & opt string "pint" & info [ "d"; "detector" ] ~doc:"none|stint|cracer|pint.")
 
 let exec_conv = Arg.enum [ ("seq", Seq); ("sim", Sim); ("par", Par) ]
-let exec_arg = Arg.(value & opt exec_conv Sim & info [ "e"; "exec" ] ~doc:"Executor: seq, sim or par.")
+let exec_arg =
+  Arg.(
+    value & opt exec_conv Sim
+    & info [ "e"; "exec" ]
+        ~doc:"Executor: seq (the simulator's one-worker serial elision), sim or par.")
 let workers_arg =
   Arg.(
     value

@@ -47,7 +47,7 @@ let program () =
 let () =
   (* STINT (serial) *)
   let stint = Stint.make () in
-  let _ = Seq_exec.run ~driver:stint.Detector.driver program in
+  let _ = Sim_exec.run ~config:Sim_exec.serial ~driver:stint.Detector.driver program in
   (* C-RACER on the simulator *)
   let cracer = Cracer.make () in
   let _ =

@@ -35,9 +35,10 @@
     race set equals the [shards = 1] paper configuration's (the golden
     differential-replay suite asserts this at Theorem-5 granularity).
 
-    The sequential executor calls [Detector.drain] once at the end (the paper's
-    one-core PINT configuration: all core work first, then the access
-    history).  The simulator steps the stages in virtual time; the
+    A serial run ({!Sim_exec.serial}, which passes no stages) leaves the
+    stages to one [Detector.drain] call at the end (the paper's one-core
+    PINT configuration: all core work first, then the access history).
+    The simulator given the stages steps them in virtual time; the
     multi-domain executor runs each shard's triple on one pool worker
     ([Systems.micropools] groups them).  Each step
     reports the number of treap-node visits it caused, which is the cost

@@ -10,8 +10,8 @@
     reports the same deduplicated race set as PINT (Theorem 5), which the
     differential replay checks rely on.
 
-    Must be run on the sequential executor; running it under a parallel
-    executor is a usage error (its treaps are not synchronized) and is
+    Must be run on one core worker ({!Sim_exec.serial}, or the simulator
+    at one worker); running it on more is a usage error (its treaps are not synchronized) and is
     rejected at [driver] time when [ctx.n_workers > 1]. *)
 
 (** [obs]: with a live session, each strand's treap processing is emitted

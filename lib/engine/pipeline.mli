@@ -6,7 +6,7 @@
     round ({!step}) steps every stage not yet [`Done] once and retires
     each one that reports [`Done].  {!drive} loops rounds on the calling
     thread until the group finishes — the single-threaded drain used by
-    the sequential executor and by [Detector.drain] — and each
+    [Detector.drain] — and each
     {!Micropool} worker runs the same rounds over the groups it holds.
     Rounds in which no stage progresses back off exponentially
     ({!Backoff.relax}) instead of spinning on bare [Domain.cpu_relax]. *)

@@ -1,9 +1,9 @@
 (** The fork-join programming API used by workloads and examples.
 
     A computation is an ordinary OCaml function that calls these operations;
-    which executor actually runs it (sequential, virtual-time simulated, or
-    real multi-domain work stealing) is decided by whoever installed the
-    per-domain {e engine}.  The model is Cilk's:
+    which executor actually runs it (the virtual-time simulator, serial at
+    one worker, or real multi-domain work stealing) is decided by whoever
+    installed the per-domain {e engine}.  The model is Cilk's:
 
     - [spawn f] — [f] may run in parallel with the rest of the current sync
       block.  The spawned function is its own sync scope (its spawns are

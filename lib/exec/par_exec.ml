@@ -1,6 +1,3 @@
-open Effect
-open Effect.Deep
-
 type config = {
   n_workers : int;
   seed : int;
@@ -21,34 +18,12 @@ type result = {
 
 let default_config = { n_workers = 4; seed = 1; pools = []; obs = Obs.disabled }
 
-(* ---------------------------------------------------------------- fibers *)
-
-type _ Effect.t += E_spawn : (unit -> unit) -> unit Effect.t
-type _ Effect.t += E_sync : unit Effect.t
-
-type status = Finished | Spawned of (unit -> unit) * kont | Synced of kont
-and kont = (unit, status) continuation
-
-let run_fiber (g : unit -> unit) : status =
-  match_with g ()
-    {
-      retc = (fun () -> Finished);
-      exnc = raise;
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | E_spawn f -> Some (fun (k : (a, status) continuation) -> Spawned (f, k))
-          | E_sync -> Some (fun (k : (a, status) continuation) -> Synced k)
-          | _ -> None);
-    }
-
 (* ----------------------------------------------------------- structures *)
 
 type frame = {
   parent : frame option;
   (* current-block fields: touched only by the logical thread executing the
      function body, so unsynchronized *)
-  mutable sync_sp : Sp_order.strand option;
   mutable sync_rec : Srec.t option;
   (* join state: touched by returning children concurrently.  This lock
      arbitrates the join protocol only (outstanding counter + suspended
@@ -60,18 +35,17 @@ type frame = {
   mutable suspended : susp option;
 }
 
-and susp = { sk : kont; sfiber : fiber_done; srec : Srec.t }
+and susp = { sk : Fiber.kont; sfiber : fiber_done; srec : Srec.t }
 
 and fiber_done = Root | Child of child_info
 
 and child_info = { cp_frame : frame; cp_sync : Srec.t; cp_item : ditem }
 
-and ditem = { dk : kont; dframe : frame; drec : Srec.t; dfiber : fiber_done }
+and ditem = { dk : Fiber.kont; dframe : frame; drec : Srec.t; dfiber : fiber_done }
 
 let new_frame ~parent =
   {
     parent;
-    sync_sp = None;
     sync_rec = None;
     lock = Mutex.create ();
     outstanding = 0;
@@ -79,7 +53,7 @@ let new_frame ~parent =
     suspended = None;
   }
 
-type job = J_start of (unit -> unit) | J_resume of kont
+type job = J_start of (unit -> unit) | J_resume of Fiber.kont
 
 type wstate = {
   wid : int;
@@ -117,8 +91,8 @@ let run ?aspace ~config ~(driver : Hooks.driver) main =
      fabricated, but it can be captured: suspend a throwaway fiber at a
      sync and never resume it. *)
   let dummy_ditem =
-    match run_fiber (fun () -> perform E_sync) with
-    | Synced k -> { dk = k; dframe = new_frame ~parent:None; drec = root_rec; dfiber = Root }
+    match Fiber.run Fiber.sync with
+    | Fiber.Synced k -> { dk = k; dframe = new_frame ~parent:None; drec = root_rec; dfiber = Root }
     | _ -> assert false
   in
   let workers =
@@ -152,9 +126,9 @@ let run ?aspace ~config ~(driver : Hooks.driver) main =
      fiber can migrate between domains across suspension points *)
   let e_sync () =
     let w = self () in
-    match w.frame.sync_sp with None -> () | Some _ -> perform E_sync
+    match w.frame.sync_rec with None -> () | Some _ -> Fiber.sync ()
   in
-  let e_spawn f = perform (E_spawn f) in
+  let e_spawn = Fiber.spawn in
   let e_scope f =
     let w = self () in
     let fr = new_frame ~parent:(Some w.frame) in
@@ -179,15 +153,10 @@ let run ?aspace ~config ~(driver : Hooks.driver) main =
 
   let handle_spawn (w : wstate) f k =
     Atomic.incr n_spawns;
-    let u = w.cur in
     let fr = w.frame in
-    let first = Option.is_none fr.sync_sp in
-    let child_sp, cont_sp, sync_sp = Sp_order.spawn sp ~sync_pre:fr.sync_sp u.Srec.sp in
-    let cont_rec = fresh cont_sp in
-    let sync_rec = if first then fresh sync_sp else Option.get fr.sync_rec in
-    fr.sync_sp <- Some sync_sp;
-    fr.sync_rec <- Some sync_rec;
-    Book.at_spawn ~u ~cont:cont_rec ~sync:sync_rec ~first;
+    let first = Option.is_none fr.sync_rec in
+    let child_sp, cont_rec, sync_rec = Book.spawn sp ~fresh ~u:w.cur ~sync:fr.sync_rec in
+    if first then fr.sync_rec <- Some sync_rec;
     finish w (Events.F_spawn { cont = cont_rec; sync = sync_rec; first_of_block = first });
     Mutex.lock fr.lock;
     fr.outstanding <- fr.outstanding + 1;
@@ -214,7 +183,6 @@ let run ?aspace ~config ~(driver : Hooks.driver) main =
       Book.at_sync_nontrivial ~u:w.cur ~sync:sync_rec
     end;
     finish w (Events.F_sync { trivial; sync = sync_rec });
-    fr.sync_sp <- None;
     fr.sync_rec <- None;
     Atomic.set fr.stolen_in_block false;
     if trivial then begin
@@ -277,9 +245,9 @@ let run ?aspace ~config ~(driver : Hooks.driver) main =
       end
   in
   let handle_status w = function
-    | Finished -> handle_fiber_end w
-    | Spawned (f, k) -> handle_spawn w f k
-    | Synced k -> handle_sync w k
+    | Fiber.Finished -> handle_fiber_end w
+    | Fiber.Spawned (f, k) -> handle_spawn w f k
+    | Fiber.Synced k -> handle_sync w k
   in
 
   (* One steal attempt against a random victim; [true] iff a continuation
@@ -323,7 +291,7 @@ let run ?aspace ~config ~(driver : Hooks.driver) main =
       | Some j ->
           w.job <- None;
           idle_rounds := 0;
-          let st = match j with J_start g -> run_fiber g | J_resume k -> continue k () in
+          let st = match j with J_start g -> Fiber.run g | J_resume k -> Fiber.resume k in
           handle_status w st;
           loop ()
       | None ->

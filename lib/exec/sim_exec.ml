@@ -1,6 +1,3 @@
-open Effect
-open Effect.Deep
-
 type config = {
   n_workers : int;
   seed : int;
@@ -45,53 +42,33 @@ let default_config =
     obs_clock = Clock.null;
   }
 
-(* ---------------------------------------------------------------- fibers *)
-
-type _ Effect.t += E_spawn : (unit -> unit) -> unit Effect.t
-type _ Effect.t += E_sync : unit Effect.t
-
-type status = Finished | Spawned of (unit -> unit) * kont | Synced of kont
-and kont = (unit, status) continuation
-
-let run_fiber (g : unit -> unit) : status =
-  match_with g ()
-    {
-      retc = (fun () -> Finished);
-      exnc = raise;
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | E_spawn f -> Some (fun (k : (a, status) continuation) -> Spawned (f, k))
-          | E_sync -> Some (fun (k : (a, status) continuation) -> Synced k)
-          | _ -> None);
-    }
+let serial = { default_config with n_workers = 1; strand_cost = (fun _ _ -> 0) }
 
 (* ------------------------------------------------------- scheduler state *)
 
 type frame = {
   parent : frame option;
-  mutable sync_sp : Sp_order.strand option;
   mutable sync_rec : Srec.t option;
   mutable outstanding : int;
   mutable stolen_in_block : bool;
   mutable suspended : susp option;
 }
 
-and susp = { sk : kont; sfiber : fiber_done; srec : Srec.t }
+and susp = { sk : Fiber.kont; sfiber : fiber_done; srec : Srec.t }
 
 and fiber_done = Root | Child of child_info
 
 and child_info = { cp_frame : frame; cp_sync : Srec.t; cp_item : ditem }
 
 and ditem = {
-  dk : kont;
+  dk : Fiber.kont;
   dframe : frame;
   drec : Srec.t;
   dfiber : fiber_done;
   dpushed_at : int;
 }
 
-type job = J_start of (unit -> unit) | J_resume of kont | J_end
+type job = J_start of (unit -> unit) | J_resume of Fiber.kont | J_end
 
 type wstate = {
   wid : int;
@@ -108,7 +85,6 @@ type wstate = {
 let new_frame ~parent =
   {
     parent;
-    sync_sp = None;
     sync_rec = None;
     outstanding = 0;
     stolen_in_block = false;
@@ -148,12 +124,12 @@ let run ?aspace ~config ~(driver : Hooks.driver) main =
   if nw < 1 then invalid_arg "Sim_exec: need at least one worker";
   if nw > Aspace.max_workers aspace then invalid_arg "Sim_exec: more workers than stack regions";
   let sp, root_sp = Sp_order.create () in
-  let next_uid = ref 0 in
+  let next_uid = ref 1 in
   let fresh s =
     incr next_uid;
     Srec.make ~uid:!next_uid s
   in
-  let root_rec = Srec.make ~uid:0 root_sp in
+  let root_rec = Srec.make ~uid:1 root_sp in
   let workers =
     Array.init nw (fun wid ->
         {
@@ -205,9 +181,9 @@ let run ?aspace ~config ~(driver : Hooks.driver) main =
   (* engine operations, called from inside fibers *)
   let e_sync () =
     let w = worker () in
-    match w.frame.sync_sp with None -> () | Some _ -> perform E_sync
+    match w.frame.sync_rec with None -> () | Some _ -> Fiber.sync ()
   in
-  let e_spawn f = perform (E_spawn f) in
+  let e_spawn = Fiber.spawn in
   let e_scope f =
     let w = worker () in
     let fr = new_frame ~parent:(Some w.frame) in
@@ -233,15 +209,10 @@ let run ?aspace ~config ~(driver : Hooks.driver) main =
   (* boundary handling *)
   let handle_spawn w f k =
     incr n_spawns;
-    let u = w.cur in
     let fr = w.frame in
-    let first = Option.is_none fr.sync_sp in
-    let child_sp, cont_sp, sync_sp = Sp_order.spawn sp ~sync_pre:fr.sync_sp u.Srec.sp in
-    let cont_rec = fresh cont_sp in
-    let sync_rec = if first then fresh sync_sp else Option.get fr.sync_rec in
-    fr.sync_sp <- Some sync_sp;
-    fr.sync_rec <- Some sync_rec;
-    Book.at_spawn ~u ~cont:cont_rec ~sync:sync_rec ~first;
+    let first = Option.is_none fr.sync_rec in
+    let child_sp, cont_rec, sync_rec = Book.spawn sp ~fresh ~u:w.cur ~sync:fr.sync_rec in
+    if first then fr.sync_rec <- Some sync_rec;
     finish w (Events.F_spawn { cont = cont_rec; sync = sync_rec; first_of_block = first });
     fr.outstanding <- fr.outstanding + 1;
     let item = { dk = k; dframe = fr; drec = cont_rec; dfiber = w.fid; dpushed_at = w.clock } in
@@ -268,7 +239,6 @@ let run ?aspace ~config ~(driver : Hooks.driver) main =
       Book.at_sync_nontrivial ~u:w.cur ~sync:sync_rec
     end;
     finish w (Events.F_sync { trivial; sync = sync_rec });
-    fr.sync_sp <- None;
     fr.sync_rec <- None;
     fr.stolen_in_block <- false;
     if fr.outstanding = 0 then begin
@@ -315,14 +285,14 @@ let run ?aspace ~config ~(driver : Hooks.driver) main =
       end
   in
   let handle_status w = function
-    | Finished ->
+    | Fiber.Finished ->
         (* charge the final strand now (the return-boundary constant does not
            depend on the steal outcome), resolve the return on the next turn *)
         precharge w
           (Events.F_return { cont_stolen = false; parent_sync = None });
         w.job <- Some J_end
-    | Spawned (f, k) -> handle_spawn w f k
-    | Synced k -> handle_sync w k
+    | Fiber.Spawned (f, k) -> handle_spawn w f k
+    | Fiber.Synced k -> handle_sync w k
   in
 
   let attempt_steal w =
@@ -451,8 +421,8 @@ let run ?aspace ~config ~(driver : Hooks.driver) main =
                 cur_wid := w.wid;
                 let st =
                   match j with
-                  | J_start g -> run_fiber g
-                  | J_resume k -> continue k ()
+                  | J_start g -> Fiber.run g
+                  | J_resume k -> Fiber.resume k
                   | J_end -> assert false
                 in
                 handle_status w st
@@ -478,7 +448,7 @@ let run ?aspace ~config ~(driver : Hooks.driver) main =
     stage_clocks = List.map (fun a -> (Stage.name a.stage, a.s_clock)) sim_stages;
     n_steals = !n_steals;
     n_failed_steals = !n_failed;
-    n_strands = !next_uid + 1;
+    n_strands = !next_uid;
     n_spawns = !n_spawns;
     n_nontrivial_syncs = !n_nontrivial;
     core_work = !core_work;

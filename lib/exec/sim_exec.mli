@@ -12,8 +12,8 @@
     - each virtual worker has a clock; the scheduler always advances the
       lowest-clock runnable worker, so interleaving is clock-causal and, with
       a fixed seed, bit-reproducible;
-    - user code is chopped into strands with OCaml effects: [spawn]/[sync]
-      suspend the fiber and return control to the scheduler;
+    - user code is chopped into strands with OCaml effects ({!Fiber}):
+      [spawn]/[sync] suspend the fiber and return control to the scheduler;
     - a worker executes spawned children first and pushes the continuation
       on its deque (bottom); an idle worker steals from the top of a random
       victim's deque, paying [c_steal], and can only take an item whose push
@@ -27,6 +27,13 @@
       on their own clocks; the run's [total] is the max over all component
       clocks, and the stages' own metrics accumulate through {!Stage.exec}
       exactly as they do on real domains.
+
+    At one worker the simulator is also the serial executor: {!serial} runs
+    the computation as its serial elision — every spawned child first,
+    continuations never stolen, every sync trivial — which is the execution
+    of STINT (the serial baseline) and of PINT's one-core configuration.
+
+    Strand records are numbered in creation order from 1, the root strand's.
 
     Constraint inherited from the cactus-stack simulation: a [with_frame]
     body must pop on the worker that pushed it, i.e. it must not contain a
@@ -60,6 +67,13 @@ type result = {
 }
 
 val default_config : config
+
+(** The serial elision with no virtual time: one worker, every strand costs
+    0, no stages.  A PINT detector run this way leaves all access-history
+    work to its [Detector.drain] after the run (the paper's one-core
+    configuration); passing its stages instead steps them after every core
+    event, as [pint_run -e sim -p 1] does. *)
+val serial : config
 
 (** [run ?aspace ~config ~driver main] — simulate [main] under [config] with
     the given detector.  Deterministic in ([config.seed], program). *)

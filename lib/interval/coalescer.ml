@@ -1,7 +1,6 @@
 
 type side = {
   buf : Interval.t Vec.t;
-  mutable raw : int;
   (* True while the buffer is already in canonical form: sorted by [lo] with
      pairwise-disjoint, non-adjacent entries.  Holds as long as every access
      lands at or after the last recorded interval (the monotone sweep of a
@@ -24,15 +23,14 @@ let dummy = Interval.point 0
 
 let create () =
   {
-    reads = { buf = Vec.create ~capacity:64 dummy; raw = 0; canonical = true };
-    writes = { buf = Vec.create ~capacity:64 dummy; raw = 0; canonical = true };
+    reads = { buf = Vec.create ~capacity:64 dummy; canonical = true };
+    writes = { buf = Vec.create ~capacity:64 dummy; canonical = true };
     sorts = 0;
     sort_skips = 0;
   }
 
 let[@pint.hot] add side ~addr ~len =
   if len <= 0 then invalid_arg "Coalescer.add: len must be positive";
-  side.raw <- side.raw + 1;
   let iv = Interval.make addr (addr + len - 1) in
   if Vec.is_empty side.buf then Vec.push side.buf iv
   else begin
@@ -45,8 +43,6 @@ let[@pint.hot] add side ~addr ~len =
 
 let add_read t = add t.reads
 let add_write t = add t.writes
-
-let raw_counts t = (t.reads.raw, t.writes.raw)
 
 let canonicalize t side =
   let n = Vec.length side.buf in
@@ -78,8 +74,6 @@ let finish t =
   let writes = canonicalize t t.writes in
   Vec.clear t.reads.buf;
   Vec.clear t.writes.buf;
-  t.reads.raw <- 0;
-  t.writes.raw <- 0;
   t.reads.canonical <- true;
   t.writes.canonical <- true;
   (reads, writes)

@@ -15,11 +15,7 @@
       unless the stream was monotone, in which case the buffer is already
       canonical and the sort + re-merge pass is skipped entirely (tracked by
       a per-side flag that drops on the first access starting before the
-      last recorded interval).
-
-    The total number of raw accesses observed is tracked separately from the
-    number of resulting intervals: the ratio between the two is what makes
-    interval-based access history win (or, for [fft], lose). *)
+      last recorded interval). *)
 
 type t
 
@@ -27,9 +23,6 @@ val create : unit -> t
 
 val add_read : t -> addr:int -> len:int -> unit
 val add_write : t -> addr:int -> len:int -> unit
-
-(** Raw instrumented access events so far this strand (reads, writes). *)
-val raw_counts : t -> int * int
 
 (** [finish t] returns [(reads, writes)] as canonical interval sets and
     resets the coalescer for the next strand.  Each returned array is sorted

@@ -3,8 +3,8 @@
     Every {!Evring.t} carries one clock; which one decides what an event's
     [ts] means:
 
-    - {!monotonic} — wall time in integer microseconds, for real executors
-      ([Seq_exec], [Par_exec]);
+    - {!monotonic} — wall time in integer microseconds, for runs without
+      virtual time ([Sim_exec.serial], [Par_exec]);
     - {!manual} — a virtual clock the single-threaded simulator pins to
       whichever simulated timeline (worker clock, stage clock) is about to
       emit, making seeded [Sim_exec] traces fully deterministic;

@@ -5,7 +5,6 @@
    cheap enough to leave in [@pint.hot] call sites. *)
 
 type t = {
-  name : string;
   clock : Clock.t;
   cap : int;
   ts : int array;
@@ -18,7 +17,6 @@ type t = {
 
 let null =
   {
-    name = "";
     clock = Clock.null;
     cap = 1;
     ts = [| 0 |];
@@ -29,10 +27,9 @@ let null =
     enabled = false;
   }
 
-let create ~name ~clock ~capacity =
+let create ~clock ~capacity =
   if capacity <= 0 then invalid_arg "Evring.create: capacity must be positive";
   {
-    name;
     clock;
     cap = capacity;
     ts = Array.make capacity 0;
@@ -43,7 +40,6 @@ let create ~name ~clock ~capacity =
     enabled = true;
   }
 
-let name t = t.name
 let enabled t = t.enabled
 let now t = Clock.now t.clock
 let is_virtual t = Clock.is_virtual t.clock

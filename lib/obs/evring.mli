@@ -15,9 +15,8 @@ type t
 (** The shared disabled ring: every emit is a no-op. *)
 val null : t
 
-val create : name:string -> clock:Clock.t -> capacity:int -> t
+val create : clock:Clock.t -> capacity:int -> t
 
-val name : t -> string
 val enabled : t -> bool
 
 (** Read the ring's clock (advances a counter clock). *)

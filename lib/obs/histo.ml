@@ -3,11 +3,10 @@ let nbuckets = 64
 type t = {
   buckets : int array;
   mutable n : int;
-  mutable sum : int;
   mutable max_v : int;
 }
 
-let create () = { buckets = Array.make nbuckets 0; n = 0; sum = 0; max_v = 0 }
+let create () = { buckets = Array.make nbuckets 0; n = 0; max_v = 0 }
 
 (* Shared sink for disabled sessions; adds land here and are never read. *)
 let dummy = create ()
@@ -30,11 +29,9 @@ let add t v =
   let v = if v < 0 then 0 else v in
   t.buckets.(bucket_of v) <- t.buckets.(bucket_of v) + 1;
   t.n <- t.n + 1;
-  t.sum <- t.sum + v;
   if v > t.max_v then t.max_v <- v
 
 let count t = t.n
-let total t = t.sum
 let max_value t = t.max_v
 
 (* Representative value of a bucket: its lower bound (1 for bucket 0, the
@@ -60,6 +57,5 @@ let merge_into ~src ~dst =
     dst.buckets.(b) <- dst.buckets.(b) + src.buckets.(b)
   done;
   dst.n <- dst.n + src.n;
-  dst.sum <- dst.sum + src.sum;
   if src.max_v > dst.max_v then dst.max_v <- src.max_v
 

@@ -16,7 +16,6 @@ val dummy : t
 
 val add : t -> int -> unit
 val count : t -> int
-val total : t -> int
 val max_value : t -> int
 
 (** Bucket index for a value (exposed for tests). *)

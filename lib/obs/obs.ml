@@ -33,7 +33,7 @@ let track t name =
     match List.assoc_opt name t.tracks with
     | Some r -> r
     | None ->
-        let r = Evring.create ~name ~clock:t.clock ~capacity:t.capacity in
+        let r = Evring.create ~clock:t.clock ~capacity:t.capacity in
         t.tracks <- t.tracks @ [ (name, r) ];
         r
 

@@ -16,10 +16,8 @@ type strand_observer = sp:Sp_order.t -> pos:int -> Tracefile.entry -> Srec.t -> 
    boundary, so it is invisible in the trace.  What the trace does record is
    which sync record every spawn and sync links to ([b_uid] below, the sync's
    uid in the original run) — and since blocks close innermost-first, a stack
-   keyed by those links reconstructs the scope nesting exactly.  [b_sp] is
-   mutable because every non-first spawn of a block refreshes the sync
-   strand's position in the order maintenance structure. *)
-type block = { mutable b_sp : Sp_order.strand; b_rec : Srec.t; b_uid : int }
+   keyed by those links reconstructs the scope nesting exactly. *)
+type block = { b_rec : Srec.t; b_uid : int }
 
 (* Push one strand's recorded effects through the detector: accesses go
    through the sink (so sink-level detectors and coalescers see the run),
@@ -149,30 +147,21 @@ module Session = struct
     match e.Tracefile.finish with
     | Tracefile.Spawn { cont; sync; child; first } ->
         let blocks = p.p_blocks in
-        let sync_pre, open_block =
-          if first then (None, None)
+        let open_sync =
+          if first then None
           else
             match !blocks with
             | top :: _ ->
                 if top.b_uid <> sync then
                   corrupt "strand %d: spawn links sync %d but the open block's sync is %d"
                     e.Tracefile.uid sync top.b_uid;
-                (Some top.b_sp, Some top)
+                Some top.b_rec
             | [] -> corrupt "strand %d: non-first spawn with no open sync block" e.Tracefile.uid
         in
-        let child_sp, cont_sp, sync_sp = Sp_order.spawn t.s_sp ~sync_pre r.Srec.sp in
-        let cont_rec = fresh t cont_sp in
-        let sync_rec =
-          match open_block with
-          | Some b ->
-              b.b_sp <- sync_sp;
-              b.b_rec
-          | None ->
-              let sr = fresh t sync_sp in
-              blocks := { b_sp = sync_sp; b_rec = sr; b_uid = sync } :: !blocks;
-              sr
+        let child_sp, cont_rec, sync_rec =
+          Book.spawn t.s_sp ~fresh:(fresh t) ~u:r ~sync:open_sync
         in
-        Book.at_spawn ~u:r ~cont:cont_rec ~sync:sync_rec ~first;
+        if first then blocks := { b_rec = sync_rec; b_uid = sync } :: !blocks;
         t.s_hooks.Hooks.on_finish ~wid:0 r
           (Events.F_spawn { cont = cont_rec; sync = sync_rec; first_of_block = first });
         let child_rec = fresh t child_sp in

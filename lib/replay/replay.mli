@@ -1,9 +1,10 @@
 (** Deterministic offline replay: drive any detector from a persisted trace.
 
     Replay reconstructs the run's strand DAG from PINTRACE entries and pushes
-    it through the {!Hooks} contract exactly as the sequential executor
-    would, without re-executing any workload code: [Sp_order] is rebuilt by
-    re-issuing the spawn protocol in canonical depth-first order, fresh
+    it through the {!Hooks} contract exactly as the serial simulator
+    ({!Sim_exec.serial}) would, without re-executing any workload code:
+    [Sp_order] is rebuilt by re-issuing the spawn protocol ({!Book.spawn})
+    in canonical depth-first order, fresh
     [Srec]s are filled from the recorded interval sets, and every boundary
     event fires with Algorithm-1 bookkeeping applied.
 

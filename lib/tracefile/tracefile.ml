@@ -440,40 +440,24 @@ let load path =
 
 (* ----------------------------------------------------------------- capture *)
 
-(* Entry under assembly: the child uid of a spawn is only known when the
-   spawned function's first strand starts (executors start it on the same
-   worker immediately after the spawn finish), so it stays mutable until
-   the file is frozen. *)
-type draft = {
-  d_uid : int;
-  d_start : Events.start_kind;
-  d_finish : finish;
-  mutable d_child : int; (* -1 = unresolved; only meaningful for Spawn *)
-  d_reads : Interval.t array;
-  d_writes : Interval.t array;
-  d_clears : (int * int) list;
-  d_frees : (int * int) list;
-  d_raw_reads : int;
-  d_raw_writes : int;
-  d_work : int;
-  d_compute : int;
-  d_finished_at : int;
-  d_cost : int;
-}
-
 let capturing ?(meta = []) (inner : Hooks.driver) : Hooks.driver * (unit -> t) =
   let result = ref None in
   let driver (ctx : Hooks.ctx) =
     let h = inner ctx in
     let n = ctx.Hooks.n_workers in
-    (* Per-worker state needs no lock; the shared draft list and start-kind
-       table do (the parallel executor finishes strands on many domains). *)
+    (* Per-worker state needs no lock; the shared entry list, start-kind
+       table and child table do (the parallel executor finishes strands on
+       many domains).  A spawn's child uid is only known when the spawned
+       function's first strand starts (executors start it on the same
+       worker immediately after the spawn finish), so a spawn entry is
+       recorded with [child = -1] and resolved from [children] at the end. *)
     let coals = Array.init n (fun _ -> Coalescer.create ()) in
     let frees = Array.make n [] in
-    let pending_child : draft option array = Array.make n None in
+    let pending_spawn = Array.make n (-1) in
     let lock = Mutex.create () in
     let started : (int, Events.start_kind) Hashtbl.t = Hashtbl.create 1024 in
-    let drafts = ref [] in
+    let children : (int, int) Hashtbl.t = Hashtbl.create 1024 in
+    let entries = ref [] in
     let sink ~wid =
       let s = h.Hooks.sink ~wid in
       let coal = coals.(wid) in
@@ -496,10 +480,10 @@ let capturing ?(meta = []) (inner : Hooks.driver) : Hooks.driver * (unit -> t) =
     let on_start ~wid (r : Srec.t) kind =
       Mutex.lock lock;
       Hashtbl.replace started r.Srec.uid kind;
-      (match (pending_child.(wid), kind) with
-      | Some d, Events.S_child ->
-          d.d_child <- r.Srec.uid;
-          pending_child.(wid) <- None
+      (match kind with
+      | Events.S_child when pending_spawn.(wid) >= 0 ->
+          Hashtbl.replace children pending_spawn.(wid) r.Srec.uid;
+          pending_spawn.(wid) <- -1
       | _ -> ());
       Mutex.unlock lock;
       h.Hooks.on_start ~wid r kind
@@ -526,61 +510,40 @@ let capturing ?(meta = []) (inner : Hooks.driver) : Hooks.driver * (unit -> t) =
             Mutex.unlock lock;
             error "strand %d finished without starting" u.Srec.uid
       in
-      let d =
+      entries :=
         {
-          d_uid = u.Srec.uid;
-          d_start = start;
-          d_finish = fin;
-          d_child = -1;
-          d_reads = reads;
-          d_writes = writes;
-          d_clears = u.Srec.clears;
-          d_frees = fl;
-          d_raw_reads = u.Srec.raw_reads;
-          d_raw_writes = u.Srec.raw_writes;
-          d_work = u.Srec.work;
-          d_compute = u.Srec.compute;
-          d_finished_at = u.Srec.finished_at;
-          d_cost = u.Srec.cost;
+          uid = u.Srec.uid;
+          start;
+          finish = fin;
+          reads;
+          writes;
+          clears = u.Srec.clears;
+          frees = fl;
+          raw_reads = u.Srec.raw_reads;
+          raw_writes = u.Srec.raw_writes;
+          work = u.Srec.work;
+          compute = u.Srec.compute;
+          finished_at = u.Srec.finished_at;
+          cost = u.Srec.cost;
         }
-      in
-      drafts := d :: !drafts;
-      (match fin with Spawn _ -> pending_child.(wid) <- Some d | _ -> ());
+        :: !entries;
+      (match fin with Spawn _ -> pending_spawn.(wid) <- u.Srec.uid | _ -> ());
       Mutex.unlock lock;
       h.Hooks.on_finish ~wid u kind
     in
     let on_done () =
       h.Hooks.on_done ();
-      let entries =
-        List.rev_map
-          (fun d ->
-            let finish =
-              match d.d_finish with
-              | Spawn { cont; sync; child = _; first } ->
-                  if d.d_child < 0 then
-                    error "spawn strand %d has no recorded child strand" d.d_uid;
-                  Spawn { cont; sync; child = d.d_child; first }
-              | f -> f
-            in
-            {
-              uid = d.d_uid;
-              start = d.d_start;
-              finish;
-              reads = d.d_reads;
-              writes = d.d_writes;
-              clears = d.d_clears;
-              frees = d.d_frees;
-              raw_reads = d.d_raw_reads;
-              raw_writes = d.d_raw_writes;
-              work = d.d_work;
-              compute = d.d_compute;
-              finished_at = d.d_finished_at;
-              cost = d.d_cost;
-            })
-          !drafts
+      let resolve e =
+        match e.finish with
+        | Spawn { cont; sync; child = _; first } -> (
+            match Hashtbl.find_opt children e.uid with
+            | Some child -> { e with finish = Spawn { cont; sync; child; first } }
+            | None -> error "spawn strand %d has no recorded child strand" e.uid)
+        | _ -> e
       in
+      let entries = Array.of_list (List.rev_map resolve !entries) in
       let meta = meta @ [ ("n_workers", string_of_int n) ] in
-      result := Some { version = current_version; meta; entries = Array.of_list entries }
+      result := Some { version = current_version; meta; entries }
     in
     { Hooks.sink; on_start; on_finish; on_done }
   in

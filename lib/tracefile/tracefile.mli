@@ -60,8 +60,10 @@ type entry = {
   raw_writes : int;
   work : int;
   compute : int;
-  finished_at : int;  (** virtual finish time (simulator runs; 0 elsewhere) *)
-  cost : int;  (** virtual strand cost (simulator runs; 0 elsewhere) *)
+  finished_at : int;
+      (** virtual finish time (simulator runs with a strand cost; 0 in
+          serial and [Par_exec] runs) *)
+  cost : int;  (** virtual strand cost (as [finished_at]) *)
 }
 
 type t = { version : int; meta : (string * string) list; entries : entry array }

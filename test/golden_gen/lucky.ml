@@ -35,5 +35,5 @@ let meta =
 let trace () =
   let d = Nodetect.make () in
   let driver, finished = Tracefile.capturing ~meta d.Detector.driver in
-  ignore (Seq_exec.run ~driver program);
+  ignore (Sim_exec.run ~config:Sim_exec.serial ~driver program);
   finished ()

@@ -1,4 +1,4 @@
-(* End-to-end race-detection tests on the sequential executor.
+(* End-to-end race-detection tests on the serial simulator.
 
    Every scenario is run under STINT, C-RACER and PINT (one-core
    configuration: core first, then drained access history) and, for the
@@ -14,7 +14,7 @@ type outcome = { name : string; races : Report.race list }
 
 let run_detector make_d prog =
   let d = make_d () in
-  let _res = Seq_exec.run ~driver:d.Detector.driver prog in
+  let _res = Sim_exec.run ~config:Sim_exec.serial ~driver:d.Detector.driver prog in
   { name = d.Detector.name; races = Detector.races d }
 
 let run_all prog =
@@ -349,7 +349,7 @@ let run_random_comparison seed =
   in
   (* oracle *)
   let odriver, oracle_racy = oracle_make () in
-  let _ = Seq_exec.run ~driver:odriver (make_prog ()) in
+  let _ = Sim_exec.run ~config:Sim_exec.serial ~driver:odriver (make_prog ()) in
   let expected = oracle_racy () in
   List.iter
     (fun o ->
@@ -373,18 +373,18 @@ let detect_qcheck =
 let test_counts_and_structure () =
   let d = Stint.make () in
   let res =
-    Seq_exec.run ~driver:d.Detector.driver (fun () ->
+    Sim_exec.run ~config:Sim_exec.serial ~driver:d.Detector.driver (fun () ->
         let b = Fj.alloc_f 4 in
         Fj.spawn (fun () -> Membuf.set_f b 0 1.0);
         Fj.spawn (fun () -> Membuf.set_f b 1 1.0);
         Fj.sync ())
   in
-  check_int "spawns" 2 res.Seq_exec.n_spawns;
-  check_int "syncs" 1 res.Seq_exec.n_syncs;
-  (* strands: root, spawn-node=root? root splits: root(spawn1) + child1 +
-     cont1(spawn2) + child2 + cont2 + sync-node = 6 records created, plus the
-     two child-return boundaries reuse child records *)
-  check_bool "strand count sane" true (res.Seq_exec.n_strands >= 6)
+  check_int "spawns" 2 res.Sim_exec.n_spawns;
+  check_int "serial syncs are trivial" 0 res.Sim_exec.n_nontrivial_syncs;
+  check_int "serial runs steal nothing" 0 res.Sim_exec.n_steals;
+  (* root, child 1, continuation 1, the block's sync strand, child 2,
+     continuation 2 *)
+  check_int "strands" 6 res.Sim_exec.n_strands
 
 let test_no_engine_outside_run () =
   Alcotest.check_raises "Fj.spawn outside run"

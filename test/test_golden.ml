@@ -68,7 +68,7 @@ let check_one path () =
       (meta_exn t "racy" = "true");
     let inst = (Option.get w.Workload.racy) ~size ~base in
     let d, _ = make_det "pint" in
-    let _ = Seq_exec.run ~driver:d.Detector.driver inst.Workload.run in
+    let _ = Sim_exec.run ~config:Sim_exec.serial ~driver:d.Detector.driver inst.Workload.run in
     let live = signature (Detector.races d) in
     d.Detector.validate ();
     check_bool (path ^ ": replay = live rerun") true (snd (List.hd sigs) = live)

@@ -10,7 +10,7 @@ let check_string = Alcotest.(check string)
 (* ------------------------------------------------------------------ rings *)
 
 let ring_wraparound () =
-  let r = Evring.create ~name:"t" ~clock:(Clock.counter ()) ~capacity:8 in
+  let r = Evring.create ~clock:(Clock.counter ()) ~capacity:8 in
   for i = 0 to 19 do
     Evring.emit r ~kind:Ev.strand_finish ~arg:i
   done;
@@ -36,7 +36,7 @@ let ring_disabled_noop () =
 
 let ring_span_advances_virtual_clock () =
   let clock = Clock.manual () in
-  let r = Evring.create ~name:"t" ~clock ~capacity:8 in
+  let r = Evring.create ~clock ~capacity:8 in
   Evring.emit_span r ~ts:100 ~dur:50 ~kind:Ev.treap_op ~arg:1;
   (* later implicit stamps must not go backwards past the span's end *)
   check_bool "clock caught up" true (Clock.now clock >= 150)

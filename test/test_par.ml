@@ -116,7 +116,7 @@ let test_pint_domains_random_equivalence () =
       Test_sim_progs.interpret buf actions ()
     in
     let sd = Stint.make () in
-    let _ = Seq_exec.run ~driver:sd.Detector.driver prog in
+    let _ = Sim_exec.run ~config:Sim_exec.serial ~driver:sd.Detector.driver prog in
     let expected = Detector.races sd <> [] in
     let p = Pint_detector.make () in
     let d = Pint_detector.detector p in

@@ -359,7 +359,7 @@ let run_prog p () =
 let capture p =
   let d = Nodetect.make () in
   let driver, finished = Tracefile.capturing d.Detector.driver in
-  ignore (Seq_exec.run ~driver (run_prog p));
+  ignore (Sim_exec.run ~config:Sim_exec.serial ~driver (run_prog p));
   finished ()
 
 let gen_leaf =

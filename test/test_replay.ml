@@ -21,13 +21,13 @@ let signature races =
 
 let live_seq_races det prog =
   let d, _ = make_det det in
-  let _ = Seq_exec.run ~driver:d.Detector.driver prog in
+  let _ = Sim_exec.run ~config:Sim_exec.serial ~driver:d.Detector.driver prog in
   signature (Detector.races d)
 
 let capture_seq ?(meta = []) prog =
   let d = Nodetect.make () in
   let driver, finished = Tracefile.capturing ~meta d.Detector.driver in
-  ignore (Seq_exec.run ~driver prog);
+  ignore (Sim_exec.run ~config:Sim_exec.serial ~driver prog);
   finished ()
 
 let replay_races det trace =
@@ -80,6 +80,36 @@ let test_replay_deterministic () =
   in
   let r1 = run () and r2 = run () in
   check_bool "identical races, strands and diagnostics" true (r1 = r2)
+
+(* Replay walks a serial capture in the order the serial run executed it
+   and numbers its records the same way, so capturing the replay must give
+   back the capture entry for entry: uids, links, interval sets, frees,
+   clears and ledgers.  Only the metadata is the tee's own. *)
+let test_serial_capture_fixed_point () =
+  List.iter
+    (fun (w : Workload.t) ->
+      let variants =
+        ("plain", w.Workload.make)
+        :: (match w.Workload.racy with Some racy -> [ ("racy", racy) ] | None -> [])
+      in
+      List.iter
+        (fun (variant, make) ->
+          let inst = make ~size:w.Workload.default_size ~base:w.Workload.default_base in
+          let live = capture_seq inst.Workload.run in
+          let recaptured = ref None in
+          let wrap inner =
+            let driver, finished = Tracefile.capturing inner in
+            recaptured := Some finished;
+            driver
+          in
+          ignore (Replay.run ~wrap live (Nodetect.make ()));
+          let replayed = (Option.get !recaptured) () in
+          check_bool
+            (Printf.sprintf "%s %s: replay re-captures the serial capture" w.Workload.name variant)
+            true
+            (replayed.Tracefile.entries = live.Tracefile.entries))
+        variants)
+    (Registry.all ())
 
 (* --------------------------------------------- parallel-schedule captures *)
 
@@ -276,7 +306,11 @@ let () =
           Alcotest.test_case "race-free stays clean" `Quick test_roundtrip_race_free;
         ] );
       ( "determinism",
-        [ Alcotest.test_case "replay twice, same outcome" `Quick test_replay_deterministic ] );
+        [
+          Alcotest.test_case "replay twice, same outcome" `Quick test_replay_deterministic;
+          Alcotest.test_case "serial capture is a replay fixed point" `Quick
+            test_serial_capture_fixed_point;
+        ] );
       ( "schedules",
         [
           Alcotest.test_case "par capture = seq races" `Quick test_par_capture_replays_like_seq;

@@ -412,7 +412,7 @@ let sort_capture =
      let inst = (Option.get w.Workload.racy) ~size:32768 ~base:512 in
      let d, _ = Option.get (Systems.make_detector "none") in
      let driver, finished = Tracefile.capturing d.Detector.driver in
-     ignore (Seq_exec.run ~driver inst.Workload.run);
+     ignore (Sim_exec.run ~config:Sim_exec.serial ~driver inst.Workload.run);
      Tracefile.to_bytes (finished ()))
 
 let slow_tick = 5.0

@@ -171,7 +171,7 @@ let test_sharded_random_equivalence () =
       Test_sim_progs.interpret buf actions ()
     in
     let sd = Stint.make () in
-    let _ = Seq_exec.run ~driver:sd.Detector.driver prog in
+    let _ = Sim_exec.run ~config:Sim_exec.serial ~driver:sd.Detector.driver prog in
     let expected = Detector.races sd <> [] in
     List.iter
       (fun shards ->
@@ -243,7 +243,7 @@ let test_detection_span_monotonic_replay () =
   let inst = w.Workload.make ~size:48 ~base:8 in
   let d0, _ = Option.get (Systems.make_detector "none") in
   let driver, finished = Tracefile.capturing d0.Detector.driver in
-  ignore (Seq_exec.run ~driver inst.Workload.run);
+  ignore (Sim_exec.run ~config:Sim_exec.serial ~driver inst.Workload.run);
   let t = finished () in
   let span shards =
     let d, _ = Option.get (Systems.make_detector ~shards "pint") in

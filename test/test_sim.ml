@@ -191,7 +191,7 @@ let test_sim_race_free_clean () =
 let oracle_verdict actions nbuf =
   let d = Stint.make () in
   let _ =
-    Seq_exec.run ~driver:d.Detector.driver (fun () ->
+    Sim_exec.run ~config:Sim_exec.serial ~driver:d.Detector.driver (fun () ->
         let buf = Fj.alloc_f nbuf in
         Test_sim_progs.interpret buf actions ())
   in

@@ -80,13 +80,13 @@ let program () =
 let capture_seq ?(meta = []) prog =
   let d = Nodetect.make () in
   let driver, finished = Tracefile.capturing ~meta d.Detector.driver in
-  let res = Seq_exec.run ~driver prog in
+  let res = Sim_exec.run ~config:Sim_exec.serial ~driver prog in
   let t = finished () in
   (t, res)
 
 let test_capture_structure () =
   let t, res = capture_seq ~meta:[ ("k", "v") ] program in
-  check_int "one entry per strand" res.Seq_exec.n_strands (Tracefile.entry_count t);
+  check_int "one entry per strand" res.Sim_exec.n_strands (Tracefile.entry_count t);
   check_int "version" Tracefile.current_version t.Tracefile.version;
   check_bool "meta present" true (Tracefile.meta_find t "k" = Some "v");
   check_bool "n_workers meta" true (Tracefile.meta_find t "n_workers" = Some "1");

@@ -1,7 +1,7 @@
 (* Workload tests: each benchmark computes the right answer, is race-free
    under every detector, and its racy variant is caught — across the
-   sequential executor, the virtual-time simulator, and (spot-checked) the
-   real multi-domain executor. *)
+   serial simulator, the simulator with steals, and (spot-checked) the real
+   multi-domain executor. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -27,7 +27,7 @@ let test_seq_correct name () =
   let size, base = params name in
   let inst = w.Workload.make ~size ~base in
   let d = Nodetect.make () in
-  let _ = Seq_exec.run ~driver:d.Detector.driver inst.Workload.run in
+  let _ = Sim_exec.run ~config:Sim_exec.serial ~driver:d.Detector.driver inst.Workload.run in
   check_bool (name ^ " result correct") true (inst.Workload.check ())
 
 let test_seq_race_free name () =
@@ -35,7 +35,7 @@ let test_seq_race_free name () =
   let size, base = params name in
   let inst = w.Workload.make ~size ~base in
   let d = Stint.make () in
-  let _ = Seq_exec.run ~driver:d.Detector.driver inst.Workload.run in
+  let _ = Sim_exec.run ~config:Sim_exec.serial ~driver:d.Detector.driver inst.Workload.run in
   check_bool (name ^ " result correct") true (inst.Workload.check ());
   check_int (name ^ " race free under stint") 0 (List.length (Detector.races d))
 
@@ -47,7 +47,7 @@ let test_racy_detected name () =
   | Some racy ->
       let inst = racy ~size ~base in
       let d = Stint.make () in
-      let _ = Seq_exec.run ~driver:d.Detector.driver inst.Workload.run in
+      let _ = Sim_exec.run ~config:Sim_exec.serial ~driver:d.Detector.driver inst.Workload.run in
       check_bool (name ^ " racy variant detected by stint") true (Detector.races d <> []);
       (* and by PINT under the simulator with real steals *)
       let inst = racy ~size ~base in
@@ -111,7 +111,7 @@ let test_interval_shapes () =
     let inst = w.Workload.make ~size:32 ~base:8 in
     let p = Pint_detector.make () in
     let det = Pint_detector.detector p in
-    let _ = Seq_exec.run ~driver:det.Detector.driver inst.Workload.run in
+    let _ = Sim_exec.run ~config:Sim_exec.serial ~driver:det.Detector.driver inst.Workload.run in
     det.Detector.drain ();
     Detector.diag det "writer_visits"
   in
@@ -127,7 +127,7 @@ let test_fft_many_intervals () =
     let w = Registry.find name in
     let inst = w.Workload.make ~size:w.Workload.default_size ~base:w.Workload.default_base in
     let d = Stint.make () in
-    let _ = Seq_exec.run ~driver:d.Detector.driver inst.Workload.run in
+    let _ = Sim_exec.run ~config:Sim_exec.serial ~driver:d.Detector.driver inst.Workload.run in
     Detector.diag d "work" /. Float.max 1. (Detector.diag d "intervals")
   in
   let fft_w = win "fft" in
