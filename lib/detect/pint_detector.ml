@@ -303,7 +303,7 @@ let driver t (ctx : Hooks.ctx) =
 
 (* ------------------------------------------------------ treap-worker side *)
 
-let process_clears ?(shards = 1) ?(shard = 0) treap (u : Srec.t) =
+let process_clears ~shards ~shard treap (u : Srec.t) =
   let clear (b, l) =
     Lanes.iter_subranges ~shards ~shard (Interval.make b (b + l - 1)) (fun sub ->
         Itreap.clear_range treap sub)

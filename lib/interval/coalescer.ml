@@ -31,14 +31,23 @@ let create () =
 
 let[@pint.hot] add side ~addr ~len =
   if len <= 0 then invalid_arg "Coalescer.add: len must be positive";
-  let iv = Interval.make addr (addr + len - 1) in
-  if Vec.is_empty side.buf then Vec.push side.buf iv
-  else begin
+  let lo = addr and hi = addr + len - 1 in
+  let n = Vec.length side.buf in
+  let merges =
+    n > 0
+    &&
     let last = Vec.peek side.buf in
-    if iv.Interval.lo < last.Interval.lo then side.canonical <- false;
-    if Interval.adjacent_or_overlapping last iv then
-      Vec.set side.buf (Vec.length side.buf - 1) (Interval.hull last iv)
-    else Vec.push side.buf iv
+    if lo < last.Interval.lo then side.canonical <- false;
+    last.Interval.lo <= hi + 1 && lo <= last.Interval.hi + 1
+  in
+  if not merges then Vec.push side.buf (Interval.make lo hi)
+  else begin
+    (* The access is adjacent to or overlaps the last entry: their hull
+       replaces it, boxed once, and only when it is larger. *)
+    let last = Vec.peek side.buf in
+    let llo = last.Interval.lo and lhi = last.Interval.hi in
+    if lo < llo || hi > lhi then
+      Vec.set side.buf (n - 1) (Interval.make (Int.min lo llo) (Int.max hi lhi))
   end
 
 let add_read t = add t.reads

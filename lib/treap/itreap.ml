@@ -31,9 +31,12 @@ type 'o t = {
   mutable owners : 'o array;
   mutable free : int;
   mutable root : int;
-  (* the two halves the last [split]/[split_probe] produced *)
+  (* the two halves the last split produced, and the deepest node it put
+     into each: the left half's maximum and the right half's minimum *)
   mutable split_l : int;
   mutable split_r : int;
+  mutable max_l : int;
+  mutable min_r : int;
   mutable size : int;
   mutable visits : int;
   mutable covered : int;
@@ -57,6 +60,8 @@ let create ~seed ~owner_eq () =
     root = nil;
     split_l = nil;
     split_r = nil;
+    max_l = nil;
+    min_r = nil;
     size = 0;
     visits = 0;
     covered = 0;
@@ -162,7 +167,50 @@ let s_push_coalesce t s lo hi own =
    test_treap's visit-parity test and test_golden's visit pins hold the
    sequence fixed (DESIGN.md §8). *)
 
-exception Overlap
+(* A split puts each node of its path into one half as it unwinds, deepest
+   first, so the first node [put_left] sees is the left half's maximum and
+   the first [put_right] sees is the right half's minimum: the two in-order
+   neighbours of the split point, which [commit] reads from [t.max_l] and
+   [t.min_r] instead of walking a spine.  The leaf resets them, so an empty
+   half records [nil]. *)
+let[@inline] split_leaf t =
+  t.split_l <- nil;
+  t.split_r <- nil;
+  t.max_l <- nil;
+  t.min_r <- nil
+
+let[@inline] put_left t n =
+  if t.split_l = nil then t.max_l <- n;
+  set_right t n t.split_l;
+  t.split_l <- n
+
+let[@inline] put_right t n =
+  if t.split_r = nil then t.min_r <- n;
+  set_left t n t.split_r;
+  t.split_r <- n
+
+(* [split t k n] partitions [n] by low endpoint: (lo < k) into
+   [t.split_l], (lo >= k) into [t.split_r]. *)
+let[@pint.hot] rec split t k n =
+  if n = nil then split_leaf t
+  else begin
+    visit t;
+    if lo_of t n < k then (split t k (right t n); put_left t n)
+    else (split t k (left t n); put_right t n)
+  end
+
+(* [split_below t lo n] partitions [n] by high endpoint: the intervals that
+   end before [lo] into [t.split_l], the rest into [t.split_r].  Stored
+   intervals are disjoint, so high endpoints order them as low endpoints
+   do; an interval straddling [lo] goes right, with the others that reach
+   [lo] or beyond. *)
+let[@pint.hot] rec split_below t lo n =
+  if n = nil then split_leaf t
+  else begin
+    visit t;
+    if hi_of t n < lo then (split_below t lo (right t n); put_left t n)
+    else (split_below t lo (left t n); put_right t n)
+  end
 
 (* Does node [n] end at [lo - 1] or start at [hi + 1] with an owner equal
    to [owner]?  Such a neighbour must coalesce with [\[lo, hi\]], which only
@@ -170,17 +218,23 @@ exception Overlap
 let[@inline] touches_same t n lo hi owner =
   (hi_of t n + 1 = lo || lo_of t n = hi + 1) && t.owner_eq t.owners.(n) owner
 
+(* [split_probe]'s result when the general path must run.  It and [nil]
+   are the only negative results; a node index is never negative. *)
+let overlap = -2
+
 (* [split_probe t lo hi owner n] is the insert probe: one descent that
-   splits [n] at [lo] — (lo' < lo) into [t.split_l], (lo' >= lo) into
-   [t.split_r] — while it looks for a stored interval that intersects
+   splits [n] while it looks for a stored interval that intersects
    [\[lo, hi\]] or touches it with an owner equal to [owner].  Three
    outcomes:
    - the first such node is exactly [\[lo, hi\]]: it is returned and
      nothing is relinked (stored intervals are disjoint, so it is the only
      intersecting node);
-   - any other such node: [Overlap] is raised, before anything is relinked
-     (relinks happen only as the recursion unwinds);
-   - none: the split completes and [nil] is returned.
+   - any other such node: from there the descent is [split_below t lo],
+     and [overlap] is returned with the tree split for the general path.
+     Above that node the two splits agree: an interval that misses
+     [\[lo, hi\]] starts before [lo] exactly when it ends before [lo];
+   - none: the split at [lo] — (lo' < lo) into [t.split_l], (lo' >= lo)
+     into [t.split_r] — completes and [nil] is returned.
    Reaching the leaf proves nothing stored intersects [\[lo, hi\]]: at any
    non-intersecting node the skipped subtree lies outside the probe range
    (went left => skipped keys all exceed [hi]; went right => skipped
@@ -189,40 +243,25 @@ let[@inline] touches_same t n lo hi owner =
    new interval with [owner].  The probe and the insert-position split are
    therefore the same single descent. *)
 let[@pint.hot] rec split_probe t lo hi owner n =
-  if n = nil then (t.split_l <- nil; t.split_r <- nil; nil)
+  if n = nil then (split_leaf t; nil)
   else begin
     visit t;
     let nlo = lo_of t n and nhi = hi_of t n in
-    if nhi >= lo && nlo <= hi then
-      if nlo = lo && nhi = hi then n else raise_notrace Overlap
-    else if touches_same t n lo hi owner then raise_notrace Overlap
+    if nlo = lo && nhi = hi then n
+    else if (nhi >= lo && nlo <= hi) || touches_same t n lo hi owner then begin
+      if nhi < lo then (split_below t lo (right t n); put_left t n)
+      else (split_below t lo (left t n); put_right t n);
+      overlap
+    end
     else if nlo < lo then begin
       let hit = split_probe t lo hi owner (right t n) in
-      if hit = nil then (set_right t n t.split_l; t.split_l <- n);
+      if hit < 0 then put_left t n;
       hit
     end
     else begin
       let hit = split_probe t lo hi owner (left t n) in
-      if hit = nil then (set_left t n t.split_r; t.split_r <- n);
+      if hit < 0 then put_right t n;
       hit
-    end
-  end
-
-(* [split t k n] partitions [n] by low endpoint: (lo < k) into
-   [t.split_l], (lo >= k) into [t.split_r]. *)
-let[@pint.hot] rec split t k n =
-  if n = nil then (t.split_l <- nil; t.split_r <- nil)
-  else begin
-    visit t;
-    if lo_of t n < k then begin
-      split t k (right t n);
-      set_right t n t.split_l;
-      t.split_l <- n
-    end
-    else begin
-      split t k (left t n);
-      set_left t n t.split_r;
-      t.split_r <- n
     end
   end
 
@@ -265,23 +304,9 @@ let[@pint.hot] rec intersects t qlo qhi n =
        else true
      end
 
-(* The node with the smallest low endpoint among those whose interval
-   reaches [lo0] or beyond, or [nil].  Stored intervals are disjoint, so
-   both endpoints increase with the key and a single descent suffices. *)
-let[@pint.hot] rec first_overlap t lo0 n =
-  if n = nil then nil
-  else begin
-    visit t;
-    if hi_of t n >= lo0 then begin
-      let found = first_overlap t lo0 (left t n) in
-      if found = nil then n else found
-    end
-    else first_overlap t lo0 (right t n)
-  end
-
-(* Read-only boundary probes: return the extreme node itself;
-   [remove_max]/[remove_min] relink (and free its slot) only when a boundary
-   merge actually happens. *)
+(* Read-only extreme-node probes for [update_in_place]; [remove_max] and
+   [remove_min] relink (and free the slot) when [commit] merges a boundary
+   neighbour. *)
 let[@pint.hot] rec max_node t n =
   if n = nil then nil else (visit t; if right t n = nil then n else max_node t (right t n))
 
@@ -357,16 +382,20 @@ let[@pint.hot] update_in_place t n owner =
 (* The front both inserts share: one probe descent, then either a
    [join_mid] insert of an interval that meets nothing stored, or an
    in-place update of the one slot holding exactly [\[lo, hi\]], whose new
-   owner [keep] picks from the incumbent.  [false] means neither applied
-   and the tree is as it was, for the general path. *)
+   owner [keep] picks from the incumbent.  [false] means neither applied:
+   the tree is then split as [split_below t lo] splits it, for the general
+   path — by the probe itself, or from the root when a subtree neighbour
+   of the exact match touches it with the new owner. *)
 let[@pint.hot] insert_fast t lo hi owner keep =
-  match split_probe t lo hi owner t.root with
-  | exception Overlap -> false
-  | n when n = nil -> insert_disjoint t lo hi owner; true
-  | n ->
-      let incumbent = t.owners.(n) in
-      let owner = match keep ~incumbent with `Keep -> incumbent | `Replace -> owner in
-      update_in_place t n owner && (t.inplace_hits <- t.inplace_hits + 1; true)
+  let n = split_probe t lo hi owner t.root in
+  if n = nil then (insert_disjoint t lo hi owner; true)
+  else if n = overlap then false
+  else begin
+    let incumbent = t.owners.(n) in
+    let owner = match keep ~incumbent with `Keep -> incumbent | `Replace -> owner in
+    if update_in_place t n owner then (t.inplace_hits <- t.inplace_hits + 1; true)
+    else (split_below t lo t.root; false)
+  end
 
 let replace_any ~incumbent:_ = `Replace
 
@@ -376,25 +405,27 @@ let note_slow t =
 
 (* ---------------------------------------------------------- slow path *)
 
-(* Detach all stored intervals overlapping [lo, hi] into [t.ovl] (in address
-   order, their slots freed); leaves the trees of everything strictly left /
-   strictly right in [t.split_l] / [t.split_r]. *)
-let slow_extract t lo hi =
-  split t (hi + 1) t.root;
-  let upper = t.split_r in
+(* With the tree split below [lo] — everything that ends before [lo] in
+   [t.split_l], the rest in [t.split_r] — one split of the right half at
+   [hi + 1] isolates the stored intervals that intersect [\[lo, hi\]].
+   They move into [t.ovl] in address order and their slots are freed.
+   Leaves the trees of everything strictly left / strictly right in
+   [t.split_l] / [t.split_r], and their boundary nodes in [t.max_l] /
+   [t.min_r]. *)
+let slow_extract t hi =
+  let lower = t.split_l and lower_max = t.max_l in
+  split t (hi + 1) t.split_r;
   s_clear t.ovl;
-  let first = first_overlap t lo t.split_l in
-  if first <> nil then begin
-    split t (lo_of t first) t.split_l;
-    drain_ovl t t.split_r;
-    t.split_r <- upper
-  end
+  drain_ovl t t.split_l;
+  t.split_l <- lower;
+  t.max_l <- lower_max
 
 (* Replace the overlap region between the trees [slow_extract] left in
    [t.split_l]/[t.split_r]: the detached entries sit in [t.ovl], their
    replacement (sorted, already internally coalesced) in [t.pieces].  Merges
-   with the boundary neighbours when owners match and intervals touch.
-   Maintains the size/covered ledgers. *)
+   with the boundary neighbours when owners match and intervals touch.  The
+   last piece goes in with a three-way join, so a single piece costs one
+   descent.  Maintains the size/covered ledgers. *)
 let commit t =
   let ovl = t.ovl and ps = t.pieces in
   let removed_w = ref 0 in
@@ -403,16 +434,16 @@ let commit t =
   done;
   let removed_n = ref ovl.s_len in
   let lower = ref t.split_l and upper = ref t.split_r in
-  if ps.s_len > 0 then begin
-    (let m = max_node t !lower in
+  let lst = ps.s_len - 1 in
+  if lst >= 0 then begin
+    (let m = t.max_l in
      if m <> nil && t.owner_eq t.owners.(m) ps.s_own.(0) && hi_of t m + 1 = ps.s_lo.(0) then begin
        ps.s_lo.(0) <- lo_of t m;
        removed_w := !removed_w + (hi_of t m - lo_of t m + 1);
        incr removed_n;
        lower := remove_max t !lower
      end);
-    let lst = ps.s_len - 1 in
-    let m = min_node t !upper in
+    let m = t.min_r in
     if m <> nil && t.owner_eq t.owners.(m) ps.s_own.(lst) && ps.s_hi.(lst) + 1 = lo_of t m then begin
       ps.s_hi.(lst) <- hi_of t m;
       removed_w := !removed_w + (hi_of t m - lo_of t m + 1);
@@ -421,12 +452,15 @@ let commit t =
     end
   end;
   let added_w = ref 0 and middle = ref nil in
-  for i = 0 to ps.s_len - 1 do
+  for i = 0 to lst do
     added_w := !added_w + (ps.s_hi.(i) - ps.s_lo.(i) + 1);
-    let m = alloc t ps.s_lo.(i) ps.s_hi.(i) ps.s_own.(i) (Rng.next t.rng) in
-    middle := join t !middle m
+    if i < lst then
+      middle := join t !middle (alloc t ps.s_lo.(i) ps.s_hi.(i) ps.s_own.(i) (Rng.next t.rng))
   done;
-  t.root <- join t (join t !lower !middle) !upper;
+  let lower = join t !lower !middle in
+  t.root <-
+    (if lst < 0 then join t lower !upper
+     else join_mid t lower !upper ps.s_lo.(lst) ps.s_hi.(lst) ps.s_own.(lst));
   t.size <- t.size + ps.s_len - !removed_n;
   t.covered <- t.covered + !added_w - !removed_w
 
@@ -436,7 +470,7 @@ let insert_replace t iv owner =
   let lo = iv.Interval.lo and hi = iv.Interval.hi in
   if not (insert_fast t lo hi owner replace_any) then begin
     note_slow t;
-    slow_extract t lo hi;
+    slow_extract t hi;
     let ovl = t.ovl and ps = t.pieces in
     s_clear ps;
     if ovl.s_len > 0 && ovl.s_lo.(0) < lo then s_push ps ovl.s_lo.(0) (lo - 1) ovl.s_own.(0);
@@ -452,7 +486,7 @@ let insert_merge t iv owner ~keep =
      it goes to the new strand, same as insert_replace. *)
   if not (insert_fast t lo hi owner keep) then begin
     note_slow t;
-    slow_extract t lo hi;
+    slow_extract t hi;
     let ovl = t.ovl and ps = t.pieces in
     s_clear ps;
     if ovl.s_len > 0 && ovl.s_lo.(0) < lo then s_push ps ovl.s_lo.(0) (lo - 1) ovl.s_own.(0);
@@ -478,7 +512,8 @@ let clear_range t iv =
   if not (intersects t lo hi t.root) then t.fastpath_hits <- t.fastpath_hits + 1
   else begin
     note_slow t;
-    slow_extract t lo hi;
+    split_below t lo t.root;
+    slow_extract t hi;
     let ovl = t.ovl and ps = t.pieces in
     s_clear ps;
     if ovl.s_len > 0 && ovl.s_lo.(0) < lo then s_push ps ovl.s_lo.(0) (lo - 1) ovl.s_own.(0);

@@ -38,9 +38,13 @@
     split and one three-way join.  If the first one is exactly the operand
     and no in-order neighbour touches it with the new owner, its slot
     takes the new owner in place.  Anything else takes the general path,
-    which stages overlap entries and replacement pieces in two scratch
-    buffers owned by the treap and reused across operations (see
-    DESIGN.md §8).
+    which costs three walks in the common case: the probe finishes its
+    descent as a split of everything that ends before the operand from
+    the rest, one split at the operand's end isolates the overlap, and
+    one three-way join puts the replacement in.  The splits record the
+    boundary neighbours a merge needs, and the overlap entries and
+    replacement pieces are staged in two scratch buffers owned by the
+    treap and reused across operations (see DESIGN.md §8).
 
     Node visits are counted in an internal ledger so the benchmark harness
     can charge virtual cycles proportional to real structural work.  A

@@ -121,24 +121,25 @@ let check_sharded_domains path () =
 
 (* Treap visit pins: the [*_visits] diagnostics of pint at shards 1 and 4
    and of stint, per golden trace, as the treap with in-place exact-cover
-   updates produces them (DESIGN.md §8).  Visits are what the cost model
-   charges for treap work ([c_treap_visit]), so a treap change that alters
-   the visit sequence moves the simulated figures and [detect_span]; it
-   must fail here first.  A new golden trace needs its row added. *)
+   updates and the three-walk general path produces them (DESIGN.md §8).
+   Visits are what the cost model charges for treap work
+   ([c_treap_visit]), so a treap change that alters the visit sequence
+   moves the simulated figures and [detect_span]; it must fail here first.
+   A new golden trace needs its row added. *)
 let expected_visits =
   [
     ( "heat_racy.trace",
-      [ ("writer_visits", 59.); ("lreader_visits", 96.); ("rreader_visits", 99.) ],
-      [ ("writer_visits", 56.); ("reader_visits", 187.) ] );
+      [ ("writer_visits", 59.); ("lreader_visits", 65.); ("rreader_visits", 68.) ],
+      [ ("writer_visits", 56.); ("reader_visits", 131.) ] );
     ( "lucky_racy.trace",
-      [ ("writer_visits", 6.); ("lreader_visits", 0.); ("rreader_visits", 0.) ],
-      [ ("writer_visits", 6.); ("reader_visits", 0.) ] );
+      [ ("writer_visits", 5.); ("lreader_visits", 0.); ("rreader_visits", 0.) ],
+      [ ("writer_visits", 5.); ("reader_visits", 0.) ] );
     ( "mmul_racy.trace",
       [ ("writer_visits", 8143.); ("lreader_visits", 8165.); ("rreader_visits", 10210.) ],
       [ ("writer_visits", 7371.); ("reader_visits", 19140.) ] );
     ( "sort_racy.trace",
-      [ ("writer_visits", 530.); ("lreader_visits", 814.); ("rreader_visits", 1472.) ],
-      [ ("writer_visits", 488.); ("reader_visits", 1931.) ] );
+      [ ("writer_visits", 438.); ("lreader_visits", 531.); ("rreader_visits", 860.) ],
+      [ ("writer_visits", 413.); ("reader_visits", 1206.) ] );
   ]
 
 let check_visits path () =

@@ -13,6 +13,18 @@ let entries t =
 
 let entry_t = Alcotest.(list (triple int int int))
 
+(* The depth of the entry holding [addr], root = 1: the visits [find]
+   makes.  A test can see the tree's shape through it. *)
+let depth t addr =
+  let v0 = Itreap.visits t in
+  ignore (Itreap.find t addr);
+  Itreap.visits t - v0
+
+let build ?seed es =
+  let t = make_treap ?seed () in
+  List.iter (fun (l, h, o) -> Itreap.insert_replace t (iv l h) o) es;
+  t
+
 (* ------------------------------------------------------------- directed *)
 
 let test_empty () =
@@ -247,38 +259,90 @@ let apply t = function
   | Merge (l, h, o) -> Itreap.insert_merge t (iv l h) o ~keep:(policy ~new_owner:o)
   | Clear (l, h) -> Itreap.clear_range t (iv l h)
 
-(* How often a run reached the probe's two newer outcomes. *)
-type reached = { mutable inplace : int; mutable touch_only : int }
+(* The shapes an operation can take through the treap, told apart from
+   outside: the entries stored before it, its path counters, and the depth
+   of each entry, which [find]'s visit count gives.  A probe meets the
+   stored intervals that intersect its range or touch it with its owner
+   (its hits) at their shallowest one first, since they are contiguous in
+   key order. *)
+let shapes =
+  [
+    "done in place";
+    "touch-only join_mid";
+    "first hit straddles lo";
+    "first hit touches lo";
+    "first hit touches hi";
+    "touch with an empty lower half";
+    "touch with an empty upper half";
+    "exact hit split from the root";
+    "clear with an empty lower half";
+    "clear with an empty upper half";
+  ]
 
-let reached () = { inplace = 0; touch_only = 0 }
+(* How often a run reached each shape. *)
+type reached = (string, int) Hashtbl.t
 
-(* Apply [op] to [t] and check the path it took against the entries stored
-   before it: an insert takes the [join_mid] path exactly when nothing
-   stored intersects its range and no touching neighbour has its owner, and
-   is done in place only when an entry is exactly its range. *)
+let reached () : reached = Hashtbl.create 16
+let reach (r : reached) shape =
+  Hashtbl.replace r shape (1 + Option.value ~default:0 (Hashtbl.find_opt r shape))
+
+(* Apply [op] to [t], note its shape, and check the path it took against
+   the entries stored before it: an insert takes the [join_mid] path
+   exactly when it has no hit, and is done in place only when its first
+   hit is exactly its range. *)
 let apply_tracked r t op =
   let before = entries t in
-  let fast0 = Itreap.fastpath_hits t and inplace0 = Itreap.inplace_hits t in
-  apply t op;
+  let fast0 = Itreap.fastpath_hits t
+  and inplace0 = Itreap.inplace_hits t
+  and slow0 = Itreap.slowpath_hits t in
+  let shallowest hits =
+    match List.sort compare (List.map (fun ((lo, _, _) as e) -> (depth t lo, e)) hits) with
+    | [] -> None
+    | (_, e) :: _ -> Some e
+  in
+  let intersects l h (lo, hi, _) = lo <= h && hi >= l in
+  let no_lower l = not (List.exists (fun (_, hi, _) -> hi < l) before)
+  and no_upper h = not (List.exists (fun (lo, _, _) -> lo > h) before) in
   match op with
-  | Clear _ -> true
+  | Clear (l, h) ->
+      apply t op;
+      if List.exists (intersects l h) before then begin
+        if no_lower l then reach r "clear with an empty lower half";
+        if no_upper h then reach r "clear with an empty upper half"
+      end;
+      true
   | Replace (l, h, o) | Merge (l, h, o) ->
       let touches (lo, hi, _) = hi + 1 = l || lo = h + 1 in
-      let meets ((lo, hi, u) as e) = (lo <= h && hi >= l) || (touches e && u = o) in
-      let fast = Itreap.fastpath_hits t - fast0 and inplace = Itreap.inplace_hits t - inplace0 in
-      if fast = 1 && List.exists touches before then r.touch_only <- r.touch_only + 1;
-      if inplace = 1 then r.inplace <- r.inplace + 1;
-      fast = (if List.exists meets before then 0 else 1)
-      && (inplace = 0 || List.exists (fun (lo, hi, _) -> lo = l && hi = h) before)
+      let hit ((_, _, u) as e) = intersects l h e || (touches e && u = o) in
+      let hits = List.filter hit before in
+      let first = shallowest hits in
+      apply t op;
+      let fast = Itreap.fastpath_hits t - fast0
+      and inplace = Itreap.inplace_hits t - inplace0
+      and slow = Itreap.slowpath_hits t - slow0 in
+      if fast = 1 && List.exists touches before then reach r "touch-only join_mid";
+      if inplace = 1 then reach r "done in place";
+      (match first with
+      | Some (lo, hi, _) when lo = l && hi = h ->
+          if slow = 1 then reach r "exact hit split from the root"
+      | Some (lo, hi, _) when lo < l && hi >= l -> reach r "first hit straddles lo"
+      | Some (_, hi, _) when hi + 1 = l ->
+          reach r "first hit touches lo";
+          if no_upper h then reach r "touch with an empty upper half"
+      | Some (lo, _, _) when lo = h + 1 ->
+          reach r "first hit touches hi";
+          if no_lower l then reach r "touch with an empty lower half"
+      | _ -> ());
+      let exact = match first with Some (lo, hi, _) -> lo = l && hi = h | None -> false in
+      fast = (if first = None then 1 else 0) && (inplace = 0 || exact) && fast + inplace + slow = 1
 
-(* A grid run must have reached both newer outcomes at least once. *)
+(* A grid run must have reached every shape at least once. *)
 let grid_case prop =
   let r = reached () in
   let name, speed, run = QCheck_alcotest.to_alcotest (prop r) in
   Alcotest.test_case name speed (fun () ->
       run ();
-      check_bool "an exact re-cover was done in place" true (r.inplace > 0);
-      check_bool "a touch-only insert took join_mid" true (r.touch_only > 0))
+      List.iter (fun shape -> check_bool ("reached: " ^ shape) true (Hashtbl.mem r shape)) shapes)
 
 let agree t (m : Model.t) =
   (* every address agrees with the model *)
@@ -489,6 +553,91 @@ let test_path_counters_exact () =
   Alcotest.check entry_t "coalesced rightwards" [ (0, 9, 2) ] (entries t);
   Itreap.validate t
 
+(* The general path's shapes, each run with empty and non-empty halves:
+   the probe's first hit straddles [lo], or is a same-owner neighbour
+   touching [lo] or [hi]; [clear_range] with nothing left or right of its
+   range.  A straddler belongs with the overlap, not with what ends before
+   [lo]. *)
+let test_general_shapes () =
+  let check msg want t =
+    Alcotest.check entry_t msg want (entries t);
+    Itreap.validate t
+  in
+  let keep ~incumbent:_ = `Keep in
+  let t = build [ (0, 9, 1) ] in
+  Itreap.insert_replace t (iv 5 14) 2;
+  check "lone straddler truncated" [ (0, 4, 1); (5, 14, 2) ] t;
+  let t = build [ (0, 3, 5); (4, 11, 1); (20, 25, 3) ] in
+  Itreap.insert_replace t (iv 8 14) 2;
+  check "straddler between neighbours" [ (0, 3, 5); (4, 7, 1); (8, 14, 2); (20, 25, 3) ] t;
+  Itreap.insert_merge t (iv 6 16) 1 ~keep;
+  check "merge over a straddler" [ (0, 3, 5); (4, 7, 1); (8, 14, 2); (15, 16, 1); (20, 25, 3) ] t;
+  let t = build [ (0, 4, 1); (20, 24, 2) ] in
+  Itreap.insert_replace t (iv 5 9) 1;
+  check "touch lo" [ (0, 9, 1); (20, 24, 2) ] t;
+  let t = build [ (0, 4, 1) ] in
+  Itreap.insert_merge t (iv 5 9) 1 ~keep;
+  check "touch lo, empty upper half" [ (0, 9, 1) ] t;
+  let t = build [ (0, 4, 3); (10, 14, 1) ] in
+  Itreap.insert_replace t (iv 5 9) 1;
+  check "touch hi" [ (0, 4, 3); (5, 14, 1) ] t;
+  let t = build [ (10, 14, 1); (20, 24, 2) ] in
+  Itreap.insert_replace t (iv 5 9) 1;
+  check "touch hi, empty lower half" [ (5, 14, 1); (20, 24, 2) ] t;
+  let t = build [ (0, 9, 1); (20, 29, 2) ] in
+  Itreap.clear_range t (iv 0 4);
+  check "clear, empty lower half" [ (5, 9, 1); (20, 29, 2) ] t;
+  Itreap.clear_range t (iv 25 40);
+  check "clear, empty upper half" [ (5, 9, 1); (20, 24, 2) ] t;
+  Itreap.clear_range t (iv 7 21);
+  check "clear across two entries" [ (5, 6, 1); (22, 24, 2) ] t;
+  Itreap.clear_range t (iv 0 30);
+  check "clear, both halves empty" [] t
+
+(* The boundary nodes a split records must not outlive it: a later
+   operation whose lower or upper half is empty would read a freed slot
+   as its neighbour and coalesce with it. *)
+let test_boundary_reset () =
+  let t = build [ (0, 4, 1); (10, 14, 1) ] in
+  Itreap.clear_range t (iv 10 14);
+  Itreap.insert_replace t (iv 5 9) 1;
+  Alcotest.check entry_t "no stale upper neighbour" [ (0, 9, 1) ] (entries t);
+  Itreap.validate t;
+  let t = build [ (0, 4, 1); (5, 9, 1); (12, 20, 2) ] in
+  Itreap.clear_range t (iv 0 9);
+  Itreap.insert_replace t (iv 10 14) 1;
+  Alcotest.check entry_t "no stale lower neighbour" [ (10, 14, 1); (15, 20, 2) ] (entries t);
+  Itreap.validate t
+
+(* An exact hit whose new owner matches a touching neighbour in its own
+   subtree cannot be updated in place; the general path then splits from
+   the root.  Which of the two adjacent entries sits above the other
+   depends on the priority draws, so seeds are tried until the exact
+   entry is above its neighbour on each side, and the other way round. *)
+let test_exact_fallback () =
+  let seen = Hashtbl.create 4 in
+  for seed = 0 to 31 do
+    List.iter
+      (fun (nb, want) ->
+        let t = build ~seed [ (0, 3, 7); (10, 14, 2); nb; (30, 33, 7) ] in
+        let nb_lo, _, _ = nb in
+        let above = depth t 10 < depth t nb_lo in
+        let slow0 = Itreap.slowpath_hits t in
+        Itreap.insert_replace t (iv 10 14) 1;
+        Hashtbl.replace seen (nb_lo, above) ();
+        check_int "general path" (slow0 + 1) (Itreap.slowpath_hits t);
+        check_int "not in place" 0 (Itreap.inplace_hits t);
+        Alcotest.check entry_t "coalesced with the neighbour" want (entries t);
+        Itreap.validate t)
+      [
+        ((5, 9, 1), [ (0, 3, 7); (5, 14, 1); (30, 33, 7) ]);
+        ((15, 19, 1), [ (0, 3, 7); (10, 19, 1); (30, 33, 7) ]);
+      ]
+  done;
+  List.iter
+    (fun key -> check_bool "shape reached" true (Hashtbl.mem seen key))
+    [ (5, true); (5, false); (15, true); (15, false) ]
+
 let test_big_sequential_build () =
   (* A large build keeps expected-logarithmic depth: visits per op should be
      far below size. *)
@@ -507,10 +656,11 @@ let test_big_sequential_build () =
 (* Visit parity: a seeded mix of every operation over disjoint, touching
    and overlapping ranges.  The content figures (size, covered, query hits
    and checksum, entry digest) are those the persistent path-copying treap
-   printed; the visit and path counters are those of the probe with
-   in-place exact-cover updates (DESIGN.md §8).  Tree shapes follow from
-   the keys and the priority draws, so every figure must match exactly — a
-   drift here moves [c_treap_visit]-costed figures and [detect_span]. *)
+   printed; the path counters are those of the probe with in-place
+   exact-cover updates, and the visits those of the three-walk general
+   path (DESIGN.md §8).  Tree shapes follow from the keys and the priority
+   draws, so every figure must match exactly — a drift here moves
+   [c_treap_visit]-costed figures and [detect_span]. *)
 let test_visit_parity () =
   let t = make_treap ~seed:2022 () in
   let rng = Rng.create 13 in
@@ -532,7 +682,7 @@ let test_visit_parity () =
             qsum := (!qsum * 31) + (lo * 7) + (hi * 3) + o)
   done;
   Itreap.validate t;
-  check_int "visits" 146800 (Itreap.visits t);
+  check_int "visits" 89427 (Itreap.visits t);
   check_int "fastpath_hits" 699 (Itreap.fastpath_hits t);
   check_int "inplace_hits" 83 (Itreap.inplace_hits t);
   check_int "slowpath_hits" 1930 (Itreap.slowpath_hits t);
@@ -625,6 +775,9 @@ let () =
           Alcotest.test_case "visits counted" `Quick test_visits_counted;
           Alcotest.test_case "path counters" `Quick test_path_counters;
           Alcotest.test_case "path counters: exact re-cover" `Quick test_path_counters_exact;
+          Alcotest.test_case "general path shapes" `Quick test_general_shapes;
+          Alcotest.test_case "boundary records reset" `Quick test_boundary_reset;
+          Alcotest.test_case "exact hit fallback" `Quick test_exact_fallback;
           Alcotest.test_case "big sequential build" `Quick test_big_sequential_build;
           Alcotest.test_case "visit parity" `Quick test_visit_parity;
           Alcotest.test_case "arena recycling" `Quick test_arena_recycling;
