@@ -59,6 +59,19 @@ let run_one workload detector exec workers domains shards size base racy seed ma
           (String.concat "|" Systems.detector_names);
         exit 2
   in
+  let pools = Systems.micropools stages in
+  let n_workers =
+    match (exec, workers) with
+    | Seq, _ -> 1
+    | Sim, p -> Option.value p ~default:4
+    | Par, Some p -> p
+    | Par, None -> max 1 (domains - List.length pools)
+  in
+  if detector = "stint" && n_workers > 1 then begin
+    Printf.eprintf "detector stint is serial: run it with -e seq or -p 1 (not %d core workers)\n"
+      n_workers;
+    exit 2
+  end;
   let driver =
     match capture with
     | None -> det.Detector.driver
@@ -87,20 +100,13 @@ let run_one workload detector exec workers domains shards size base racy seed ma
       Printf.printf "executor=seq strands=%d spawns=%d\n" r.Sim_exec.n_strands r.Sim_exec.n_spawns
   | Sim ->
       let config =
-        { Sim_exec.default_config with n_workers = Option.value workers ~default:4; seed; stages;
-          obs_clock = Obs.clock obs }
+        { Sim_exec.default_config with n_workers; seed; stages; obs_clock = Obs.clock obs }
       in
       let r = Sim_exec.run ~config ~driver inst.Workload.run in
       Printf.printf "executor=sim workers=%d strands=%d steals=%d makespan=%d total=%d\n"
         config.Sim_exec.n_workers r.Sim_exec.n_strands r.Sim_exec.n_steals r.Sim_exec.makespan
         r.Sim_exec.total
   | Par ->
-      let pools = Systems.micropools stages in
-      let n_workers =
-        match workers with
-        | Some p -> p
-        | None -> max 1 (domains - List.length pools)
-      in
       let config = { Par_exec.n_workers; seed; pools; obs } in
       let r = Par_exec.run ~config ~driver inst.Workload.run in
       Printf.printf

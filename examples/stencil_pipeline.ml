@@ -46,7 +46,7 @@ let program () =
 
 let () =
   (* STINT (serial) *)
-  let stint = Stint.make () in
+  let stint = Pint_detector.serial () in
   let _ = Sim_exec.run ~config:Sim_exec.serial ~driver:stint.Detector.driver program in
   (* C-RACER on the simulator *)
   let cracer = Cracer.make () in

@@ -19,7 +19,12 @@
      [2N .. 3N-1]   shard k's right-most reader treap worker.
    Every lane carries the full DAG-ordered strand stream (restricted to the
    shard's address range), so per-shard clear/free ordering is preserved
-   verbatim. *)
+   verbatim.
+
+   [serial] is STINT as a configuration of the same core: one shard's
+   treaps, whose three role steps ([role_step], the function every stage
+   calls) run on the calling thread at each strand's finish — no trace, no
+   lane, no stage. *)
 
 (* ------------------------------------------------------------- stage roles *)
 
@@ -79,6 +84,42 @@ type lane_rec = {
   s_writes : Interval.t array;
 }
 
+(* One shard's access history: the treaps behind its writer, left-most
+   reader and right-most reader roles. *)
+type hist = {
+  writer : Sp_order.strand Itreap.t;
+  lreader : Sp_order.strand Itreap.t;
+  rreader : Sp_order.strand Itreap.t;
+}
+
+(* The one seed rule of both detectors.  Shard 0 keeps the historical
+   seeds, so a one-shard run's treap shapes, and hence its visit counts,
+   are the same whether PINT's stages or [serial] drive the roles. *)
+let make_hist ~seed k =
+  let owner_eq = ( == ) in
+  {
+    writer = Itreap.create ~seed:(if k = 0 then seed else seed + 211 + k) ~owner_eq ();
+    lreader = Itreap.create ~seed:(seed + 1 + k) ~owner_eq ();
+    rreader = Itreap.create ~seed:(seed + 101 + k) ~owner_eq ();
+  }
+
+let role_treap h = function Writer -> h.writer | Lreader -> h.lreader | Rreader -> h.rreader
+
+let validate_hist h =
+  Itreap.validate h.writer;
+  Itreap.validate h.lreader;
+  Itreap.validate h.rreader
+
+(* Workload totals over finished strands.  [finish_strand] bumps them on
+   every core-worker domain at once under [Par_exec], hence atomic. *)
+type totals = { intervals : int Atomic.t; work : int Atomic.t; raw_events : int Atomic.t }
+
+let make_totals () = { intervals = Atomic.make 0; work = Atomic.make 0; raw_events = Atomic.make 0 }
+
+let totals_diags t =
+  let get a = float_of_int (Atomic.get a) in
+  [ ("intervals", get t.intervals); ("work", get t.work); ("raw_events", get t.raw_events) ]
+
 (* State that exists only while a run is active. *)
 type run = {
   ctx : Hooks.ctx;
@@ -88,9 +129,7 @@ type run = {
   reg_lock : Mutex.t;
   lanes : lane_rec Lanes.t; (* one AHQ lane per shard *)
   consume_bufs : lane_rec array array; (* per consuming stage, reusable; slot 0 unused *)
-  writers : Sp_order.strand Itreap.t array; (* one per shard *)
-  lreaders : Sp_order.strand Itreap.t array;
-  rreaders : Sp_order.strand Itreap.t array;
+  hist : hist array; (* one per shard *)
   core_done : bool Atomic.t;
   collect_done : bool Atomic.t;
   mutable scan_cursor : int;
@@ -101,12 +140,7 @@ type run = {
   mutable split_intervals : int;
   mutable split_subranges : int;
   mutable next_trace_id : int;
-  (* Aggregate workload counters, bumped from [on_finish] which runs on
-     every core-worker domain concurrently under [Par_exec] — hence atomic
-     (caught by pint_lint R3: these were plain mutable ints). *)
-  agg_intervals : int Atomic.t;
-  agg_work : int Atomic.t;
-  agg_raw_events : int Atomic.t;
+  totals : totals;
   (* observability (all Evring.null / unregistered when profiling is off):
      [obs_stage].(i) is stage i's track; [lat_collect] the finish→collected
      histogram (collector-owned); [lat_done].(i) the finish→all-treaps-done
@@ -174,16 +208,44 @@ let set_backpressure t ~rounds =
   match t.run with Some r -> Lanes.set_backpressure r.lanes ~rounds | None -> ()
 let stage_name t role k = stage_name_of ~shards:t.shards role k
 
-(* Stage index layout (see the header comment). *)
-let stage_name_of_idx t i =
-  let s = t.shards in
-  if i < s then stage_name t Writer i
-  else if i < 2 * s then stage_name t Lreader (i - s)
-  else stage_name t Rreader (i - (2 * s))
+(* Stage index layout (see the header comment): stage [i] plays
+   [role_of_idx t i] for shard [i mod shards]. *)
+let role_of_idx t i = if i < t.shards then Writer else if i < 2 * t.shards then Lreader else Rreader
+let stage_name_of_idx t i = stage_name t (role_of_idx t i) (i mod t.shards)
 
 let active t = match t.run with Some r -> r | None -> failwith "Pint: no active run"
 
 (* ------------------------------------------------------- core-worker side *)
+
+(* The access sink both detectors install on core worker [wid]: reads and
+   writes coalesce in the worker's coalescer, frees are deferred onto the
+   strand record (the heap gets the range back only after the treaps have
+   seen its clear). *)
+let coalescing_sink (ctx : Hooks.ctx) coals ~wid =
+  let coal = coals.(wid) in
+  {
+    Access.on_read = (fun ~addr ~len -> Coalescer.add_read coal ~addr ~len);
+    on_write = (fun ~addr ~len -> Coalescer.add_write coal ~addr ~len);
+    on_free =
+      (fun ~base ~len ->
+        let u = ctx.current ~wid in
+        u.Srec.frees <- (base, len) :: u.Srec.frees);
+    on_compute = (fun ~amount:_ -> ());
+  }
+
+(* The core side of a strand's finish in both detectors: its coalesced
+   intervals go on its record and into the totals. *)
+let finish_strand coals (tot : totals) ~wid (u : Srec.t) =
+  let reads, writes = Coalescer.finish coals.(wid) in
+  u.Srec.reads <- reads;
+  u.Srec.writes <- writes;
+  ignore (Atomic.fetch_and_add tot.intervals (Array.length reads + Array.length writes));
+  ignore (Atomic.fetch_and_add tot.work u.Srec.work);
+  ignore (Atomic.fetch_and_add tot.raw_events (u.Srec.raw_reads + u.Srec.raw_writes))
+
+let coal_diags coals =
+  let sum f = Array.fold_left (fun acc c -> acc + f (Coalescer.sort_stats c)) 0 coals in
+  [ ("coal_sort_skips", float_of_int (sum fst)); ("coal_sorts", float_of_int (sum snd)) ]
 
 let new_trace r ~wid =
   Mutex.lock r.reg_lock;
@@ -196,7 +258,6 @@ let new_trace r ~wid =
   tr
 
 let driver t (ctx : Hooks.ctx) =
-  let owner_eq = ( == ) in
   let s = t.shards in
   let n_stages = 3 * s in
   let obs_stage = Array.init n_stages (fun i -> Obs.track t.obs (stage_name_of_idx t i)) in
@@ -234,14 +295,7 @@ let driver t (ctx : Hooks.ctx) =
       lanes;
       consume_bufs =
         Array.init n_stages (fun _ -> Array.make Ahq.default_batch (Lazy.force dummy_lane_rec));
-      (* shard 0's writer keeps the historical seed so the one-shard treap
-         shapes (and hence visit counts) match the paper configuration and
-         STINT's matched-seed comparison exactly *)
-      writers =
-        Array.init s (fun k ->
-            Itreap.create ~seed:(if k = 0 then t.seed else t.seed + 211 + k) ~owner_eq ());
-      lreaders = Array.init s (fun k -> Itreap.create ~seed:(t.seed + 1 + k) ~owner_eq ());
-      rreaders = Array.init s (fun k -> Itreap.create ~seed:(t.seed + 101 + k) ~owner_eq ());
+      hist = Array.init s (make_hist ~seed:t.seed);
       core_done = Atomic.make false;
       collect_done = Atomic.make false;
       scan_cursor = 0;
@@ -249,9 +303,7 @@ let driver t (ctx : Hooks.ctx) =
       split_intervals = 0;
       split_subranges = 0;
       next_trace_id = 0;
-      agg_intervals = Atomic.make 0;
-      agg_work = Atomic.make 0;
-      agg_raw_events = Atomic.make 0;
+      totals = make_totals ();
       obs_stage;
       lat_collect = Obs.histo t.obs "lat.finish_to_collect";
       lat_done = Array.init n_stages (fun _ -> Histo.create ());
@@ -265,18 +317,7 @@ let driver t (ctx : Hooks.ctx) =
   t.run <- Some r;
   List.iter Stage.reset_metrics t.stage_list;
   {
-    Hooks.sink =
-      (fun ~wid ->
-        let coal = r.coals.(wid) in
-        {
-          Access.on_read = (fun ~addr ~len -> Coalescer.add_read coal ~addr ~len);
-          on_write = (fun ~addr ~len -> Coalescer.add_write coal ~addr ~len);
-          on_free =
-            (fun ~base ~len ->
-              let u = ctx.current ~wid in
-              u.frees <- (base, len) :: u.frees);
-          on_compute = (fun ~amount:_ -> ());
-        });
+    Hooks.sink = coalescing_sink ctx r.coals;
     on_start =
       (fun ~wid _rec kind ->
         match kind with
@@ -288,12 +329,7 @@ let driver t (ctx : Hooks.ctx) =
             ());
     on_finish =
       (fun ~wid u _kind ->
-        let reads, writes = Coalescer.finish r.coals.(wid) in
-        u.Srec.reads <- reads;
-        u.Srec.writes <- writes;
-        ignore (Atomic.fetch_and_add r.agg_intervals (Array.length reads + Array.length writes));
-        ignore (Atomic.fetch_and_add r.agg_work u.Srec.work);
-        ignore (Atomic.fetch_and_add r.agg_raw_events (u.Srec.raw_reads + u.Srec.raw_writes));
+        finish_strand r.coals r.totals ~wid u;
         Trace.push r.cur_traces.(wid) u);
     on_done =
       (fun () ->
@@ -329,54 +365,47 @@ let split_owned ~shards ~shard (ivs : Interval.t array) =
     out
   end
 
-let lane_payload t (u : Srec.t) k =
-  if t.shards = 1 then { u; s_reads = u.Srec.reads; s_writes = u.Srec.writes }
+let lane_payload ~shards (u : Srec.t) k =
+  if shards = 1 then { u; s_reads = u.Srec.reads; s_writes = u.Srec.writes }
   else
     {
       u;
-      s_reads = split_owned ~shards:t.shards ~shard:k u.Srec.reads;
-      s_writes = split_owned ~shards:t.shards ~shard:k u.Srec.writes;
+      s_reads = split_owned ~shards ~shard:k u.Srec.reads;
+      s_writes = split_owned ~shards ~shard:k u.Srec.writes;
     }
 
-(* Shard k's writer-treap work for one record: check this shard's read
-   subranges against the last-writer treap (Write_read), check-and-insert
-   the write subranges (Write_write), apply this shard's share of the
-   clears/frees.  At one shard this is exactly the paper's writer worker
-   minus the heap recycling, which stays with the collector. *)
-let process_writer t r ~shard (lr : lane_rec) =
-  let treap = r.writers.(shard) in
+(* One role's treap work on one strand's share [lr] of shard [shard], whose
+   treaps are [h]; returns the treap-node visits.  Every PINT stage and
+   [serial] run this.  The treap checks the strand against its pre-strand
+   contents before taking the strand's own updates:
+   - writer: check the reads (Write_read), then check and insert each write
+     in turn (Write_write) — coalesced writes are disjoint, so no write
+     meets one its own strand inserted;
+   - left-/right-most reader: check the writes (Read_write), then insert
+     the reads under the role's keep policy;
+   then the shard's share of the strand's clears and frees. *)
+let role_step report sp ~shards ~shard h role (lr : lane_rec) =
+  let treap = role_treap h role in
   let v0 = Itreap.visits treap in
-  let u = lr.u in
-  let s = u.Srec.sp in
-  let check kind iv = Policies.check_treap t.report r.ctx.sp treap kind iv s in
-  Array.iter (fun iv -> check Report.Write_read iv) lr.s_reads;
-  Array.iter
-    (fun iv ->
-      check Report.Write_write iv;
-      Itreap.insert_replace treap iv s)
-    lr.s_writes;
-  process_clears ~shards:t.shards ~shard treap u;
-  Itreap.visits treap - v0
-
-(* Shard k's reader-treap work: the lane record's subranges are already
-   this shard's share, so no re-splitting — check writes against the reader
-   treap (Read_write), insert reads under the role's keep policy. *)
-let process_reader t r ~right ~shard (lr : lane_rec) =
-  let treap, keep =
-    if right then (r.rreaders.(shard), Policies.keep_rightmost)
-    else (r.lreaders.(shard), Policies.keep_leftmost)
-  in
-  let v0 = Itreap.visits treap in
-  let u = lr.u in
-  let s = u.Srec.sp in
-  Array.iter
-    (fun iv -> Policies.check_treap t.report r.ctx.sp treap Report.Read_write iv s)
-    lr.s_writes;
-  Array.iter
-    (fun iv ->
-      Itreap.insert_merge treap iv s ~keep:(fun ~incumbent -> keep r.ctx.sp ~s ~incumbent))
-    lr.s_reads;
-  process_clears ~shards:t.shards ~shard treap u;
+  let s = lr.u.Srec.sp in
+  (match role with
+  | Writer ->
+      Array.iter (fun iv -> Policies.check_treap report sp treap Report.Write_read iv s) lr.s_reads;
+      Array.iter
+        (fun iv ->
+          Policies.check_treap report sp treap Report.Write_write iv s;
+          Itreap.insert_replace treap iv s)
+        lr.s_writes
+  | Lreader | Rreader ->
+      let policy =
+        match role with Lreader -> Policies.keep_leftmost | _ -> Policies.keep_rightmost
+      in
+      let keep ~incumbent = policy sp ~s ~incumbent in
+      Array.iter
+        (fun iv -> Policies.check_treap report sp treap Report.Read_write iv s)
+        lr.s_writes;
+      Array.iter (fun iv -> Itreap.insert_merge treap iv s ~keep) lr.s_reads);
+  process_clears ~shards ~shard treap lr.u;
   Itreap.visits treap - v0
 
 (* Last done_count bump (the 3N'th): the strand has passed all treap
@@ -402,7 +431,7 @@ let collect t r (u : Srec.t) =
   let subs = ref 0 in
   let committed =
     Lanes.enqueue_each r.lanes (fun k ->
-        let p = lane_payload t u k in
+        let p = lane_payload ~shards:t.shards u k in
         subs := !subs + Array.length p.s_reads + Array.length p.s_writes;
         if k = 0 then p0 := Some p;
         p)
@@ -426,7 +455,8 @@ let collect t r (u : Srec.t) =
        bump, so the collector may observe the completing increment *)
     bump_done r ~slot:0 ~ring u;
     (match !p0 with
-    | Some p -> ignore (process_writer t r ~shard:0 p : int)
+    | Some p ->
+        ignore (role_step t.report r.ctx.sp ~shards:t.shards ~shard:0 r.hist.(0) Writer p : int)
     | None -> assert false (* enqueue_each evaluated f 0 iff it committed *));
     (* the delayed frees become real here: the collector owns heap
        recycling (§III-D, §III-F), after shard 0's treaps saw the clear *)
@@ -463,11 +493,11 @@ let writer_step t : Step.t =
         else if Trace.unlocked tr then begin
           match Trace.peek tr with
           | Some u ->
-              let v0 = Itreap.visits r.writers.(0) in
+              let v0 = Itreap.visits r.hist.(0).writer in
               if collect t r u then begin
                 Trace.pop tr;
                 r.scan_cursor <- idx;
-                Step.worked (Itreap.visits r.writers.(0) - v0)
+                Step.worked (Itreap.visits r.hist.(0).writer - v0)
               end
               else Step.stalled (* some lane full: stall until its consumers catch up *)
           | None -> scan (idx + 1) (tried + 1)
@@ -482,49 +512,30 @@ let writer_step t : Step.t =
     | other -> other
   end
 
-(* Shard k's (k >= 1) writer treap worker: consume lane k through cursor 0
-   in batches, mirroring the reader consumption pattern. *)
-let shard_writer_step t k : Step.t =
+(* Stage [i]'s step for every stage but the collector: shard [i mod
+   shards]'s treap worker for [role_of_idx t i], consuming its lane in
+   batches — one cursor update and one slot-recycling scan per batch,
+   through the stage's reusable buffer, so the batch itself allocates
+   nothing.  Lane 0 has no writer cursor (the collector does shard 0's
+   writer work at collect time), so {lreader, rreader} read cursors
+   {0, 1} there and {1, 2} behind the writer's cursor 0 elsewhere. *)
+let consume_step t i : Step.t =
   let r = active t in
-  let lane = Lanes.lane r.lanes k in
-  let buf = r.consume_bufs.(k) in
-  let n = Ahq.peek_batch_into lane 0 buf in
-  if n = 0 then if Atomic.get r.collect_done then Step.finished else Step.idle
-  else begin
-    let visits = ref 0 in
-    for i = 0 to n - 1 do
-      let lr = buf.(i) in
-      visits := !visits + process_writer t r ~shard:k lr;
-      bump_done r ~slot:k ~ring:r.obs_stage.(k) lr.u
-    done;
-    Ahq.advance_n lane 0 n;
-    Step.worked ~records:n !visits
-  end
-
-(* Queue-reader index [idx] maps to role L for idx < shards (shard = idx)
-   and role R otherwise (shard = idx - shards).  Readers consume their
-   shard's lane in batches: one cursor update and one slot-recycling scan
-   per batch, through a reusable per-stage buffer so the batch itself
-   allocates nothing. *)
-let reader_step_idx t idx : Step.t =
-  let r = active t in
-  let s = t.shards in
-  let right = idx >= s in
-  let shard = if right then idx - s else idx in
-  let sidx = s + idx in
-  (* lane 0 has no writer cursor: {lreader, rreader} sit at {0, 1} there
-     and at {1, 2} on every other lane (cursor 0 is the shard writer's) *)
-  let cursor = (if right then 1 else 0) + if shard = 0 then 0 else 1 in
+  let role = role_of_idx t i and shard = i mod t.shards in
+  let cursor =
+    (match role with Writer -> 0 | Lreader -> 1 | Rreader -> 2) - if shard = 0 then 1 else 0
+  in
   let lane = Lanes.lane r.lanes shard in
-  let buf = r.consume_bufs.(sidx) in
+  let buf = r.consume_bufs.(i) in
   let n = Ahq.peek_batch_into lane cursor buf in
   if n = 0 then if Atomic.get r.collect_done then Step.finished else Step.idle
   else begin
+    let h = r.hist.(shard) in
     let visits = ref 0 in
-    for i = 0 to n - 1 do
-      let lr = buf.(i) in
-      visits := !visits + process_reader t r ~right ~shard lr;
-      bump_done r ~slot:sidx ~ring:r.obs_stage.(sidx) lr.u
+    for j = 0 to n - 1 do
+      let lr = buf.(j) in
+      visits := !visits + role_step t.report r.ctx.sp ~shards:t.shards ~shard h role lr;
+      bump_done r ~slot:i ~ring:r.obs_stage.(i) lr.u
     done;
     Ahq.advance_n lane cursor n;
     Step.worked ~records:n !visits
@@ -543,11 +554,7 @@ let stages ?(cost = default_step_cost) t =
   let s = t.shards in
   let all =
     List.init (3 * s) (fun i ->
-        let step =
-          if i = 0 then fun () -> writer_step t
-          else if i < s then fun () -> shard_writer_step t i
-          else fun () -> reader_step_idx t (i - s)
-        in
+        let step = if i = 0 then fun () -> writer_step t else fun () -> consume_step t i in
         Stage.make ~name:(stage_name_of_idx t i) ~cost step)
   in
   t.stage_list <- all;
@@ -606,31 +613,27 @@ let diagnostics t () =
   match t.run with
   | None -> []
   | Some r ->
-      let s = t.shards in
-      let sum f arr = Array.fold_left (fun acc x -> acc +. f x) 0. arr in
-      let sum_role f arr = Array.fold_left (fun a tr -> a + f tr) 0 arr in
-      let sum_treaps f = sum_role f r.writers + sum_role f r.lreaders + sum_role f r.rreaders in
+      let sum_role f role = Array.fold_left (fun a h -> a + f (role_treap h role)) 0 r.hist in
+      let sum_treaps f = sum_role f Writer + sum_role f Lreader + sum_role f Rreader in
       (* strands per stage of a role, averaged over its shards *)
       let role_strands role =
         role_mean role
           (List.map (fun st -> (Stage.name st, (Stage.metrics st).Stage.records)) t.stage_list)
       in
       Policies.path_diags sum_treaps
+      @ ("queue_min_rescans", float_of_int (Lanes.total_min_rescans r.lanes))
+        :: coal_diags r.coals
       @ [
-        ("queue_min_rescans", float_of_int (Lanes.total_min_rescans r.lanes));
-        ( "coal_sort_skips",
-          sum (fun c -> float_of_int (fst (Coalescer.sort_stats c))) r.coals );
-        ("coal_sorts", sum (fun c -> float_of_int (snd (Coalescer.sort_stats c))) r.coals);
         ("collected", float_of_int r.n_collected);
         ("writer_strands", role_strands Writer);
         ("l_strands", role_strands Lreader);
         ("r_strands", role_strands Rreader);
-        ("writer_visits", float_of_int (sum_role Itreap.visits r.writers));
-        ("lreader_visits", float_of_int (sum_role Itreap.visits r.lreaders));
-        ("rreader_visits", float_of_int (sum_role Itreap.visits r.rreaders));
-        ("writer_size", float_of_int (sum_role Itreap.size r.writers));
-        ("lreader_size", float_of_int (sum_role Itreap.size r.lreaders));
-        ("rreader_size", float_of_int (sum_role Itreap.size r.rreaders));
+        ("writer_visits", float_of_int (sum_role Itreap.visits Writer));
+        ("lreader_visits", float_of_int (sum_role Itreap.visits Lreader));
+        ("rreader_visits", float_of_int (sum_role Itreap.visits Rreader));
+        ("writer_size", float_of_int (sum_role Itreap.size Writer));
+        ("lreader_size", float_of_int (sum_role Itreap.size Lreader));
+        ("rreader_size", float_of_int (sum_role Itreap.size Rreader));
         ("queue_enqueued", float_of_int (Lanes.total_enqueued r.lanes));
         ("lane_rejects", float_of_int (Lanes.total_rejects r.lanes));
         ("lane_peak_depth", float_of_int (Lanes.max_peak_occupancy r.lanes));
@@ -640,22 +643,13 @@ let diagnostics t () =
         ( "split_rate",
           float_of_int r.split_subranges /. float_of_int (max 1 r.split_intervals) );
         ("traces", float_of_int r.next_trace_id);
-        ("intervals", float_of_int (Atomic.get r.agg_intervals));
-        ("work", float_of_int (Atomic.get r.agg_work));
-        ("raw_events", float_of_int (Atomic.get r.agg_raw_events));
-        ("shards", float_of_int s);
       ]
-      @ stage_diagnostics t
+      @ totals_diags r.totals
+      @ ("shards", float_of_int t.shards) :: stage_diagnostics t
 
 (* Structural invariants of all 3·N treaps: heap order on priorities,
    BST order on intervals, pairwise disjointness, size counters. *)
-let validate t =
-  match t.run with
-  | None -> ()
-  | Some r ->
-      Array.iter Itreap.validate r.writers;
-      Array.iter Itreap.validate r.lreaders;
-      Array.iter Itreap.validate r.rreaders
+let validate t = Option.iter (fun r -> Array.iter validate_hist r.hist) t.run
 
 let detector t =
   {
@@ -665,4 +659,66 @@ let detector t =
     drain = (fun () -> match t.run with Some _ -> drain t | None -> ());
     diagnostics = diagnostics t;
     validate = (fun () -> validate t);
+  }
+
+(* ------------------------------------------------------- serial: STINT *)
+
+let serial ?(seed = 4242) ?(obs = Obs.disabled) () =
+  let report = Report.create () in
+  let ring = Obs.track obs "stint" in
+  let diags = ref [] in
+  (* installed by the driver once the treaps exist *)
+  let validators = ref (fun () -> ()) in
+  let driver (ctx : Hooks.ctx) =
+    if ctx.n_workers > 1 then failwith "Stint: serial detector run on a parallel executor";
+    let h = make_hist ~seed 0 in
+    let coals = [| Coalescer.create () |] and tot = make_totals () and strands = ref 0 in
+    (validators := fun () -> validate_hist h);
+    (* the strand's three role steps, in stage order, then the heap takes
+       its frees back *)
+    let process (u : Srec.t) =
+      incr strands;
+      let lr = lane_payload ~shards:1 u 0 in
+      let step role = role_step report ctx.sp ~shards:1 ~shard:0 h role lr in
+      let w = step Writer in
+      let l = step Lreader in
+      let r = step Rreader in
+      List.iter (fun (base, len) -> Aspace.heap_free ctx.aspace ~base ~len) u.frees;
+      w + l + r
+    in
+    {
+      Hooks.sink = coalescing_sink ctx coals;
+      on_start = (fun ~wid:_ _ _ -> ());
+      on_finish =
+        (fun ~wid u _kind ->
+          finish_strand coals tot ~wid u;
+          if not (Evring.enabled ring) then ignore (process u : int)
+          else begin
+            let t0 = Evring.now ring in
+            let dv = process u in
+            let dur = if Evring.is_virtual ring then dv else Evring.now ring - t0 in
+            Evring.emit_span ring ~ts:t0 ~dur ~kind:Ev.treap_op ~arg:dv
+          end);
+      on_done =
+        (fun () ->
+          let readers f = float_of_int (f h.lreader + f h.rreader) in
+          diags :=
+            (("strands", float_of_int !strands) :: totals_diags tot)
+            @ [
+                ("writer_visits", float_of_int (Itreap.visits h.writer));
+                ("reader_visits", readers Itreap.visits);
+                ("writer_size", float_of_int (Itreap.size h.writer));
+                ("reader_size", readers Itreap.size);
+              ]
+            @ Policies.path_diags (fun f -> f h.writer + f h.lreader + f h.rreader)
+            @ coal_diags coals);
+    }
+  in
+  {
+    Detector.name = "stint";
+    driver;
+    report;
+    drain = (fun () -> ());
+    diagnostics = (fun () -> !diags);
+    validate = (fun () -> !validators ());
   }

@@ -42,7 +42,19 @@
     multi-domain executor runs each shard's triple on one pool worker
     ([Systems.micropools] groups them).  Each step
     reports the number of treap-node visits it caused, which is the cost
-    its caller charges in virtual time (through the stage's cost hook). *)
+    its caller charges in virtual time (through the stage's cost hook).
+
+    STINT (Xu et al., ALENEX'22), the serial interval-based detector, is
+    {!serial}: one shard's three treaps — last writer, left-most reader and
+    right-most reader, the roles of PINT's three treap workers — updated
+    synchronously at the end of each strand with the strand's coalesced
+    intervals, by the same role steps PINT's stages run.  The paper's STINT
+    keeps one reader per location, which suffices because the computation
+    executes in depth-first serial order (Feng–Leiserson): the
+    left-most-reader policy plus SP pseudo-transitivity guarantees no race
+    is missed.  The right-most reader is kept as well, so that STINT
+    reports the same deduplicated race set as PINT (Theorem 5), which the
+    differential replay checks rely on. *)
 
 type t
 
@@ -57,6 +69,17 @@ type t
     {!Ahq.default_batch} lane records per step, amortizing cursor updates
     and slot-recycling checks. *)
 val make : ?seed:int -> ?shards:int -> unit -> t
+
+(** [serial ?seed ?obs ()] — STINT: one shard's writer, left-most-reader
+    and right-most-reader role steps, applied on the calling thread at each
+    strand's finish, with no trace, no AHQ and no stages.  Its treaps are
+    seeded by [make]'s rule (default seed 4242), so at equal seeds its
+    [writer_visits] are a one-shard PINT run's and its [reader_visits] are
+    PINT's [lreader_visits + rreader_visits].  Running it on more than one
+    core worker is a usage error, rejected at [driver] time.  [obs]: each
+    strand's treap work is a span on the ["stint"] track (arg = treap-node
+    visits, which is also the duration on a virtual clock). *)
+val serial : ?seed:int -> ?obs:Obs.t -> unit -> Detector.t
 
 (** The configured shard count. *)
 val shards : t -> int

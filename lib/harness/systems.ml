@@ -11,18 +11,10 @@ let detector_names = [ "none"; "stint"; "cracer"; "pint" ]
 let make_detector ?seed ?(shards = 1) ?stage_cost ?(obs = Obs.disabled) ?(bp_rounds = 0) name =
   match name with
   | "none" -> Some (Nodetect.make (), [])
-  | "stint" ->
-      let d =
-        match seed with Some s -> Stint.make ~seed:s ~obs () | None -> Stint.make ~obs ()
-      in
-      Some (d, [])
+  | "stint" -> Some (Pint_detector.serial ?seed ~obs (), [])
   | "cracer" -> Some (Cracer.make ~obs (), [])
   | "pint" ->
-      let p =
-        match seed with
-        | Some s -> Pint_detector.make ~seed:s ~shards ()
-        | None -> Pint_detector.make ~shards ()
-      in
+      let p = Pint_detector.make ?seed ~shards () in
       Pint_detector.set_obs p obs;
       if bp_rounds > 0 then Pint_detector.set_backpressure p ~rounds:bp_rounds;
       let stages =

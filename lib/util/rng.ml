@@ -1,38 +1,48 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer: a mutable [int64]
+   field would box a fresh value on every draw.  [mix64] and [next64] are
+   inlined into their callers so their [int64] results are not boxed
+   either: a draw through [next] or [int] allocates nothing. *)
+type t = { state : Bytes.t }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = { state = Bytes.create 8 } in
+  Bytes.set_int64_ne t.state 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let next64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let copy t = { state = Bytes.copy t.state }
+
+let[@inline] next64 t =
+  let s = Int64.add (Bytes.get_int64_ne t.state 0) golden_gamma in
+  Bytes.set_int64_ne t.state 0 s;
+  mix64 s
 
 let split t =
   (* Two draws: one seeds the child, the second perturbs its gamma position. *)
   let s = next64 t in
   let g = next64 t in
-  { state = Int64.add (mix64 s) g }
+  of_state (Int64.add (mix64 s) g)
 
 (* Mask to OCaml's non-negative int range (62 value bits). *)
 let next t = Int64.to_int (next64 t) land max_int
 
+(* Rejection sampling to avoid modulo bias. *)
+let rec int_below t bound =
+  let r = next t in
+  let v = r mod bound in
+  if r - v > max_int - bound + 1 then int_below t bound else v
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
-  let rec go () =
-    let r = next t in
-    let v = r mod bound in
-    if r - v > max_int - bound + 1 then go () else v
-  in
-  go ()
+  int_below t bound
 
 let float t = Int64.to_float (Int64.shift_right_logical (next64 t) 11) *. 0x1.0p-53
 

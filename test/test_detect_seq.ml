@@ -19,7 +19,7 @@ let run_detector make_d prog =
 
 let run_all prog =
   [
-    run_detector (fun () -> Stint.make ()) prog;
+    run_detector (fun () -> Pint_detector.serial ()) prog;
     run_detector (fun () -> Cracer.make ()) prog;
     run_detector (fun () -> Pint_detector.detector (Pint_detector.make ())) prog;
   ]
@@ -371,7 +371,7 @@ let detect_qcheck =
 (* ---------------------------------------------------------- plumbing *)
 
 let test_counts_and_structure () =
-  let d = Stint.make () in
+  let d = Pint_detector.serial () in
   let res =
     Sim_exec.run ~config:Sim_exec.serial ~driver:d.Detector.driver (fun () ->
         let b = Fj.alloc_f 4 in

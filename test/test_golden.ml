@@ -119,36 +119,42 @@ let check_sharded_domains path () =
           (List.length ref_sig))
     [ 2; 4 ]
 
-(* Treap visit pins: the [*_visits] diagnostics of pint at shards 1 and 4
-   and of stint, per golden trace, as the treap with in-place exact-cover
-   updates and the three-walk general path produces them (DESIGN.md §8).
-   Visits are what the cost model charges for treap work
-   ([c_treap_visit]), so a treap change that alters the visit sequence
-   moves the simulated figures and [detect_span]; it must fail here first.
-   A new golden trace needs its row added. *)
+(* Treap visit pins: the [*_visits] diagnostics of pint at shards 1 and 4,
+   per golden trace, as the treap with in-place exact-cover updates and the
+   three-walk general path produces them (DESIGN.md §8).  STINT's row is
+   derived, not pinned: it runs PINT's role steps on one shard's treaps,
+   seeded by PINT's rule, so its writer visits are PINT's and its reader
+   visits are the sum of PINT's two reader roles'.  Visits are what the
+   cost model charges for treap work ([c_treap_visit]), so a treap change
+   that alters the visit sequence moves the simulated figures and
+   [detect_span]; it must fail here first.  A new golden trace needs its
+   row added. *)
 let expected_visits =
   [
     ( "heat_racy.trace",
-      [ ("writer_visits", 59.); ("lreader_visits", 65.); ("rreader_visits", 68.) ],
-      [ ("writer_visits", 56.); ("reader_visits", 131.) ] );
+      [ ("writer_visits", 59.); ("lreader_visits", 65.); ("rreader_visits", 68.) ] );
     ( "lucky_racy.trace",
-      [ ("writer_visits", 5.); ("lreader_visits", 0.); ("rreader_visits", 0.) ],
-      [ ("writer_visits", 5.); ("reader_visits", 0.) ] );
+      [ ("writer_visits", 5.); ("lreader_visits", 0.); ("rreader_visits", 0.) ] );
     ( "mmul_racy.trace",
-      [ ("writer_visits", 8143.); ("lreader_visits", 8165.); ("rreader_visits", 10210.) ],
-      [ ("writer_visits", 7371.); ("reader_visits", 19140.) ] );
+      [ ("writer_visits", 8143.); ("lreader_visits", 8165.); ("rreader_visits", 10210.) ] );
     ( "sort_racy.trace",
-      [ ("writer_visits", 438.); ("lreader_visits", 531.); ("rreader_visits", 860.) ],
-      [ ("writer_visits", 413.); ("reader_visits", 1206.) ] );
+      [ ("writer_visits", 438.); ("lreader_visits", 531.); ("rreader_visits", 860.) ] );
   ]
 
 let check_visits path () =
   let t = Tracefile.load path in
   let base = Filename.basename path in
-  let pint_want, stint_want =
-    match List.find_opt (fun (f, _, _) -> f = base) expected_visits with
-    | Some (_, p, s) -> (p, s)
+  let pint_want =
+    match List.assoc_opt base expected_visits with
+    | Some p -> p
     | None -> Alcotest.failf "%s: no pinned visit counts" path
+  in
+  let stint_want =
+    let v k = List.assoc k pint_want in
+    [
+      ("writer_visits", v "writer_visits");
+      ("reader_visits", v "lreader_visits" +. v "rreader_visits");
+    ]
   in
   let visits ?shards det keys =
     let d, _ = Option.get (Systems.make_detector ?shards det) in
@@ -159,6 +165,37 @@ let check_visits path () =
   Alcotest.check pinned (path ^ ": pint s1") pint_want (visits ~shards:1 "pint" pint_want);
   Alcotest.check pinned (path ^ ": pint s4") pint_want (visits ~shards:4 "pint" pint_want);
   Alcotest.check pinned (path ^ ": stint") stint_want (visits "stint" stint_want)
+
+(* STINT is PINT at one shard: [Pint_detector.serial] runs the role steps
+   PINT's stages run, on treaps seeded by PINT's rule.  At one explicit
+   seed, a replay through stint and through one-shard pint must report the
+   identical race list, witnesses included; stint's writer visits must be
+   pint's and its reader visits pint's two reader roles' sum. *)
+let check_serial_is_pint t =
+  let replay det =
+    let d, _ = Option.get (Systems.make_detector ~seed:2022 det) in
+    Replay.run t d
+  in
+  let st = replay "stint" and pt = replay "pint" in
+  let listing o = List.map (Format.asprintf "%a" Report.pp_race) o.Replay.races in
+  Alcotest.(check (list string)) "races and witnesses" (listing pt) (listing st);
+  let diag o k = Option.value ~default:nan (List.assoc_opt k o.Replay.diagnostics) in
+  let check_visits what want got = Alcotest.(check (float 0.)) what want got in
+  check_visits "writer visits" (diag pt "writer_visits") (diag st "writer_visits");
+  check_visits "reader visits"
+    (diag pt "lreader_visits" +. diag pt "rreader_visits")
+    (diag st "reader_visits")
+
+(* a fresh serial capture of a workload at its default size: the racy
+   variant where there is one *)
+let fresh_capture (w : Workload.t) =
+  let size = w.Workload.default_size and base = w.Workload.default_base in
+  let inst =
+    match w.Workload.racy with Some racy -> racy ~size ~base | None -> w.Workload.make ~size ~base
+  in
+  let driver, finished = Tracefile.capturing (Nodetect.make ()).Detector.driver in
+  ignore (Sim_exec.run ~config:Sim_exec.serial ~driver inst.Workload.run);
+  finished ()
 
 (* Corruption robustness: a damaged trace must always surface as a clean
    [Tracefile.Error] — never an escaping exception from the parser and
@@ -292,6 +329,17 @@ let () =
         List.map (fun path -> Alcotest.test_case path `Quick (check_sharded_domains path)) files );
       ( "visits",
         List.map (fun path -> Alcotest.test_case path `Quick (check_visits path)) files );
+      ( "serial",
+        List.map
+          (fun path ->
+            Alcotest.test_case path `Quick (fun () ->
+                check_serial_is_pint (Tracefile.load path)))
+          files
+        @ List.map
+            (fun (w : Workload.t) ->
+              Alcotest.test_case ("fresh " ^ w.Workload.name) `Quick (fun () ->
+                  check_serial_is_pint (fresh_capture w)))
+            (Registry.all ()) );
       ( "corruption",
         List.map (fun path -> Alcotest.test_case path `Quick (check_corrupt path)) files );
       ( "corruption-chunked",

@@ -115,7 +115,7 @@ let test_pint_domains_random_equivalence () =
       let buf = Fj.alloc_f nbuf in
       Test_sim_progs.interpret buf actions ()
     in
-    let sd = Stint.make () in
+    let sd = Pint_detector.serial () in
     let _ = Sim_exec.run ~config:Sim_exec.serial ~driver:sd.Detector.driver prog in
     let expected = Detector.races sd <> [] in
     let p = Pint_detector.make () in

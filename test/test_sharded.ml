@@ -170,7 +170,7 @@ let test_sharded_random_equivalence () =
       let buf = Fj.alloc_f nbuf in
       Test_sim_progs.interpret buf actions ()
     in
-    let sd = Stint.make () in
+    let sd = Pint_detector.serial () in
     let _ = Sim_exec.run ~config:Sim_exec.serial ~driver:sd.Detector.driver prog in
     let expected = Detector.races sd <> [] in
     List.iter

@@ -189,7 +189,7 @@ let test_sim_race_free_clean () =
    (with steals!) must match the sequential oracle verdict, for both
    parallel detectors, across worker counts and seeds. *)
 let oracle_verdict actions nbuf =
-  let d = Stint.make () in
+  let d = Pint_detector.serial () in
   let _ =
     Sim_exec.run ~config:Sim_exec.serial ~driver:d.Detector.driver (fun () ->
         let buf = Fj.alloc_f nbuf in

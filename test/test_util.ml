@@ -41,6 +41,49 @@ let test_rng_int_bounds () =
     check_bool "in range" true (v >= 0 && v < 17)
   done
 
+(* Known answers: the first draws for fixed seeds, as the boxed-state
+   generator produced them.  Treap priorities, steal victims and workload
+   inputs all come from these streams, so a change to them moves every
+   visit pin and capture. *)
+let test_rng_known_answers () =
+  let draws n f = List.init n (fun _ -> f ()) in
+  let check_draws what want got = Alcotest.(check (list int)) what want got in
+  List.iter
+    (fun (seed, want) ->
+      let r = Rng.create seed in
+      check_draws (Printf.sprintf "next, seed %d" seed) want (draws 4 (fun () -> Rng.next r)))
+    [
+      (0, [ 2459150361376443823; 3348600503766967796; 487617019471545679; 4074553321498378732 ]);
+      (42, [ 1773080229305530473; 2958219263312191191; 3069497704473277141; 885919558081284366 ]);
+      (2022, [ 1806243538875459932; 4331288149368335996; 4244181991072488053; 630133313600134015 ]);
+    ];
+  List.iter
+    (fun (seed, bound, want) ->
+      let r = Rng.create seed in
+      check_draws
+        (Printf.sprintf "int, seed %d, bound %d" seed bound)
+        want
+        (draws 6 (fun () -> Rng.int r bound)))
+    [
+      (7, 17, [ 9; 1; 10; 1; 3; 8 ]);
+      (7, 1000, [ 47; 821; 496; 163; 709; 200 ]);
+      (* about half the raw draws are rejected at this bound *)
+      ( 4242,
+        (1 lsl 61) + 1,
+        [
+          1477755608785164429;
+          1991625205919957053;
+          1565337923451471204;
+          7141535214060638;
+          1865175435089099004;
+          980739206852154839;
+        ] );
+    ];
+  let r = Rng.create 5 in
+  let c = Rng.split r in
+  check_draws "split child, then parent" [ 307453648162462290; 614604348799274184 ]
+    [ Rng.next c; Rng.next r ]
+
 let test_rng_int_invalid () =
   let r = Rng.create 1 in
   Alcotest.check_raises "zero bound" (Invalid_argument "Rng.int: bound must be positive")
@@ -159,6 +202,7 @@ let () =
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int invalid" `Quick test_rng_int_invalid;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;

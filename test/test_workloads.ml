@@ -34,7 +34,7 @@ let test_seq_race_free name () =
   let w = Registry.find name in
   let size, base = params name in
   let inst = w.Workload.make ~size ~base in
-  let d = Stint.make () in
+  let d = Pint_detector.serial () in
   let _ = Sim_exec.run ~config:Sim_exec.serial ~driver:d.Detector.driver inst.Workload.run in
   check_bool (name ^ " result correct") true (inst.Workload.check ());
   check_int (name ^ " race free under stint") 0 (List.length (Detector.races d))
@@ -46,7 +46,7 @@ let test_racy_detected name () =
   | None -> ()
   | Some racy ->
       let inst = racy ~size ~base in
-      let d = Stint.make () in
+      let d = Pint_detector.serial () in
       let _ = Sim_exec.run ~config:Sim_exec.serial ~driver:d.Detector.driver inst.Workload.run in
       check_bool (name ^ " racy variant detected by stint") true (Detector.races d <> []);
       (* and by PINT under the simulator with real steals *)
@@ -126,7 +126,7 @@ let test_fft_many_intervals () =
   let win name =
     let w = Registry.find name in
     let inst = w.Workload.make ~size:w.Workload.default_size ~base:w.Workload.default_base in
-    let d = Stint.make () in
+    let d = Pint_detector.serial () in
     let _ = Sim_exec.run ~config:Sim_exec.serial ~driver:d.Detector.driver inst.Workload.run in
     Detector.diag d "work" /. Float.max 1. (Detector.diag d "intervals")
   in
