@@ -3,7 +3,6 @@ type engine = {
   e_sync : unit -> unit;
   e_scope : (unit -> unit) -> unit;
   e_with_frame : words:int -> (Membuf.f -> unit) -> unit;
-  e_wid : unit -> int;
   e_space : Aspace.t;
 }
 
@@ -21,7 +20,6 @@ let spawn f = (engine ()).e_spawn f
 let sync () = (engine ()).e_sync ()
 let scope f = (engine ()).e_scope f
 let with_frame ~words k = (engine ()).e_with_frame ~words k
-let wid () = (engine ()).e_wid ()
 let space () = (engine ()).e_space
 
 let alloc_f n = Membuf.alloc_f (space ()) n

@@ -27,7 +27,6 @@ type engine = {
   e_sync : unit -> unit;
   e_scope : (unit -> unit) -> unit;
   e_with_frame : words:int -> (Membuf.f -> unit) -> unit;
-  e_wid : unit -> int;
   e_space : Aspace.t;
 }
 
@@ -45,9 +44,6 @@ val spawn : (unit -> unit) -> unit
 val sync : unit -> unit
 val scope : (unit -> unit) -> unit
 val with_frame : words:int -> (Membuf.f -> unit) -> unit
-
-(** Id of the executing (core) worker. *)
-val wid : unit -> int
 
 (** The run's address space. *)
 val space : unit -> Aspace.t

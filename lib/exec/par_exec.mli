@@ -1,12 +1,13 @@
 (** Real multi-domain work-stealing executor.
 
     Runs the fork-join computation on OCaml 5 domains with Cilk-style
-    continuation stealing: a worker executes the spawned child immediately,
-    parks the continuation on its own lock-free Chase-Lev deque
+    continuation stealing, through the strand protocol {!Book} shares with
+    {!Sim_exec}: a worker executes the spawned child immediately and parks
+    the continuation; non-trivial syncs suspend the function, and the last
+    returning child resumes it on its own domain.  The executor keeps only
+    its scheduler: each worker parks on its own lock-free Chase-Lev deque
     ({!Cldeque}), and idle workers steal the oldest continuation from a
-    random victim — no mutex anywhere on the steal path.  Non-trivial syncs
-    suspend the function; the last returning child resumes it on its own
-    domain.
+    random victim — no mutex anywhere on the steal path.
 
     Pipeline stages run on a {!Micropool} with one pinned worker domain
     per stage group — for PINT, one per shard's {writer, lreader, rreader}
@@ -50,4 +51,4 @@ type result = {
 
 val default_config : config
 
-val run : ?aspace:Aspace.t -> config:config -> driver:Hooks.driver -> (unit -> unit) -> result
+val run : config:config -> driver:Hooks.driver -> (unit -> unit) -> result

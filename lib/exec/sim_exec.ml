@@ -46,256 +46,85 @@ let serial = { default_config with n_workers = 1; strand_cost = (fun _ _ -> 0) }
 
 (* ------------------------------------------------------- scheduler state *)
 
-type frame = {
-  parent : frame option;
-  mutable sync_rec : Srec.t option;
-  mutable outstanding : int;
-  mutable stolen_in_block : bool;
-  mutable suspended : susp option;
-}
-
-and susp = { sk : Fiber.kont; sfiber : fiber_done; srec : Srec.t }
-
-and fiber_done = Root | Child of child_info
-
-and child_info = { cp_frame : frame; cp_sync : Srec.t; cp_item : ditem }
-
-and ditem = {
-  dk : Fiber.kont;
-  dframe : frame;
-  drec : Srec.t;
-  dfiber : fiber_done;
-  dpushed_at : int;
-}
-
-type job = J_start of (unit -> unit) | J_resume of Fiber.kont | J_end
-
 type wstate = {
-  wid : int;
   mutable clock : int;
-  mutable job : job option;
-  mutable fid : fiber_done;
-  mutable frame : frame;
-  mutable cur : Srec.t;
-  (* deque as a list, newest (bottom) first; steals take the oldest (last).
-     Depth is bounded by spawn depth, so O(depth) steals are fine. *)
-  mutable deque : ditem list;
+  (* deque as a list of (push time, item), newest (bottom) first; steals
+     take the oldest (last).  Depth is bounded by spawn depth, so O(depth)
+     steals are fine. *)
+  mutable deque : (int * Book.parked) list;
+  (* the fiber finished and was charged; its end resolves on the next turn *)
+  mutable ending : bool;
 }
-
-let new_frame ~parent =
-  {
-    parent;
-    sync_rec = None;
-    outstanding = 0;
-    stolen_in_block = false;
-    suspended = None;
-  }
-
-let dq_push w item = w.deque <- item :: w.deque
-
-let dq_pop_bottom w =
-  match w.deque with
-  | [] -> None
-  | item :: rest ->
-      w.deque <- rest;
-      Some item
 
 let rec last_and_init acc = function
   | [] -> None
   | [ x ] -> Some (x, List.rev acc)
   | x :: rest -> last_and_init (x :: acc) rest
 
-let dq_peek_top w = match last_and_init [] w.deque with None -> None | Some (x, _) -> Some x
+let dq_peek_top (w : wstate Book.worker) =
+  match last_and_init [] w.sched.deque with None -> None | Some (x, _) -> Some x
 
-let dq_steal_top w =
-  match last_and_init [] w.deque with
+let dq_steal_top (w : wstate Book.worker) =
+  match last_and_init [] w.sched.deque with
   | None -> None
-  | Some (x, init) ->
-      w.deque <- init;
-      Some x
+  | Some ((_, item), init) ->
+      w.sched.deque <- init;
+      Some item
 
 (* -------------------------------------------------------------- the run *)
 
 type sim_stage = { stage : Stage.t; mutable s_clock : int; mutable s_done : bool }
 
-let run ?aspace ~config ~(driver : Hooks.driver) main =
-  let aspace = match aspace with Some a -> a | None -> Aspace.create () in
+let run ~config ~driver main =
   let nw = config.n_workers in
-  if nw < 1 then invalid_arg "Sim_exec: need at least one worker";
-  if nw > Aspace.max_workers aspace then invalid_arg "Sim_exec: more workers than stack regions";
-  let sp, root_sp = Sp_order.create () in
-  let next_uid = ref 1 in
-  let fresh s =
-    incr next_uid;
-    Srec.make ~uid:!next_uid s
-  in
-  let root_rec = Srec.make ~uid:1 root_sp in
-  let workers =
-    Array.init nw (fun wid ->
-        {
-          wid;
-          clock = 0;
-          job = None;
-          fid = Root;
-          frame = new_frame ~parent:None;
-          cur = root_rec;
-          deque = [];
-        })
-  in
-  let cur_wid = ref 0 in
-  let worker () = workers.(!cur_wid) in
-  let ctx = { Hooks.aspace; sp; n_workers = nw; current = (fun ~wid -> workers.(wid).cur) } in
-  let hooks = driver ctx in
   let rng = Rng.create config.seed in
-  let n_spawns = ref 0 and n_nontrivial = ref 0 in
   let n_steals = ref 0 and n_failed = ref 0 in
   let core_work = ref 0 in
-  let computation_done = ref false in
-
-  let precharge w kind =
-    let u = w.cur in
-    let c = config.strand_cost u kind in
-    w.clock <- w.clock + c;
-    u.Srec.cost <- c;
-    u.Srec.finished_at <- w.clock;
-    core_work := !core_work + c
-  in
+  let cur_wid = ref 0 in
   (* Pin the (virtual) observability clock to the acting worker's own
      timeline before every boundary hook: instrumented drivers stamp
      finishes at the worker's simulated time, deterministically. *)
   let oclk = config.obs_clock in
-  let commit_finish w kind =
-    Clock.set oclk w.clock;
-    hooks.Hooks.on_finish ~wid:w.wid w.cur kind
+  let precharge (w : wstate Book.worker) kind =
+    let u = w.cur in
+    let c = config.strand_cost u kind in
+    w.sched.clock <- w.sched.clock + c;
+    u.Srec.cost <- c;
+    u.Srec.finished_at <- w.sched.clock;
+    core_work := !core_work + c
   in
-  let finish w kind =
-    precharge w kind;
-    commit_finish w kind
+  let t =
+    Book.create ~driver ~n_workers:nw
+      (fun ~inert:_ _ -> { clock = 0; deque = []; ending = false })
+      (fun hooks workers ->
+        {
+          Book.self = (fun () -> workers.(!cur_wid));
+          start =
+            (fun ~wid r kind ->
+              Clock.set oclk workers.(wid).sched.clock;
+              hooks.Hooks.on_start ~wid r kind);
+          finish =
+            (fun ~wid u kind ->
+              let w = workers.(wid) in
+              (match kind with
+              | Events.F_spawn _ | Events.F_sync _ -> precharge w kind
+              (* a fiber's last strand was charged when the fiber finished *)
+              | Events.F_return _ | Events.F_root -> ());
+              Clock.set oclk w.sched.clock;
+              hooks.Hooks.on_finish ~wid u kind);
+          push = (fun w item -> w.sched.deque <- (w.sched.clock, item) :: w.sched.deque);
+          pop =
+            (fun w ->
+              match w.sched.deque with
+              | [] -> None
+              | (_, item) :: rest ->
+                  w.sched.deque <- rest;
+                  Some item);
+        })
   in
-  let start w r kind =
-    w.cur <- r;
-    Clock.set oclk w.clock;
-    hooks.Hooks.on_start ~wid:w.wid r kind
-  in
+  let workers = Book.workers t and hooks = Book.hooks t in
 
-  (* engine operations, called from inside fibers *)
-  let e_sync () =
-    let w = worker () in
-    match w.frame.sync_rec with None -> () | Some _ -> Fiber.sync ()
-  in
-  let e_spawn = Fiber.spawn in
-  let e_scope f =
-    let w = worker () in
-    let fr = new_frame ~parent:(Some w.frame) in
-    w.frame <- fr;
-    f ();
-    e_sync ();
-    (worker ()).frame <- Option.get fr.parent
-  in
-  let e_with_frame ~words k =
-    let w = worker () in
-    let push_wid = w.wid in
-    Membuf.Frame.with_f_hooked aspace ~worker:push_wid ~words
-      ~on_pop:(fun ~base ~len ->
-        let w' = worker () in
-        if w'.wid <> push_wid then
-          failwith
-            "Sim_exec: stack frame popped on a different worker — with_frame bodies must not \
-             contain non-trivial syncs";
-        w'.cur.Srec.clears <- (base, len) :: w'.cur.Srec.clears)
-      k
-  in
-
-  (* boundary handling *)
-  let handle_spawn w f k =
-    incr n_spawns;
-    let fr = w.frame in
-    let first = Option.is_none fr.sync_rec in
-    let child_sp, cont_rec, sync_rec = Book.spawn sp ~fresh ~u:w.cur ~sync:fr.sync_rec in
-    if first then fr.sync_rec <- Some sync_rec;
-    finish w (Events.F_spawn { cont = cont_rec; sync = sync_rec; first_of_block = first });
-    fr.outstanding <- fr.outstanding + 1;
-    let item = { dk = k; dframe = fr; drec = cont_rec; dfiber = w.fid; dpushed_at = w.clock } in
-    dq_push w item;
-    let child_rec = fresh child_sp in
-    w.fid <- Child { cp_frame = fr; cp_sync = sync_rec; cp_item = item };
-    w.frame <- new_frame ~parent:(Some fr);
-    start w child_rec Events.S_child;
-    w.job <-
-      Some
-        (J_start
-           (fun () ->
-             f ();
-             e_sync ()))
-  in
-  let handle_sync w k =
-    let fr = w.frame in
-    let sync_rec = Option.get fr.sync_rec in
-    let trivial = not fr.stolen_in_block in
-    if trivial && fr.outstanding > 0 then
-      failwith "Sim_exec: outstanding children at a sync with no steal in the block";
-    if not trivial then begin
-      incr n_nontrivial;
-      Book.at_sync_nontrivial ~u:w.cur ~sync:sync_rec
-    end;
-    finish w (Events.F_sync { trivial; sync = sync_rec });
-    fr.sync_rec <- None;
-    fr.stolen_in_block <- false;
-    if fr.outstanding = 0 then begin
-      start w sync_rec (Events.S_after_sync { trivial });
-      w.job <- Some (J_resume k)
-    end
-    else fr.suspended <- Some { sk = k; sfiber = w.fid; srec = sync_rec }
-  in
-  (* A fiber's end was precharged when its last strand executed; the deque
-     pop (steal-vs-not resolution) happens on the worker's next turn, at the
-     advanced clock, so thieves whose clocks fall inside the final strand's
-     execution window still get their chance at the continuation. *)
-  let handle_fiber_end w =
-    match w.fid with
-    | Root ->
-        commit_finish w Events.F_root;
-        computation_done := true
-    | Child ci -> begin
-        let fr = ci.cp_frame in
-        fr.outstanding <- fr.outstanding - 1;
-        match dq_pop_bottom w with
-        | Some item when item == ci.cp_item ->
-            commit_finish w (Events.F_return { cont_stolen = false; parent_sync = Some ci.cp_sync });
-            w.fid <- item.dfiber;
-            w.frame <- item.dframe;
-            start w item.drec (Events.S_cont { stolen = false });
-            w.job <- Some (J_resume item.dk)
-        | Some _ -> failwith "Sim_exec: deque bottom is not this spawn's continuation"
-        | None -> begin
-            (* our continuation was stolen *)
-            Book.at_return_cont_stolen ~u:w.cur ~parent_sync:ci.cp_sync;
-            commit_finish w (Events.F_return { cont_stolen = true; parent_sync = Some ci.cp_sync });
-            if fr.outstanding = 0 then
-              match fr.suspended with
-              | Some susp ->
-                  (* last child to return passes the sync *)
-                  fr.suspended <- None;
-                  w.fid <- susp.sfiber;
-                  w.frame <- fr;
-                  start w susp.srec (Events.S_after_sync { trivial = false });
-                  w.job <- Some (J_resume susp.sk)
-              | None -> ()
-          end
-      end
-  in
-  let handle_status w = function
-    | Fiber.Finished ->
-        (* charge the final strand now (the return-boundary constant does not
-           depend on the steal outcome), resolve the return on the next turn *)
-        precharge w
-          (Events.F_return { cont_stolen = false; parent_sync = None });
-        w.job <- Some J_end
-    | Fiber.Spawned (f, k) -> handle_spawn w f k
-    | Fiber.Synced k -> handle_sync w k
-  in
-
-  let attempt_steal w =
+  let attempt_steal (w : wstate Book.worker) =
     (* a thief probes victims starting from a random one, like a real
        work-stealing loop does within one quantum *)
     let offset = Rng.int rng (nw - 1) in
@@ -305,7 +134,7 @@ let run ?aspace ~config ~(driver : Hooks.driver) main =
         let v = (w.wid + 1 + ((offset + i) mod (nw - 1))) mod nw in
         let victim = workers.(v) in
         match dq_peek_top victim with
-        | Some item when item.dpushed_at <= w.clock -> Some victim
+        | Some (pushed_at, _) when pushed_at <= w.sched.clock -> Some victim
         | _ -> probe (i + 1)
       end
     in
@@ -313,28 +142,22 @@ let run ?aspace ~config ~(driver : Hooks.driver) main =
     | Some victim ->
         let item = Option.get (dq_steal_top victim) in
         incr n_steals;
-        w.clock <- w.clock + config.c_steal;
-        item.dframe.stolen_in_block <- true;
-        w.fid <- item.dfiber;
-        w.frame <- item.dframe;
-        start w item.drec (Events.S_cont { stolen = true });
-        w.job <- Some (J_resume item.dk)
+        w.sched.clock <- w.sched.clock + config.c_steal;
+        Book.steal t w item
     | None ->
         incr n_failed;
-        w.clock <- w.clock + config.c_steal_fail;
+        w.sched.clock <- w.sched.clock + config.c_steal_fail;
         (* if every stealable item lies in the future, sleep until the first *)
         let earliest =
           Array.fold_left
             (fun acc v ->
               match dq_peek_top v with
-              | Some item -> (
-                  match acc with
-                  | None -> Some item.dpushed_at
-                  | Some t -> Some (min t item.dpushed_at))
+              | Some (pushed_at, _) -> (
+                  match acc with None -> Some pushed_at | Some e -> Some (min e pushed_at))
               | None -> acc)
             None workers
         in
-        (match earliest with Some t when w.clock < t -> w.clock <- t | _ -> ())
+        (match earliest with Some e when w.sched.clock < e -> w.sched.clock <- e | _ -> ())
   in
 
   (* pipeline stages (PINT's treap workers), driven through the engine so
@@ -368,15 +191,7 @@ let run ?aspace ~config ~(driver : Hooks.driver) main =
     Array.init nw (fun wid ->
         Hooks.with_counting (fun () -> workers.(wid).cur) (hooks.Hooks.sink ~wid))
   in
-  Fj.install
-    {
-      Fj.e_spawn;
-      e_sync;
-      e_scope;
-      e_with_frame;
-      e_wid = (fun () -> !cur_wid);
-      e_space = aspace;
-    };
+  Fj.install (Book.engine t);
   Access.install
     {
       Access.on_read = (fun ~addr ~len -> sinks.(!cur_wid).Access.on_read ~addr ~len);
@@ -389,44 +204,43 @@ let run ?aspace ~config ~(driver : Hooks.driver) main =
       Access.uninstall ();
       Fj.uninstall ())
     (fun () ->
-      hooks.Hooks.on_start ~wid:0 root_rec Events.S_root;
-      workers.(0).job <-
-        Some
-          (J_start
-             (fun () ->
-               main ();
-               e_sync ()));
+      Book.launch t main;
       (* main scheduling loop: always advance the lowest-clock runnable
          worker; tie-break on worker id for determinism *)
-      while not !computation_done do
-        let any_items = Array.exists (fun w -> w.deque <> []) workers in
+      while not (Book.finished t) do
+        let any_items = Array.exists (fun w -> w.Book.sched.deque <> []) workers in
         let best = ref None in
         Array.iter
-          (fun w ->
-            let runnable = Option.is_some w.job || any_items in
+          (fun (w : wstate Book.worker) ->
+            let runnable = Option.is_some w.job || w.sched.ending || any_items in
             if runnable then
               match !best with
-              | Some b when b.clock <= w.clock -> ()
+              | Some b when b.Book.sched.clock <= w.sched.clock -> ()
               | _ -> best := Some w)
           workers;
         (match !best with
         | None -> failwith "Sim_exec: deadlock — no runnable worker but computation unfinished"
         | Some w -> (
-            match w.job with
-            | Some J_end ->
-                w.job <- None;
-                handle_fiber_end w
-            | Some j ->
-                w.job <- None;
-                cur_wid := w.wid;
-                let st =
-                  match j with
-                  | J_start g -> Fiber.run g
-                  | J_resume k -> Fiber.resume k
-                  | J_end -> assert false
-                in
-                handle_status w st
-            | None -> attempt_steal w));
+            (* A fiber's end was precharged when its last strand executed;
+               the deque pop (steal-vs-not resolution) happens on the
+               worker's next turn, at the advanced clock, so thieves whose
+               clocks fall inside the final strand's execution window still
+               get their chance at the continuation. *)
+            if w.sched.ending then begin
+              w.sched.ending <- false;
+              Book.fiber_end t w
+            end
+            else
+              match w.job with
+              | Some j ->
+                  cur_wid := w.wid;
+                  if Book.exec t w j then begin
+                    (* the return-boundary constant does not depend on the
+                       steal outcome *)
+                    precharge w (Events.F_return { cont_stolen = false; parent_sync = None });
+                    w.sched.ending <- true
+                  end
+              | None -> attempt_steal w));
         drain_stages ()
       done;
       hooks.Hooks.on_done ();
@@ -438,18 +252,19 @@ let run ?aspace ~config ~(driver : Hooks.driver) main =
           else final_drain (guard + 1)
       in
       final_drain 0);
-  Array.iter (fun w -> assert (w.deque = [])) workers;
-  let makespan = Array.fold_left (fun m w -> max m w.clock) 0 workers in
+  Array.iter (fun w -> assert (w.Book.sched.deque = [])) workers;
+  let clocks = Array.map (fun w -> w.Book.sched.clock) workers in
+  let makespan = Array.fold_left max 0 clocks in
   let total = List.fold_left (fun m a -> max m a.s_clock) makespan sim_stages in
   {
     makespan;
     total;
-    worker_clocks = Array.map (fun w -> w.clock) workers;
+    worker_clocks = clocks;
     stage_clocks = List.map (fun a -> (Stage.name a.stage, a.s_clock)) sim_stages;
     n_steals = !n_steals;
     n_failed_steals = !n_failed;
-    n_strands = !next_uid;
-    n_spawns = !n_spawns;
-    n_nontrivial_syncs = !n_nontrivial;
+    n_strands = Book.n_strands t;
+    n_spawns = Book.n_spawns t;
+    n_nontrivial_syncs = Book.n_nontrivial_syncs t;
     core_work = !core_work;
   }

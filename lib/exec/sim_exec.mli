@@ -8,20 +8,22 @@
     physical core, so wall-clock parallel measurements are replaced by a
     deterministic model driven by measured event counts).
 
-    Model:
+    The strand protocol — frames, spawn, sync, return and steal handling,
+    the {!Fj} engine — is {!Book}'s, shared with {!Par_exec}: a worker
+    executes spawned children first and parks the continuation on its
+    deque, non-trivial syncs suspend the frame and the last returning child
+    resumes it on its own worker, as in Cilk.  The simulator keeps only its
+    scheduler:
     - each virtual worker has a clock; the scheduler always advances the
       lowest-clock runnable worker, so interleaving is clock-causal and, with
       a fixed seed, bit-reproducible;
-    - user code is chopped into strands with OCaml effects ({!Fiber}):
-      [spawn]/[sync] suspend the fiber and return control to the scheduler;
-    - a worker executes spawned children first and pushes the continuation
-      on its deque (bottom); an idle worker steals from the top of a random
-      victim's deque, paying [c_steal], and can only take an item whose push
-      time has passed;
+    - a worker's deque is a list of continuations with their push times; an
+      idle worker steals from the top of a random victim's deque, paying
+      [c_steal], and can only take an item whose push time has passed;
     - a strand's cost is charged at its finishing boundary via the
       [strand_cost] closure — the harness supplies per-detector cost models;
-    - non-trivial syncs suspend the frame; the last returning child resumes
-      it on its own worker, as in Cilk;
+      a fiber's last strand is charged when the fiber finishes, and its
+      return resolves on the worker's next turn;
     - pipeline {e stages} (PINT's treap workers, as engine {!Stage}s) are
       stepped after every core event and accumulate their processing costs
       on their own clocks; the run's [total] is the max over all component
@@ -32,8 +34,6 @@
     the computation as its serial elision — every spawned child first,
     continuations never stolen, every sync trivial — which is the execution
     of STINT (the serial baseline) and of PINT's one-core configuration.
-
-    Strand records are numbered in creation order from 1, the root strand's.
 
     Constraint inherited from the cactus-stack simulation: a [with_frame]
     body must pop on the worker that pushed it, i.e. it must not contain a
@@ -75,6 +75,6 @@ val default_config : config
     event, as [pint_run -e sim -p 1] does. *)
 val serial : config
 
-(** [run ?aspace ~config ~driver main] — simulate [main] under [config] with
-    the given detector.  Deterministic in ([config.seed], program). *)
-val run : ?aspace:Aspace.t -> config:config -> driver:Hooks.driver -> (unit -> unit) -> result
+(** [run ~config ~driver main] — simulate [main] under [config] with the
+    given detector.  Deterministic in ([config.seed], program). *)
+val run : config:config -> driver:Hooks.driver -> (unit -> unit) -> result

@@ -12,17 +12,13 @@ type heap = {
   mutable live_words : int;
 }
 
-type t = {
-  workers : int;
-  stack_words : int;
-  stacks : stack array;
-  heap : heap;
-  heap_base : int;
-  lock : Mutex.t;
-}
+type t = { stacks : stack array; heap : heap; lock : Mutex.t }
 
-let create ?(max_workers = 64) ?(stack_words = 1 lsl 20) ?(heap_words = 0) () =
-  ignore heap_words;
+let max_workers = 64
+let stack_words = 1 lsl 20
+let heap_base = max_workers * stack_words
+
+let create () =
   let stacks =
     Array.init max_workers (fun w ->
         {
@@ -32,10 +28,7 @@ let create ?(max_workers = 64) ?(stack_words = 1 lsl 20) ?(heap_words = 0) () =
           sp = 0;
         })
   in
-  let heap_base = max_workers * stack_words in
   {
-    workers = max_workers;
-    stack_words;
     stacks;
     heap =
       {
@@ -45,11 +38,8 @@ let create ?(max_workers = 64) ?(stack_words = 1 lsl 20) ?(heap_words = 0) () =
         brk = heap_base;
         live_words = 0;
       };
-    heap_base;
     lock = Mutex.create ();
   }
-
-let max_workers t = t.workers
 
 let with_lock t f =
   Mutex.lock t.lock;
@@ -154,7 +144,7 @@ let heap_block_live t ~base ~len =
 (* ---------------------------------------------------------------- stacks *)
 
 let stack t worker =
-  if worker < 0 || worker >= t.workers then invalid_arg "Aspace: bad worker id";
+  if worker < 0 || worker >= max_workers then invalid_arg "Aspace: bad worker id";
   t.stacks.(worker)
 
 let frame_push t ~worker ~words =
@@ -184,4 +174,4 @@ let frame_pop t ~worker ~base =
   reclaim ()
 
 let stack_used t ~worker = (stack t worker).sp
-let is_stack_addr t addr = addr >= 0 && addr < t.heap_base
+let is_stack_addr _ addr = addr >= 0 && addr < heap_base

@@ -3,7 +3,7 @@
     Addresses are word-granular integers.  The layout is
 
     {v
-      [0 ............................ max_workers*stack_words)   stacks
+      [0 ............................ max_workers*stack_words)   stacks (2^20 words each)
       [heap_base .................................... brk)       heap
     v}
 
@@ -27,11 +27,12 @@
 
 type t
 
-(** [create ~max_workers ~stack_words ~heap_words ()].  [heap_words] is only
-    an initial extent; the heap grows by bumping [brk]. *)
-val create : ?max_workers:int -> ?stack_words:int -> ?heap_words:int -> unit -> t
+(** Stack regions, one per worker id below this bound. *)
+val max_workers : int
 
-val max_workers : t -> int
+(** A fresh address space; the heap starts empty and grows by bumping
+    [brk]. *)
+val create : unit -> t
 
 (** {1 Heap} *)
 

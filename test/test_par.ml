@@ -152,6 +152,41 @@ let test_par_heap_and_frames () =
       check_int "no false races" 0 (List.length (Detector.races d)))
     [ 1; 4 ]
 
+(* Both executors run one strand protocol, so at one worker, with no
+   pools, a real-domain run is the serial elision: its capture must equal
+   the simulator's serial capture entry for entry, uids and links
+   included. *)
+let test_one_worker_is_serial () =
+  List.iter
+    (fun (w : Workload.t) ->
+      let size = w.default_size and base = w.default_base in
+      let variants =
+        ("plain", w.make) :: Option.fold ~none:[] ~some:(fun r -> [ ("racy", r) ]) w.racy
+      in
+      List.iter
+        (fun (variant, make) ->
+          let capture exec =
+            let driver, finished = Tracefile.capturing (Nodetect.make ()).Detector.driver in
+            exec ~driver (make ~size ~base).Workload.run;
+            (finished ()).Tracefile.entries
+          in
+          let sim =
+            capture (fun ~driver p -> ignore (Sim_exec.run ~config:Sim_exec.serial ~driver p))
+          in
+          let par =
+            capture (fun ~driver p ->
+                ignore (Par_exec.run ~config:(config ~n_workers:1 ()) ~driver p))
+          in
+          check_int (w.name ^ " " ^ variant ^ " entries") (Array.length sim) (Array.length par);
+          Array.iteri
+            (fun i (e : Tracefile.entry) ->
+              if e <> par.(i) then
+                Alcotest.failf "%s %s: entry %d (uid %d) differs from the serial elision's" w.name
+                  variant i e.uid)
+            sim)
+        variants)
+    (Registry.all ())
+
 let () =
   Alcotest.run "pint_par"
     [
@@ -160,6 +195,7 @@ let () =
           Alcotest.test_case "fib correct" `Quick test_fib_correct;
           Alcotest.test_case "single worker" `Quick test_single_worker;
           Alcotest.test_case "steals happen" `Quick test_steals_on_multiple_domains;
+          Alcotest.test_case "one worker is serial" `Quick test_one_worker_is_serial;
         ] );
       ( "detectors",
         [
