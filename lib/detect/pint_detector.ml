@@ -320,13 +320,10 @@ let driver t (ctx : Hooks.ctx) =
     Hooks.sink = coalescing_sink ctx r.coals;
     on_start =
       (fun ~wid _rec kind ->
-        match kind with
-        | Events.S_cont { stolen = true } | Events.S_after_sync { trivial = false } ->
-            Trace.close r.cur_traces.(wid);
-            ignore (new_trace r ~wid)
-        | Events.S_root | Events.S_child | Events.S_cont { stolen = false }
-        | Events.S_after_sync { trivial = true } ->
-            ());
+        if Events.starts_trace kind then begin
+          Trace.close r.cur_traces.(wid);
+          ignore (new_trace r ~wid)
+        end);
     on_finish =
       (fun ~wid u _kind ->
         finish_strand r.coals r.totals ~wid u;

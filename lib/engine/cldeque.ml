@@ -32,8 +32,8 @@
 
    The deque is bounded in steady state: the ring starts at [capacity]
    slots (rounded up to a power of two) and only grows — by doubling,
-   owner-side, counted in [grows] — when a push finds it full, which for
-   the executor means spawn nesting deeper than the initial bound. *)
+   owner-side — when a push finds it full, which for the executor means
+   spawn nesting deeper than the initial bound. *)
 
 (* The two happens-before edges below are machine-checked by pint_lint R5
    against the [@pint.publishes]/[@pint.acquires] annotations on the
@@ -54,7 +54,6 @@ type 'a t = {
       (* owner-replaced on growth; thieves may read stale *)
   dummy : 'a; (* fills empty slots so the array holds no stale payloads *)
   steal_fails : int Atomic.t; (* lost top CASes, summed across thieves *)
-  mutable grows : int; (* owner-side buffer doublings *)
 }
 
 let rec pow2 n k = if k >= n then k else pow2 n (k * 2)
@@ -68,12 +67,9 @@ let create ?(capacity = 256) ~dummy () =
     buf = { b_slots = Array.make cap dummy; b_mask = cap - 1 };
     dummy;
     steal_fails = Atomic.make 0;
-    grows = 0;
   }
 
-let[@pint.acquires "cld.buf"] capacity t = t.buf.b_mask + 1
 let steal_cas_failures t = Atomic.get t.steal_fails
-let grows t = t.grows
 
 (* Owner-only: double the ring, re-masking every live element.  The old
    array is left untouched (thieves may still be reading it). *)
@@ -84,8 +80,7 @@ let[@pint.publishes "cld.slot cld.buf"] [@pint.acquires "cld.slot cld.buf"] grow
   for i = tp to b - 1 do
     nbuf.b_slots.(i land nbuf.b_mask) <- old.b_slots.(i land old.b_mask)
   done;
-  t.buf <- nbuf;
-  t.grows <- t.grows + 1
+  t.buf <- nbuf
 
 let[@pint.hot] [@pint.publishes "cld.slot"] [@pint.acquires "cld.buf"] push_bottom t x =
   let b = Atomic.get t.bottom in

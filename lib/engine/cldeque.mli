@@ -7,8 +7,8 @@
     Lê et al.'s formulation) and DESIGN.md §13.
 
     The ring is bounded in steady state: it starts at [capacity] slots
-    (rounded up to a power of two) and doubles — owner-side, counted by
-    {!grows} — only when a push finds it full. *)
+    (rounded up to a power of two) and doubles, owner-side, only when a
+    push finds it full. *)
 
 type 'a t
 
@@ -30,10 +30,5 @@ val steal_top : 'a t -> 'a option
 (** Exact when quiescent, racy hint otherwise. *)
 val is_empty : 'a t -> bool
 
-val capacity : 'a t -> int
-
 (** Lost [steal_top] CASes, summed across all thieves. *)
 val steal_cas_failures : 'a t -> int
-
-(** Owner-side buffer doublings since creation. *)
-val grows : 'a t -> int

@@ -4,8 +4,8 @@
 
    K worker domains serve stage groups (for PINT, shard k's {writer,
    lreader, rreader} treap triple), which may arrive while the pool runs
-   (pint_serve sessions) or all at once (a [Par_exec] run or a pooled
-   replay, one worker per group).  A submitted group is assigned to
+   (pint_serve sessions) or all at once (a [Par_exec] run, one worker
+   per group).  A submitted group is assigned to
    exactly one worker domain and never migrates, so all the single-owner
    state the stages carry (treaps, scratch buffers, consume buffers, AHQ
    cursors, event rings) keeps exactly one writing domain without any

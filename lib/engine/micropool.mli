@@ -7,9 +7,9 @@
     groups it holds one {!Pipeline.step} round at a time, backing off
     with {!Backoff} when none of them progresses.  A long-lived service
     (pint_serve) submits one lease per session; a one-run caller
-    ([Par_exec], a pooled [Replay.run]) creates [k] workers for [k]
-    groups, submits them as one lease — group [i] lands on worker [i] —
-    and calls {!shutdown} once the run has ended.  See DESIGN.md §13 and
+    ([Par_exec]) creates [k] workers for [k] groups, submits them as one
+    lease — group [i] lands on worker [i] — and calls {!shutdown} once
+    the run has ended.  See DESIGN.md §13 and
     §14.3. *)
 
 type shared

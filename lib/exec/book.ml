@@ -4,12 +4,13 @@ let spawn sp ~fresh ~(u : Srec.t) ~(sync : Srec.t option) =
   let child_sp, cont_sp, sync_sp = Sp_order.spawn sp ~sync_pre u.sp in
   let cont = fresh cont_sp in
   let sync = match sync with Some s -> s | None -> fresh sync_sp in
+  let child = fresh child_sp in
   u.is_spawn <- true;
   u.child <- Some cont;
   u.child_is_sync <- false;
   Atomic.set cont.pred 1;
   if first then Atomic.set sync.pred 0;
-  (child_sp, cont, sync)
+  (cont, sync, child)
 
 (* At a spawned function's return whose spawn's continuation was stolen:
    the return node is a counted predecessor of the block's sync. *)
@@ -84,6 +85,7 @@ type 's t = {
   ops : 's sched;
   uids : int Atomic.t; (* the last uid handed out; the root's is 1 *)
   fresh : Sp_order.strand -> Srec.t;
+  inert : parked Lazy.t;
   finished : bool Atomic.t;
   n_spawns : int Atomic.t;
   n_nontrivial : int Atomic.t;
@@ -98,7 +100,8 @@ let create ~driver ~n_workers init mk_sched =
   (* Deques that fill vacated slots need an item no one resumes.  A
      continuation cannot be fabricated, but it can be captured: suspend a
      throwaway fiber at a sync and never resume it.  An unresumed fiber
-     keeps its stack, so it is made only for a scheduler that asks. *)
+     keeps its stack until [release] discards it, so it is made only for
+     a scheduler that asks. *)
   let inert =
     lazy
       (match Fiber.run Fiber.sync with
@@ -128,6 +131,7 @@ let create ~driver ~n_workers init mk_sched =
     ops = mk_sched hooks workers;
     uids;
     fresh = (fun s -> Srec.make ~uid:(1 + Atomic.fetch_and_add uids 1) s);
+    inert;
     finished = Atomic.make false;
     n_spawns = Atomic.make 0;
     n_nontrivial = Atomic.make 0;
@@ -135,6 +139,7 @@ let create ~driver ~n_workers init mk_sched =
 
 let workers t = t.workers
 let hooks t = t.hooks
+let release t = if Lazy.is_val t.inert then Fiber.discard (Lazy.force t.inert).pk
 let finished t = Atomic.get t.finished
 let n_strands t = Atomic.get t.uids
 let n_spawns t = Atomic.get t.n_spawns
@@ -171,16 +176,15 @@ let on_spawn t w f k =
   Atomic.incr t.n_spawns;
   let fr = w.frame in
   let first = Option.is_none fr.sync_rec in
-  let child_sp, cont_rec, sync_rec = spawn t.sp ~fresh:t.fresh ~u:w.cur ~sync:fr.sync_rec in
+  let cont_rec, sync_rec, child_rec = spawn t.sp ~fresh:t.fresh ~u:w.cur ~sync:fr.sync_rec in
   if first then fr.sync_rec <- Some sync_rec;
   t.ops.finish ~wid:w.wid w.cur
-    (Events.F_spawn { cont = cont_rec; sync = sync_rec; first_of_block = first });
+    (Events.F_spawn { cont = cont_rec; sync = sync_rec; child = child_rec; first_of_block = first });
   Mutex.lock fr.lock;
   fr.outstanding <- fr.outstanding + 1;
   Mutex.unlock fr.lock;
   let item = { pk = k; pframe = fr; prec = cont_rec; pfiber = w.fid } in
   t.ops.push w item;
-  let child_rec = t.fresh child_sp in
   w.fid <- Child { cp_frame = fr; cp_sync = sync_rec; cp_item = item };
   w.frame <- new_frame ~parent:(Some fr);
   start t w child_rec Events.S_child;

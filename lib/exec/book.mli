@@ -17,18 +17,17 @@
 
 (** [spawn sp ~fresh ~u ~sync] is the spawn step of strand [u] in a sync
     block whose sync record is [sync] ([None] at the block's first spawn).
-    It extends the SP order, makes the continuation's record and, at a
-    first spawn, the block's sync record — in that order, through [fresh] —
-    and links [u] to the continuation.  Returns the spawned child's SP
-    strand, the continuation record and the block's sync record.  The
-    caller fires the spawn's finish event, then makes the child's record,
-    so records keep their creation order. *)
+    It extends the SP order, makes the continuation's record, at a first
+    spawn the block's sync record, and the spawned child's record — in
+    that order, through [fresh] — and links [u] to the continuation.
+    Returns the continuation, sync and child records, which the caller's
+    {!Events.F_spawn} carries. *)
 val spawn :
   Sp_order.t ->
   fresh:(Sp_order.strand -> Srec.t) ->
   u:Srec.t ->
   sync:Srec.t option ->
-  Sp_order.strand * Srec.t * Srec.t
+  Srec.t * Srec.t * Srec.t
 
 (** A function activation's sync-block state. *)
 type frame
@@ -74,7 +73,7 @@ type 's t
     with scheduler state [init ~inert wid], the [driver]'s hooks and the
     scheduler [mk_sched hooks workers].  [inert] is a parked continuation
     no one resumes, for deques that fill vacated slots; forced by [init]
-    if at all.
+    if at all, and freed by {!release}.
     @raise Invalid_argument on fewer than one worker or more than
     {!Aspace.max_workers}. *)
 val create :
@@ -86,6 +85,10 @@ val create :
 
 val workers : 's t -> 's worker array
 val hooks : 's t -> Hooks.t
+
+(** Free the inert continuation's fiber stack, if [init] forced it.  Call
+    it once, after the run, when no deque is used any more. *)
+val release : 's t -> unit
 
 (** The {!Fj} engine of the run: spawn, sync, scope and with_frame as the
     protocol defines them. *)

@@ -10,10 +10,11 @@ type start_kind =
 (** Why a strand ends.  The record references let detectors perform
     Algorithm 1's bookkeeping without owning scheduler state. *)
 type finish_kind =
-  | F_spawn of { cont : Srec.t; sync : Srec.t; first_of_block : bool }
-      (** the strand is a {e spawn node}; [cont]/[sync] are the records for
-          the continuation strand and the enclosing block's sync node
-          ([sync] freshly created iff [first_of_block]) *)
+  | F_spawn of { cont : Srec.t; sync : Srec.t; child : Srec.t; first_of_block : bool }
+      (** the strand is a {e spawn node}; [cont]/[sync]/[child] are the
+          records for the continuation strand, the enclosing block's sync
+          node ([sync] freshly created iff [first_of_block]) and the
+          spawned function's first strand *)
   | F_return of { cont_stolen : bool; parent_sync : Srec.t option }
       (** the strand is the {e return node} of a spawned function;
           [cont_stolen] says whether the continuation of the spawn that
@@ -23,3 +24,7 @@ type finish_kind =
       (** the strand leads into a sync with at least one spawn in its block
           (a no-spawn sync is not a strand boundary at all) *)
   | F_root  (** final strand of the computation *)
+
+(** A strand that starts this way begins a new per-worker trace in PINT's
+    sense: a stolen continuation, or the strand after a non-trivial sync. *)
+val starts_trace : start_kind -> bool

@@ -21,5 +21,9 @@ let run (g : unit -> unit) : status =
     }
 
 let resume k = continue k ()
+
+(* The fiber dies at its suspension point; nothing of it escapes. *)
+let discard k = match discontinue k Exit with _ -> () | exception Exit -> ()
+
 let spawn f = perform (E_spawn f)
 let sync () = perform E_sync

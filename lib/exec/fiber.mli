@@ -20,6 +20,11 @@ val run : (unit -> unit) -> status
 (** [resume k] runs a suspended fiber to its next suspension. *)
 val resume : kont -> status
 
+(** [discard k] ends a suspended fiber that will never be resumed, which
+    frees its stack: an unresumed continuation keeps it for the life of
+    the process. *)
+val discard : kont -> unit
+
 (** Suspend the running fiber at a spawn of [f].  Only inside {!run}. *)
 val spawn : (unit -> unit) -> unit
 

@@ -23,6 +23,4 @@ let with_frame ~words k = (engine ()).e_with_frame ~words k
 let space () = (engine ()).e_space
 
 let alloc_f n = Membuf.alloc_f (space ()) n
-let alloc_i n = Membuf.alloc_i (space ()) n
 let free_f b = Membuf.free_f b
-let free_i b = Membuf.free_i b

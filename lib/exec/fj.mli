@@ -19,8 +19,8 @@
       (§III-F); the frame is popped (and scheduled for access-history
       clearing) when [k] returns.
 
-    Memory comes from [alloc_f]/[alloc_i]/[free_f]/[free_i], thin wrappers
-    over {!Membuf} bound to the engine's address space. *)
+    Memory comes from [alloc_f]/[free_f], thin wrappers over {!Membuf}'s
+    float buffers bound to the engine's address space. *)
 
 type engine = {
   e_spawn : (unit -> unit) -> unit;
@@ -49,6 +49,4 @@ val with_frame : words:int -> (Membuf.f -> unit) -> unit
 val space : unit -> Aspace.t
 
 val alloc_f : int -> Membuf.f
-val alloc_i : int -> Membuf.i
 val free_f : Membuf.f -> unit
-val free_i : Membuf.i -> unit

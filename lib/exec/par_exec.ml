@@ -133,6 +133,7 @@ let run ~config ~driver main =
   in
   worker_loop workers.(0);
   List.iter Domain.join core_domains;
+  Book.release t;
   hooks.Hooks.on_done ();
   Option.iter Micropool.shutdown pool;
   let elapsed_s = Unix.gettimeofday () -. t0 in

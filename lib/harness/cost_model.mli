@@ -3,10 +3,11 @@
     Every performance number in the reproduced figures is a deterministic
     function of measured event counts (words touched, arithmetic operations,
     instrumentation events, treap-node visits, steals) weighted by the
-    constants below.  The constants were calibrated once against the
-    relative magnitudes the paper reports for the [heat] benchmark in
-    Figure 1 and then frozen — every other cell of every figure is emergent
-    (see EXPERIMENTS.md for the calibration note).
+    constants in [cost_model.ml].  The constants were calibrated once
+    against the relative magnitudes the paper reports for the [heat]
+    benchmark in Figure 1 and then frozen — every other cell of every
+    figure is emergent (see EXPERIMENTS.md for the calibration note).
+    They are the model: there is no other instance of it to pass around.
 
     Semantics of each constant (virtual cycles):
     - [c_flop] — one arithmetic operation in the computation proper;
@@ -24,30 +25,15 @@
       treap worker;
     - [c_steal], [c_steal_fail] — work stealing. *)
 
-type t = {
-  c_flop : int;
-  c_word : int;
-  c_strand : int;
-  c_spawn : int;
-  c_sync : int;
-  c_coal_word : int;
-  c_instr_event : int;
-  c_trace_push : int;
-  c_hash_word : int;
-  c_treap_visit : int;
-  c_treap_strand : int;
-  c_steal : int;
-  c_steal_fail : int;
-}
+(** The steal prices and strand-cost closures for {!Sim_exec.config}. *)
 
-val default : t
+val c_steal : int
+val c_steal_fail : int
 
-(** Strand-cost closures for {!Sim_exec.config}. *)
-
-val base_cost : t -> Srec.t -> Events.finish_kind -> int
-val stint_core_cost : t -> Srec.t -> Events.finish_kind -> int
-val pint_core_cost : t -> Srec.t -> Events.finish_kind -> int
-val cracer_core_cost : t -> Srec.t -> Events.finish_kind -> int
+val base_cost : Srec.t -> Events.finish_kind -> int
+val stint_core_cost : Srec.t -> Events.finish_kind -> int
+val pint_core_cost : Srec.t -> Events.finish_kind -> int
+val cracer_core_cost : Srec.t -> Events.finish_kind -> int
 
 (** Virtual treap workers an N-shard PINT pipeline occupies (3 per shard:
     writer, lreader, rreader — the collector rides on shard 0's writer).
@@ -58,8 +44,8 @@ val treap_workers : shards:int -> int
 (** Treap-worker step cost from a step's record and node-visit counts.
     Charged per record so a batched step cannot amortize the per-strand
     constant [c_treap_strand]. *)
-val treap_step_cost : t -> records:int -> visits:int -> int
+val treap_step_cost : records:int -> visits:int -> int
 
 (** Synchronous (serial) access-history cost from detector diagnostics:
-    [treap_time model ~visits ~strands ~treaps]. *)
-val treap_time : t -> visits:float -> strands:float -> treaps:int -> float
+    [treap_time ~visits ~strands ~treaps]. *)
+val treap_time : visits:float -> strands:float -> treaps:int -> float

@@ -13,20 +13,20 @@ let vsec = Systems.vsec
 
 let default_sizes (w : Workload.t) = (w.default_size, w.default_base)
 
-let run ?model ~workload ~size ~base ~workers system =
-  let m = Systems.run ?model ~workload ~size ~base ~workers system in
+let run ~workload ~size ~base ~workers system =
+  let m = Systems.run ~workload ~size ~base ~workers system in
   if not m.Systems.checked then
     failwith (Printf.sprintf "harness: %s result check failed" workload.Workload.name);
   if m.Systems.races <> 0 then
     failwith (Printf.sprintf "harness: %s unexpectedly reported races" workload.Workload.name);
   m
 
-let fig1 ?model ?(cores = 20) () =
+let fig1 ?(cores = 20) () =
   let rows =
     List.map
       (fun (w : Workload.t) ->
         let size, base = default_sizes w in
-        let go sys workers = (run ?model ~workload:w ~size ~base ~workers sys).Systems.time in
+        let go sys workers = (run ~workload:w ~size ~base ~workers sys).Systems.time in
         {
           f1_name = w.name;
           base1 = go Systems.Base 1;
@@ -88,14 +88,14 @@ type fig2_row = {
   par_total : float;
 }
 
-let fig2 ?model ?(cores = 20) () =
+let fig2 ?(cores = 20) () =
   let rows =
     List.map
       (fun (w : Workload.t) ->
         let size, base = default_sizes w in
-        let stint1 = run ?model ~workload:w ~size ~base ~workers:1 Systems.Stint_sys in
-        let pint1 = run ?model ~workload:w ~size ~base ~workers:1 Systems.Pint_sys in
-        let pint_p = run ?model ~workload:w ~size ~base ~workers:(cores - Cost_model.treap_workers ~shards:1) Systems.Pint_sys in
+        let stint1 = run ~workload:w ~size ~base ~workers:1 Systems.Stint_sys in
+        let pint1 = run ~workload:w ~size ~base ~workers:1 Systems.Pint_sys in
+        let pint_p = run ~workload:w ~size ~base ~workers:(cores - Cost_model.treap_workers ~shards:1) Systems.Pint_sys in
         {
           f2_name = w.name;
           par_overhead = pint1.Systems.time /. stint1.Systems.time;
@@ -140,8 +140,9 @@ let fig2 ?model ?(cores = 20) () =
 type fig3_cell = { total_t : float; core_t : float }
 
 let fig3_benches = [ "heat"; "mmul"; "sort"; "stra" ]
+let fig3_workers = [ 1; 4; 8; 16; 24; 32 ]
 
-let fig3 ?model ?(workers = [ 1; 4; 8; 16; 24; 32 ]) () =
+let fig3 () =
   let rows =
     List.map
       (fun name ->
@@ -150,14 +151,14 @@ let fig3 ?model ?(workers = [ 1; 4; 8; 16; 24; 32 ]) () =
         let cells =
           List.map
             (fun p ->
-              let m = run ?model ~workload:w ~size ~base ~workers:p Systems.Pint_sys in
+              let m = run ~workload:w ~size ~base ~workers:p Systems.Pint_sys in
               (p, { total_t = m.Systems.time; core_t = m.Systems.core_time }))
-            workers
+            fig3_workers
         in
         (name, cells))
       fig3_benches
   in
-  let header = "bench" :: List.map (fun p -> Printf.sprintf "%d cw" p) workers in
+  let header = "bench" :: List.map (fun p -> Printf.sprintf "%d cw" p) fig3_workers in
   let body =
     List.map
       (fun (name, cells) ->
@@ -198,7 +199,7 @@ let fig4_base name size =
   | "stra" -> max 16 (size / 4)
   | _ -> (Registry.find name).Workload.default_base
 
-let fig4 ?model () =
+let fig4 () =
   let rows =
     List.map
       (fun (name, ladder) ->
@@ -207,8 +208,8 @@ let fig4 ?model () =
           List.map
             (fun (p, size) ->
               let base = fig4_base name size in
-              let b = run ?model ~workload:w ~size ~base ~workers:p Systems.Base in
-              let m = run ?model ~workload:w ~size ~base ~workers:p Systems.Pint_sys in
+              let b = run ~workload:w ~size ~base ~workers:p Systems.Base in
+              let m = run ~workload:w ~size ~base ~workers:p Systems.Pint_sys in
               {
                 f4_workers = p;
                 f4_size = size;

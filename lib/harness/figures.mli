@@ -22,7 +22,7 @@ type fig1_row = {
   cracer_p : float;
 }
 
-val fig1 : ?model:Cost_model.t -> ?cores:int -> unit -> fig1_row list * string
+val fig1 : ?cores:int -> unit -> fig1_row list * string
 
 type fig2_row = {
   f2_name : string;
@@ -35,17 +35,16 @@ type fig2_row = {
   par_total : float;
 }
 
-val fig2 : ?model:Cost_model.t -> ?cores:int -> unit -> fig2_row list * string
+val fig2 : ?cores:int -> unit -> fig2_row list * string
 
 type fig3_cell = { total_t : float; core_t : float }
 
 (** Strong scaling of PINT: rows = heat/mmul/sort/stra, columns = core
     worker counts (1, 4, 8, 16, 24, 32). *)
-val fig3 :
-  ?model:Cost_model.t -> ?workers:int list -> unit -> (string * (int * fig3_cell) list) list * string
+val fig3 : unit -> (string * (int * fig3_cell) list) list * string
 
 type fig4_cell = { f4_workers : int; f4_size : int; f4_base_t : float; f4_pint : fig3_cell }
 
 (** Weak scaling: heat/sort double the problem size per core-worker
     doubling, mmul scales the matrix dimension by 1.5x, stra doubles it. *)
-val fig4 : ?model:Cost_model.t -> unit -> (string * fig4_cell list) list * string
+val fig4 : unit -> (string * fig4_cell list) list * string

@@ -69,16 +69,19 @@ type measurement = {
 
 let vsec cycles = cycles /. 1e6
 
-let run ?(model = Cost_model.default) ?(seed = 2022) ?(shards = 1) ~(workload : Workload.t)
-    ~size ~base ~workers system =
+(* Every figure cell is one seeded simulation: the scheduler's victim
+   choices and, at [seed + 7], the detectors' treap priorities. *)
+let seed = 2022
+
+let run ?(shards = 1) ~(workload : Workload.t) ~size ~base ~workers system =
   let inst = workload.make ~size ~base in
   let mk_config strand_cost stages n_workers =
     {
       Sim_exec.n_workers;
       seed;
       strand_cost;
-      c_steal = model.Cost_model.c_steal;
-      c_steal_fail = model.Cost_model.c_steal_fail;
+      c_steal = Cost_model.c_steal;
+      c_steal_fail = Cost_model.c_steal_fail;
       stages;
       obs_clock = Clock.null;
     }
@@ -110,14 +113,14 @@ let run ?(model = Cost_model.default) ?(seed = 2022) ?(shards = 1) ~(workload : 
   match system with
   | Base ->
       let d, _ = Option.get (make_detector "none") in
-      let config = mk_config (Cost_model.base_cost model) [] workers in
+      let config = mk_config Cost_model.base_cost [] workers in
       let r = Sim_exec.run ~config ~driver:d.Detector.driver inst.Workload.run in
       finishup ~det:None ~sim_res:r
         ~time:(float_of_int r.Sim_exec.makespan)
         ~writer_time:0. ~lreader_time:0. ~rreader_time:0.
   | Cracer_sys ->
       let d, _ = Option.get (make_detector "cracer") in
-      let config = mk_config (Cost_model.cracer_core_cost model) [] workers in
+      let config = mk_config Cost_model.cracer_core_cost [] workers in
       let r = Sim_exec.run ~config ~driver:d.Detector.driver inst.Workload.run in
       finishup ~det:(Some d) ~sim_res:r
         ~time:(float_of_int r.Sim_exec.makespan)
@@ -128,7 +131,7 @@ let run ?(model = Cost_model.default) ?(seed = 2022) ?(shards = 1) ~(workload : 
          systems' visit counts comparable instead of diverging on treap
          shape noise *)
       let d, _ = Option.get (make_detector ~seed:(seed + 7) "stint") in
-      let config = mk_config (Cost_model.stint_core_cost model) [] 1 in
+      let config = mk_config Cost_model.stint_core_cost [] 1 in
       let r = Sim_exec.run ~config ~driver:d.Detector.driver inst.Workload.run in
       d.Detector.drain ();
       let diag k = match List.assoc_opt k (d.Detector.diagnostics ()) with
@@ -136,7 +139,7 @@ let run ?(model = Cost_model.default) ?(seed = 2022) ?(shards = 1) ~(workload : 
         | None -> 0.
       in
       let treap =
-        Cost_model.treap_time model
+        Cost_model.treap_time
           ~visits:(diag "writer_visits" +. diag "reader_visits")
           ~strands:(diag "strands") ~treaps:3
       in
@@ -146,10 +149,9 @@ let run ?(model = Cost_model.default) ?(seed = 2022) ?(shards = 1) ~(workload : 
   | Pint_sys ->
       let det, stages =
         Option.get
-          (make_detector ~seed:(seed + 7) ~shards
-             ~stage_cost:(Cost_model.treap_step_cost model) "pint")
+          (make_detector ~seed:(seed + 7) ~shards ~stage_cost:Cost_model.treap_step_cost "pint")
       in
-      let config = mk_config (Cost_model.pint_core_cost model) stages workers in
+      let config = mk_config Cost_model.pint_core_cost stages workers in
       let r = Sim_exec.run ~config ~driver:det.Detector.driver inst.Workload.run in
       (* per-role means come from the detector's own naming/role reduction,
          so the harness never pattern-matches stage-name prefixes *)

@@ -51,8 +51,8 @@ val make_detector :
     groups: stages sharing a shard index (per
     {!Pint_detector.role_of_stage_name}) form one group, in shard order;
     unrecognized stages get singleton groups.  The one grouping every
-    pooled caller uses: [Par_exec.config.pools], [Replay.run ~pools] and
-    the pint_serve sessions' [Micropool.submit]. *)
+    pooled caller uses: [Par_exec.config.pools] and the pint_serve
+    sessions' [Micropool.submit]. *)
 val micropools : Stage.t list -> Stage.t list list
 
 type measurement = {
@@ -73,10 +73,9 @@ type measurement = {
 
 (** [shards] (default 1) runs PINT with the N-shard access-history
     topology (shards × {writer, lreader, rreader} treap workers, one AHQ
-    lane per shard); ignored for the other systems. *)
+    lane per shard); ignored for the other systems.  Every run is priced by
+    {!Cost_model} and seeded with 2022 (scheduler) and 2029 (treaps). *)
 val run :
-  ?model:Cost_model.t ->
-  ?seed:int ->
   ?shards:int ->
   workload:Workload.t ->
   size:int ->

@@ -6,8 +6,8 @@ type t =
 
 let null = Null
 let monotonic = Monotonic
-let manual ?(start = 0) () = Manual { m_now = start }
-let counter ?(start = 0) () = Counter { c_now = start }
+let manual () = Manual { m_now = 0 }
+let counter () = Counter { c_now = 0 }
 
 let now = function
   | Null -> 0

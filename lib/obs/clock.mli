@@ -12,17 +12,17 @@
       meaningful timeline exists but per-track monotonicity is still wanted;
     - {!null} — the no-op clock of a disabled observability session.
 
-    Virtual clocks only ever move forward: {!set} pins a manual clock to a
-    simulated time (and only advances a counter), {!catch_up} advances past
-    the end of an explicitly-timed span so later implicit reads stay
-    monotone per track. *)
+    Virtual clocks start at 0 and only ever move forward: {!set} pins a
+    manual clock to a simulated time (and only advances a counter),
+    {!catch_up} advances past the end of an explicitly-timed span so later
+    implicit reads stay monotone per track. *)
 
 type t
 
 val null : t
 val monotonic : t
-val manual : ?start:int -> unit -> t
-val counter : ?start:int -> unit -> t
+val manual : unit -> t
+val counter : unit -> t
 
 (** Current timestamp. A counter clock advances by one per read. *)
 val now : t -> int

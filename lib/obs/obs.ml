@@ -8,18 +8,16 @@
 
 type t = {
   clock : Clock.t;
-  capacity : int;
   enabled : bool;
   mutable tracks : (string * Evring.t) list; (* registration order *)
   mutable histos : (string * Histo.t) list;
 }
 
-let default_capacity = 16384
+(* events each track's ring retains *)
+let capacity = 16384
 
-let create ?(capacity = default_capacity) ~clock () =
-  { clock; capacity; enabled = true; tracks = []; histos = [] }
-
-let disabled = { clock = Clock.null; capacity = 0; enabled = false; tracks = []; histos = [] }
+let create ~clock () = { clock; enabled = true; tracks = []; histos = [] }
+let disabled = { clock = Clock.null; enabled = false; tracks = []; histos = [] }
 
 let enabled t = t.enabled
 let clock t = t.clock
@@ -33,7 +31,7 @@ let track t name =
     match List.assoc_opt name t.tracks with
     | Some r -> r
     | None ->
-        let r = Evring.create ~clock:t.clock ~capacity:t.capacity in
+        let r = Evring.create ~clock:t.clock ~capacity in
         t.tracks <- t.tracks @ [ (name, r) ];
         r
 

@@ -14,9 +14,9 @@
 
 type t
 
-(** [create ?capacity ~clock ()] — a live session; [capacity] is the
-    per-track ring size (default 16384). *)
-val create : ?capacity:int -> clock:Clock.t -> unit -> t
+(** [create ~clock ()] — a live session; each track's ring keeps the
+    last 16384 events. *)
+val create : clock:Clock.t -> unit -> t
 
 (** The inert session: no tracks, no cost. *)
 val disabled : t

@@ -158,13 +158,13 @@ module Session = struct
                 Some top.b_rec
             | [] -> corrupt "strand %d: non-first spawn with no open sync block" e.Tracefile.uid
         in
-        let child_sp, cont_rec, sync_rec =
+        let cont_rec, sync_rec, child_rec =
           Book.spawn t.s_sp ~fresh:(fresh t) ~u:r ~sync:open_sync
         in
         if first then blocks := { b_rec = sync_rec; b_uid = sync } :: !blocks;
         t.s_hooks.Hooks.on_finish ~wid:0 r
-          (Events.F_spawn { cont = cont_rec; sync = sync_rec; first_of_block = first });
-        let child_rec = fresh t child_sp in
+          (Events.F_spawn
+             { cont = cont_rec; sync = sync_rec; child = child_rec; first_of_block = first });
         t.s_stack <-
           {
             p_uid = child;
@@ -319,33 +319,13 @@ module Session = struct
     }
 end
 
-(* Offline replay is a session offered the whole file.  With [pools] the
-   detector's stages run on micropool workers, one per group, concurrently
-   with the (still single-threaded, deterministic) walk — the
-   producer/consumer topology of a live [Par_exec] run, driven from a
-   reproducible schedule.  They are submitted once the session has set up
-   the detector's run.  Whatever ends the walk, the session's [on_done]
-   has fired before the pool shuts down, so every stage reaches [`Done]
-   and the shutdown terminates; the drain after it is then a no-op pass
-   that only publishes latencies. *)
-let run ?wrap ?(pools = []) ?on_strand (tf : Tracefile.t) (d : Detector.t) =
+(* Offline replay is a session offered the whole file, walked in one go,
+   and then the detector's pipeline drained on the calling thread. *)
+let run ?wrap ?on_strand (tf : Tracefile.t) (d : Detector.t) =
   let s = Session.make ~size:(Tracefile.entry_count tf) ?wrap ?on_strand d in
-  let pool =
-    match pools with
-    | [] -> None
-    | groups ->
-        let sh = Micropool.shared (List.length groups) in
-        ignore (Micropool.submit sh groups);
-        Some sh
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Session.abort s;
-      Option.iter Micropool.shutdown pool)
-    (fun () ->
-      Array.iter (Session.offer s) tf.Tracefile.entries;
-      Session.advance s;
-      Session.close s);
+  Array.iter (Session.offer s) tf.Tracefile.entries;
+  Session.advance s;
+  Session.close s;
   d.Detector.drain ();
   Session.outcome s
 

@@ -28,11 +28,10 @@
 
     Replay is single-threaded and deterministic: replaying the same trace
     twice through the same detector yields identical race sets and
-    identical diagnostics.  The one opt-in exception is {!run}'s [pools],
-    which moves the detector's {e pipeline} onto real micropool workers —
-    the strand feed stays the deterministic serial elision, so race sets
-    remain schedule-invariant (Theorem 5) while the consumer side
-    genuinely runs cross-domain. *)
+    identical diagnostics.  A {!Session}'s pipeline stages may instead run
+    on real pool domains (the [pint_serve] path); the strand feed stays
+    the deterministic serial elision, so race sets remain
+    schedule-invariant (Theorem 5). *)
 
 exception Corrupt of string
 
@@ -53,28 +52,20 @@ type outcome = {
     {!Sp_order.strand} and id. *)
 type strand_observer = sp:Sp_order.t -> pos:int -> Tracefile.entry -> Srec.t -> unit
 
-(** [run ?wrap ?pools ?on_strand trace det] — replay through a detector
-    instance and drain its pipeline: a {!Session} offered every entry in
-    file order, then closed.  The detector must be fresh (one instance per
-    replay) and gets a fresh address space; recorded frees are
-    {!Aspace.reserve}d before being forwarded, so the detectors'
+(** [run ?wrap ?on_strand trace det] — replay through a detector instance
+    and drain its pipeline on the calling thread: a {!Session} offered
+    every entry in file order, then closed.  The detector must be fresh
+    (one instance per replay) and gets a fresh address space; recorded
+    frees are {!Aspace.reserve}d before being forwarded, so the detectors'
     deferred-free handling runs as live.  [wrap] (default identity) is
     applied to the detector's driver before replay — e.g.
-    {!Obs_hooks.instrument} to profile a replay.  [pools] (default: none —
-    the pipeline drains synchronously after the feed) runs the detector's
-    stage groups on a {!Micropool} with one worker per group, concurrently
-    with the strand feed, e.g. [Systems.micropools] of the detector's
-    stages for a real-domain golden diff; pair it with
-    {!Pint_detector.set_backpressure} so the collector waits out
-    momentarily-full lanes instead of rejecting.  [on_strand] observes
+    {!Obs_hooks.instrument} to profile a replay.  [on_strand] observes
     every strand as it replays (e.g. {!Predict.Builder.observer} to build
     the strand DAG for predictive detection in the same pass as observed
     detection).
-    @raise Corrupt if the trace's DAG links are inconsistent — after the
-    detector's run has ended and its [pools] have shut down. *)
+    @raise Corrupt if the trace's DAG links are inconsistent. *)
 val run :
   ?wrap:(Hooks.driver -> Hooks.driver) ->
-  ?pools:Stage.t list list ->
   ?on_strand:strand_observer ->
   Tracefile.t ->
   Detector.t ->
@@ -91,10 +82,10 @@ val run :
     short.  Race sets are therefore bit-identical to the offline replay of
     the completed file at the Theorem-5 (kind, prior, current) granularity.
 
-    Like {!run}'s [pools] mode, the detector's pipeline stages may run on
-    real domains concurrently with the feed: create the session first (the
-    detector's run is set up eagerly), then hand its stages to a
-    {!Micropool}. *)
+    The detector's pipeline stages may run on real domains concurrently
+    with the feed: create the session first (the detector's run is set up
+    eagerly), then hand its stages to a {!Micropool}, as [pint_serve]
+    does. *)
 module Session : sig
   type t
 

@@ -1,19 +1,12 @@
 type f = { fbase : int; fdata : float array; fspace : Aspace.t; fstack : bool }
-type i = { ibase : int; idata : int array; ispace : Aspace.t }
 
 let alloc_f space n =
   let base = Aspace.heap_alloc space n in
   { fbase = base; fdata = Array.make n 0.; fspace = space; fstack = false }
 
-let alloc_i space n =
-  let base = Aspace.heap_alloc space n in
-  { ibase = base; idata = Array.make n 0; ispace = space }
-
 let free_f b =
   if b.fstack then invalid_arg "Membuf.free_f: stack frame";
   Access.emit_free ~base:b.fbase ~len:(Array.length b.fdata)
-
-let free_i b = Access.emit_free ~base:b.ibase ~len:(Array.length b.idata)
 
 (* ------------------------------------------------------------ float ops *)
 
@@ -47,35 +40,6 @@ let read_range_f b off len =
 
 let peek_f b j = b.fdata.(j)
 let poke_f b j v = b.fdata.(j) <- v
-
-(* -------------------------------------------------------------- int ops *)
-
-let base_i b = b.ibase
-let length_i b = Array.length b.idata
-
-let get_i b j =
-  Access.emit_read ~addr:(b.ibase + j) ~len:1;
-  b.idata.(j)
-
-let set_i b j v =
-  Access.emit_write ~addr:(b.ibase + j) ~len:1;
-  b.idata.(j) <- v
-
-let blit_i src soff dst doff len =
-  if len > 0 then begin
-    Access.emit_read ~addr:(src.ibase + soff) ~len;
-    Access.emit_write ~addr:(dst.ibase + doff) ~len;
-    Array.blit src.idata soff dst.idata doff len
-  end
-
-let fill_i b off len v =
-  if len > 0 then begin
-    Access.emit_write ~addr:(b.ibase + off) ~len;
-    Array.fill b.idata off len v
-  end
-
-let peek_i b j = b.idata.(j)
-let poke_i b j v = b.idata.(j) <- v
 
 (* ---------------------------------------------------------------- frames *)
 

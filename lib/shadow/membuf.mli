@@ -2,31 +2,28 @@
 
     A [Membuf] couples a real OCaml array (the data actually computed on)
     with a virtual base address; every accessor performs the array operation
-    {e and} reports the access to the ambient {!Access} sink.  Element
-    granularity: one element = one address word, for both float and int
-    buffers (the detectors only see word-granular intervals, as STINT does
-    after its 4/8-byte normalization).
+    {e and} reports the access to the ambient {!Access} sink.  Buffers hold
+    floats, the one element type the workloads compute on.  Element
+    granularity: one element = one address word (the detectors only see
+    word-granular intervals, as STINT does after its 4/8-byte
+    normalization).
 
     Bulk operations ([blit], [fill], [read_range]) issue a single interval
     event covering the whole range — the stand-in for the paper's
     compile-time coalescing of loop nests.
 
-    Heap buffers come from {!alloc_f}/{!alloc_i} and are returned with
-    {!free}; stack "frames" are scoped via {!Frame}. *)
+    Heap buffers come from {!alloc_f} and are returned with {!free_f};
+    stack "frames" are scoped via {!Frame}. *)
 
 type f
-type i
 
 (** {1 Heap buffers} *)
 
 val alloc_f : Aspace.t -> int -> f
-val alloc_i : Aspace.t -> int -> i
 
 (** Logical free: emits the free event; the detector in charge decides when
     the words return to the allocator. *)
 val free_f : f -> unit
-
-val free_i : i -> unit
 
 (** {1 Float buffers} *)
 
@@ -48,17 +45,6 @@ val peek_f : f -> int -> float
 
 (** Uninstrumented poke for test setup. *)
 val poke_f : f -> int -> float -> unit
-
-(** {1 Int buffers} *)
-
-val base_i : i -> int
-val length_i : i -> int
-val get_i : i -> int -> int
-val set_i : i -> int -> int -> unit
-val blit_i : i -> int -> i -> int -> int -> unit
-val fill_i : i -> int -> int -> int -> unit
-val peek_i : i -> int -> int
-val poke_i : i -> int -> int -> unit
 
 (** {1 Stack frames} *)
 

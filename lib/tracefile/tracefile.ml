@@ -44,12 +44,8 @@ let find t uid =
 let meta_find t key =
   List.find_map (fun (k, v) -> if k = key then Some v else None) t.meta
 
-let is_boundary = function
-  | Events.S_cont { stolen = true } | Events.S_after_sync { trivial = false } -> true
-  | _ -> false
-
 let boundary_count t =
-  Array.fold_left (fun acc e -> if is_boundary e.start then acc + 1 else acc) 0 t.entries
+  Array.fold_left (fun acc e -> if Events.starts_trace e.start then acc + 1 else acc) 0 t.entries
 
 let interval_totals t =
   Array.fold_left
@@ -445,18 +441,14 @@ let capturing ?(meta = []) (inner : Hooks.driver) : Hooks.driver * (unit -> t) =
   let driver (ctx : Hooks.ctx) =
     let h = inner ctx in
     let n = ctx.Hooks.n_workers in
-    (* Per-worker state needs no lock; the shared entry list, start-kind
-       table and child table do (the parallel executor finishes strands on
-       many domains).  A spawn's child uid is only known when the spawned
-       function's first strand starts (executors start it on the same
-       worker immediately after the spawn finish), so a spawn entry is
-       recorded with [child = -1] and resolved from [children] at the end. *)
+    (* A strand starts and finishes on one worker, which runs one strand at
+       a time, so its coalescer, frees and start kind are per-worker state
+       and need no lock; the shared entry list does (the parallel executor
+       finishes strands on many domains). *)
     let coals = Array.init n (fun _ -> Coalescer.create ()) in
     let frees = Array.make n [] in
-    let pending_spawn = Array.make n (-1) in
+    let starts = Array.make n Events.S_root in
     let lock = Mutex.create () in
-    let started : (int, Events.start_kind) Hashtbl.t = Hashtbl.create 1024 in
-    let children : (int, int) Hashtbl.t = Hashtbl.create 1024 in
     let entries = ref [] in
     let sink ~wid =
       let s = h.Hooks.sink ~wid in
@@ -477,44 +469,29 @@ let capturing ?(meta = []) (inner : Hooks.driver) : Hooks.driver * (unit -> t) =
         on_compute = (fun ~amount -> s.Access.on_compute ~amount);
       }
     in
-    let on_start ~wid (r : Srec.t) kind =
-      Mutex.lock lock;
-      Hashtbl.replace started r.Srec.uid kind;
-      (match kind with
-      | Events.S_child when pending_spawn.(wid) >= 0 ->
-          Hashtbl.replace children pending_spawn.(wid) r.Srec.uid;
-          pending_spawn.(wid) <- -1
-      | _ -> ());
-      Mutex.unlock lock;
+    let on_start ~wid r kind =
+      starts.(wid) <- kind;
       h.Hooks.on_start ~wid r kind
     in
     let on_finish ~wid (u : Srec.t) kind =
       let reads, writes = Coalescer.finish coals.(wid) in
       let fl = List.rev frees.(wid) in
       frees.(wid) <- [];
-      let fin =
+      let uid (r : Srec.t) = r.Srec.uid in
+      let finish =
         match kind with
         | Events.F_root -> Root
-        | Events.F_spawn { cont; sync; first_of_block } ->
-            Spawn { cont = cont.Srec.uid; sync = sync.Srec.uid; child = -1; first = first_of_block }
+        | Events.F_spawn { cont; sync; child; first_of_block } ->
+            Spawn { cont = uid cont; sync = uid sync; child = uid child; first = first_of_block }
         | Events.F_return { cont_stolen; parent_sync } ->
-            Return
-              { cont_stolen; parent_sync = Option.map (fun (s : Srec.t) -> s.Srec.uid) parent_sync }
-        | Events.F_sync { trivial; sync } -> Sync { trivial; sync = sync.Srec.uid }
+            Return { cont_stolen; parent_sync = Option.map uid parent_sync }
+        | Events.F_sync { trivial; sync } -> Sync { trivial; sync = uid sync }
       in
-      Mutex.lock lock;
-      let start =
-        match Hashtbl.find_opt started u.Srec.uid with
-        | Some k -> k
-        | None ->
-            Mutex.unlock lock;
-            error "strand %d finished without starting" u.Srec.uid
-      in
-      entries :=
+      let e =
         {
           uid = u.Srec.uid;
-          start;
-          finish = fin;
+          start = starts.(wid);
+          finish;
           reads;
           writes;
           clears = u.Srec.clears;
@@ -526,24 +503,16 @@ let capturing ?(meta = []) (inner : Hooks.driver) : Hooks.driver * (unit -> t) =
           finished_at = u.Srec.finished_at;
           cost = u.Srec.cost;
         }
-        :: !entries;
-      (match fin with Spawn _ -> pending_spawn.(wid) <- u.Srec.uid | _ -> ());
+      in
+      Mutex.lock lock;
+      entries := e :: !entries;
       Mutex.unlock lock;
       h.Hooks.on_finish ~wid u kind
     in
     let on_done () =
       h.Hooks.on_done ();
-      let resolve e =
-        match e.finish with
-        | Spawn { cont; sync; child = _; first } -> (
-            match Hashtbl.find_opt children e.uid with
-            | Some child -> { e with finish = Spawn { cont; sync; child; first } }
-            | None -> error "spawn strand %d has no recorded child strand" e.uid)
-        | _ -> e
-      in
-      let entries = Array.of_list (List.rev_map resolve !entries) in
       let meta = meta @ [ ("n_workers", string_of_int n) ] in
-      result := Some { version = current_version; meta; entries }
+      result := Some { version = current_version; meta; entries = Array.of_list (List.rev !entries) }
     in
     { Hooks.sink; on_start; on_finish; on_done }
   in

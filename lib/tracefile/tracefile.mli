@@ -39,9 +39,8 @@ exception Error of string
 val current_version : int
 
 (** Why a strand ended, with record references flattened to uids.  [Spawn]
-    additionally carries the uid of the first strand of the spawned function
-    ([child]) — the one executors start immediately after the spawn — which
-    the tee resolves and the replayer needs to walk the DAG depth-first. *)
+    carries the uid of the first strand of the spawned function ([child])
+    too, which the replayer needs to walk the DAG depth-first. *)
 type finish =
   | Spawn of { cont : int; sync : int; child : int; first : bool }
   | Return of { cont_stolen : bool; parent_sync : int option }
@@ -153,8 +152,7 @@ end
     any inner detector, including the no-detection baseline) and assembling
     one {!entry} per strand.  After the run's [on_done], the second
     component returns the completed trace.
-    @raise Error from the getter if the run recorded an inconsistent stream
-    (e.g. a spawn whose child never started). *)
+    @raise Error from the getter if the run has not completed. *)
 val capturing : ?meta:(string * string) list -> Hooks.driver -> Hooks.driver * (unit -> t)
 
 (** [capture ?meta ~path inner] — like {!capturing}, but writes the trace to

@@ -148,8 +148,7 @@ let test_pipeline_diagnostics () =
 
 (* Placement on a fresh pool: k one-stage groups submitted as one lease to
    k workers land one per worker, each stepped by exactly one domain for
-   its whole life — the pinning [Par_exec] and pooled [Replay.run] rely
-   on. *)
+   its whole life — the pinning [Par_exec] relies on. *)
 let test_pool_placement k () =
   let pool = Micropool.shared k in
   let seen = Array.init k (fun _ -> ref []) in

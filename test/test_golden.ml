@@ -93,24 +93,36 @@ let check_sharded path () =
       dn.Detector.validate ())
     [ 2; 4; 8 ]
 
-(* The same invariant under the real-domain executor: each shard's
-   {writer, lreader, rreader} triple on its own micropool domain, the
-   collector committing through the backpressure window.  Whatever the
-   domains' actual interleaving, the race set must still equal the
-   shards=1 single-threaded replay at Theorem-5 (kind, prior, current)
-   granularity — detection work is partitioned by address range, so
-   scheduling can reorder discovery but never change the verdicts. *)
+(* The same invariant under real domains: a replay session whose shard
+   groups each run on their own micropool worker, concurrently with the
+   (still serial, deterministic) feed — the producer/consumer topology of
+   a live [Par_exec] run.  Whatever the domains' actual interleaving, the
+   race set must still equal the shards=1 single-threaded replay at
+   Theorem-5 (kind, prior, current) granularity — detection work is
+   partitioned by address range, so scheduling can reorder discovery but
+   never change the verdicts. *)
 let check_sharded_domains path () =
   let t = Tracefile.load path in
+  let bytes = In_channel.with_open_bin path In_channel.input_all in
   let d1, _ = make_det "pint" in
   let ref_sig = signature (Replay.run t d1).Replay.races in
   List.iter
     (fun shards ->
-      let dn, stages =
-        Option.get
-          (Systems.make_detector ~shards ~bp_rounds:Pint_detector.recommended_bp_rounds "pint")
-      in
-      let o = Replay.run ~pools:(Systems.micropools stages) t dn in
+      let dn, stages = Option.get (Systems.make_detector ~shards "pint") in
+      let s = Replay.Session.create dn in
+      let groups = Systems.micropools stages in
+      let pool = Micropool.shared (List.length groups) in
+      let lease = Micropool.submit pool groups in
+      Fun.protect
+        ~finally:(fun () ->
+          Replay.Session.abort s;
+          Micropool.shutdown pool)
+        (fun () ->
+          ignore (Replay.Session.feed s bytes);
+          ignore (Replay.Session.eof s);
+          Micropool.await lease);
+      dn.Detector.drain ();
+      let o = Replay.Session.outcome s in
       dn.Detector.validate ();
       if signature o.Replay.races <> ref_sig then
         Alcotest.failf "%s: real-domain pint shards=%d diverges from shards=1 (%d vs %d races)"

@@ -114,25 +114,66 @@ let test_serial_capture_fixed_point () =
 (* --------------------------------------------- parallel-schedule captures *)
 
 (* Theorem 5 across schedules: a trace captured under a real multi-domain
-   run, replayed serially, reports the same races as a live sequential run
-   of the same program.  (heat allocates its grids up front, so its heap
-   layout is schedule-independent.) *)
+   run and replayed serially reports the same races through every
+   detector, for every workload, plain and racy.  The capture must hold
+   one entry per strand, and each spawn's child, which the tee reads off
+   the spawn event, must be its own S_child entry.  (heat allocates its
+   grids up front, so its heap layout is schedule-independent and its
+   races also equal a live sequential run's.) *)
+let par_params =
+  [
+    ("chol", 32, 8);
+    ("heat", 32, 8);
+    ("mmul", 16, 4);
+    ("sort", 64, 16);
+    ("stra", 32, 8);
+    ("straz", 32, 8);
+    ("fft", 32, 8);
+  ]
+
+let check_children name (t : Tracefile.t) =
+  let starts = Hashtbl.create 256 and children = Hashtbl.create 256 in
+  Array.iter (fun (e : Tracefile.entry) -> Hashtbl.replace starts e.uid e.start) t.entries;
+  Array.iter
+    (fun (e : Tracefile.entry) ->
+      match e.finish with
+      | Tracefile.Spawn { child; _ } ->
+          if Hashtbl.mem children child then
+            Alcotest.failf "%s: two spawns name child %d" name child;
+          Hashtbl.add children child ();
+          if Hashtbl.find_opt starts child <> Some Events.S_child then
+            Alcotest.failf "%s: spawn %d's child %d is not an S_child entry" name e.uid child
+      | _ -> ())
+    t.entries
+
 let test_par_capture_replays_like_seq () =
-  let w = Registry.find "heat" in
-  let racy = Option.get w.Workload.racy in
-  let seq_live = live_seq_races "pint" (racy ~size:32 ~base:8).Workload.run in
-  let d = Nodetect.make () in
-  let driver, finished = Tracefile.capturing d.Detector.driver in
-  let config = { Par_exec.default_config with n_workers = 4; seed = 3 } in
-  let res = Par_exec.run ~config ~driver (racy ~size:32 ~base:8).Workload.run in
-  let trace = finished () in
-  check_int "par capture covers every strand" res.Par_exec.n_strands
-    (Tracefile.entry_count trace);
   List.iter
-    (fun det ->
-      check_bool (det ^ ": par trace = seq live races") true
-        (replay_races det trace = seq_live))
-    detectors
+    (fun (wname, size, base) ->
+      let w = Registry.find wname in
+      let variants =
+        ("plain", w.Workload.make) :: Option.fold ~none:[] ~some:(fun r -> [ ("racy", r) ]) w.racy
+      in
+      List.iter
+        (fun (variant, make) ->
+          let name = wname ^ " " ^ variant in
+          let driver, finished = Tracefile.capturing (Nodetect.make ()).Detector.driver in
+          let config = { Par_exec.default_config with n_workers = 4; seed = 3 } in
+          let res = Par_exec.run ~config ~driver (make ~size ~base).Workload.run in
+          let trace = finished () in
+          check_int (name ^ ": one entry per strand") res.Par_exec.n_strands
+            (Tracefile.entry_count trace);
+          check_children name trace;
+          let pint = replay_races "pint" trace in
+          List.iter
+            (fun det ->
+              check_bool (Printf.sprintf "%s: %s agrees with pint" name det) true
+                (replay_races det trace = pint))
+            [ "stint"; "cracer" ];
+          if wname = "heat" then
+            check_bool (name ^ ": par trace = seq live races") true
+              (pint = live_seq_races "pint" (make ~size ~base).Workload.run))
+        variants)
+    par_params
 
 let test_sim_capture_replays_like_seq () =
   let w = Registry.find "sort" in
@@ -267,12 +308,13 @@ let test_corrupt_links_rejected () =
   expect_corrupt "strand linked twice" (fun () ->
       replay { t with Tracefile.entries = Array.map self_link t.Tracefile.entries })
 
-(* A corrupt trace replayed with pool domains must end the detector's run
-   and join the pools before [Corrupt] escapes: were each call to leave
-   its domains running, the runtime's domain limit would fail a later
-   spawn long before the last call.  The walk fails at end of stream on a
-   dangling link, and between a strand's start and finish on a sync that
-   links the wrong block. *)
+(* A corrupt trace streamed to a session whose stages run on pool domains
+   must, once the session is aborted, end the detector's run, so that the
+   lease finishes and the pool joins: were an aborted session to leave its
+   stages running, [await] would never return, and a failed replay that
+   left its domains running would soon hit the runtime's domain limit.
+   The walk fails at end of stream on a dangling link, and between a
+   strand's start and finish on a sync that links the wrong block. *)
 let test_corrupt_pooled_joins () =
   let t = capture_seq spawn_one_child in
   let mislink (e : Tracefile.entry) =
@@ -283,9 +325,21 @@ let test_corrupt_pooled_joins () =
   in
   List.iter
     (fun (name, bad) ->
+      let bytes = Tracefile.to_bytes bad in
       for _ = 1 to 128 do
         let d, stages = Option.get (Systems.make_detector ~shards:2 "pint") in
-        expect_corrupt name (fun () -> Replay.run ~pools:(Systems.micropools stages) bad d)
+        let s = Replay.Session.create d in
+        let groups = Systems.micropools stages in
+        let pool = Micropool.shared (List.length groups) in
+        let lease = Micropool.submit pool groups in
+        expect_corrupt name (fun () ->
+            Fun.protect
+              ~finally:(fun () -> Replay.Session.abort s)
+              (fun () ->
+                ignore (Replay.Session.feed s bytes);
+                Replay.Session.eof s));
+        Micropool.await lease;
+        Micropool.shutdown pool
       done)
     [
       ("pooled dangling child link", without Events.S_child t);

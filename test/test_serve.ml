@@ -71,41 +71,54 @@ let check_session path () =
     [ 1; 97; 65536 ]
 
 (* The same with the detector's pipeline on shared pool domains, detection
-   racing the feed.  Its two shard groups may retire on different workers;
-   the lease's notify must still fire exactly once. *)
+   racing the feed, at 2 and 4 shards: the race set must not depend on how
+   the domains interleave.  The shard groups outnumber the pool's two
+   workers at 4 shards and may retire on different workers; the lease's
+   notify must still fire exactly once. *)
 let check_session_pool path () =
   let bytes = read_file path in
   let expected = offline_sig bytes in
-  let pool = Micropool.shared 2 in
-  let notified = Atomic.make 0 in
-  Fun.protect
-    ~finally:(fun () -> Micropool.shutdown pool)
-    (fun () ->
-      let det, stages = Option.get (Systems.make_detector ~shards:2 "pint") in
-      let s = Replay.Session.create det in
-      let lease =
-        Micropool.submit ~notify:(fun () -> Atomic.incr notified) pool (Systems.micropools stages)
-      in
-      let races = feed_all s bytes 512 in
-      Micropool.await lease;
-      det.Detector.drain ();
-      let races = List.rev_append (Replay.Session.poll_races s) races in
-      det.Detector.validate ();
-      if signature races <> expected then
-        Alcotest.failf "%s: pooled session diverges from offline replay (%d vs %d races)" path
-          (List.length (signature races))
-          (List.length expected));
-  (* the pool is joined: every notify that will ever run has run *)
-  Alcotest.(check int) (path ^ ": notify fired once") 1 (Atomic.get notified)
+  List.iter
+    (fun shards ->
+      let pool = Micropool.shared 2 in
+      let notified = Atomic.make 0 in
+      Fun.protect
+        ~finally:(fun () -> Micropool.shutdown pool)
+        (fun () ->
+          let det, stages = Option.get (Systems.make_detector ~shards "pint") in
+          let s = Replay.Session.create det in
+          let lease =
+            Micropool.submit ~notify:(fun () -> Atomic.incr notified) pool
+              (Systems.micropools stages)
+          in
+          let races = feed_all s bytes 512 in
+          Micropool.await lease;
+          det.Detector.drain ();
+          let races = List.rev_append (Replay.Session.poll_races s) races in
+          det.Detector.validate ();
+          if signature races <> expected then
+            Alcotest.failf "%s: pooled session at %d shards diverges from offline (%d vs %d races)"
+              path shards
+              (List.length (signature races))
+              (List.length expected));
+      (* the pool is joined: every notify that will ever run has run *)
+      Alcotest.(check int) (Printf.sprintf "%s: notify fired once at %d shards" path shards) 1
+        (Atomic.get notified))
+    [ 2; 4 ]
 
-(* A malformed stream must fail the session, and abort must be safe. *)
+(* A malformed stream must fail the session, and abort must be safe.  The
+   session's stages run on a pool, as the daemon runs them: abort must end
+   the detector's run so that the lease finishes and the pool shuts
+   down, or a dead tenant would wedge the pool's workers. *)
 let test_session_corrupt () =
   let bytes = read_file (List.hd (golden_files ())) in
   let corrupted = Bytes.of_string bytes in
   let mid = String.length bytes / 2 in
   Bytes.set corrupted mid (Char.chr (Char.code (Bytes.get corrupted mid) lxor 0x10));
-  let det, _ = Option.get (Systems.make_detector "pint") in
+  let det, stages = Option.get (Systems.make_detector ~shards:2 "pint") in
   let s = Replay.Session.create det in
+  let pool = Micropool.shared 2 in
+  let lease = Micropool.submit pool (Systems.micropools stages) in
   let failed =
     try
       ignore (feed_all s (Bytes.to_string corrupted) 64);
@@ -115,7 +128,9 @@ let test_session_corrupt () =
   check_bool "corrupt stream raises" true failed;
   Replay.Session.abort s;
   Replay.Session.abort s (* idempotent *);
-  check_bool "aborted session is finished" true (Replay.Session.finished s)
+  check_bool "aborted session is finished" true (Replay.Session.finished s);
+  Micropool.await lease;
+  Micropool.shutdown pool
 
 (* ------------------------------------------------------------ the daemon *)
 

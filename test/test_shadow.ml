@@ -158,17 +158,6 @@ let test_membuf_peek_poke_silent () =
   in
   check_int "no events" 0 (List.length events)
 
-let test_membuf_int_buffers () =
-  let a = Aspace.create () in
-  let b = Membuf.alloc_i a 8 in
-  let events =
-    with_sink (fun () ->
-        Membuf.set_i b 2 42;
-        ignore (Membuf.get_i b 2))
-  in
-  check_int "two events" 2 (List.length events);
-  check_int "value" 42 (Membuf.peek_i b 2)
-
 let test_membuf_compute () =
   let a = Aspace.create () in
   ignore (Membuf.alloc_f a 1);
@@ -229,7 +218,6 @@ let () =
         [
           Alcotest.test_case "event stream" `Quick test_membuf_events;
           Alcotest.test_case "peek/poke silent" `Quick test_membuf_peek_poke_silent;
-          Alcotest.test_case "int buffers" `Quick test_membuf_int_buffers;
           Alcotest.test_case "compute events" `Quick test_membuf_compute;
           Alcotest.test_case "frame hook" `Quick test_frame_hook;
           Alcotest.test_case "frame free rejected" `Quick test_frame_free_rejected;
