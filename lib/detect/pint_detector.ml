@@ -105,6 +105,26 @@ let make_hist ~seed k =
 
 let role_treap h = function Writer -> h.writer | Lreader -> h.lreader | Rreader -> h.rreader
 
+(* One treap's role context, built once per run: what [role_step]'s
+   per-record path reads, the strand it is applying and the interval it is
+   checking (set before each treap call), and the query callback and keep
+   policy, each built once over the context — so no record, interval or
+   read builds a closure. *)
+type tctx = {
+  report : Report.t;
+  sp : Sp_order.t;
+  treap : Sp_order.strand Itreap.t;
+  role : role;
+  shards : int;
+  shard : int;
+  mutable kind : Report.kind;
+  mutable cur : Sp_order.strand;
+  mutable qlo : int;
+  mutable qhi : int;
+  on_overlap : int -> int -> Sp_order.strand -> unit;
+  keep : incumbent:Sp_order.strand -> [ `Keep | `Replace ];
+}
+
 let validate_hist h =
   Itreap.validate h.writer;
   Itreap.validate h.lreader;
@@ -125,11 +145,17 @@ type run = {
   ctx : Hooks.ctx;
   coals : Coalescer.t array; (* per core worker *)
   cur_traces : Trace.t array; (* per core worker *)
-  registry : Trace.t Vec.t; (* active traces, collector-side scanned *)
+  scan : Trace.t Vec.t; (* active traces, private to the collector *)
   reg_lock : Mutex.t;
+  (* traces core workers started since the collector last adopted, newest
+     first, guarded by [reg_lock]; [n_incoming] counts them so the
+     collector takes the lock only when there is something to adopt *)
+  mutable incoming : Trace.t list;
+  n_incoming : int Atomic.t;
   lanes : lane_rec Lanes.t; (* one AHQ lane per shard *)
   consume_bufs : lane_rec array array; (* per consuming stage, reusable; slot 0 unused *)
   hist : hist array; (* one per shard *)
+  roles : tctx array; (* stage i's treap context *)
   core_done : bool Atomic.t;
   collect_done : bool Atomic.t;
   mutable scan_cursor : int;
@@ -180,6 +206,40 @@ let dummy_lane_rec =
 
 (* Per-lane AHQ capacity, in strand records. *)
 let queue_capacity = 4096
+
+(* The race check a role runs per stored interval its query meets: the
+   stored owner races the strand being applied iff they are logically
+   parallel; the witness is the overlap, built only for a race. *)
+let[@pint.hot] on_overlap (c : tctx) lo hi prior =
+  if Policies.race c.sp ~prior ~current:c.cur then
+    Report.add c.report c.kind ~prior:(Sp_order.id prior) ~current:(Sp_order.id c.cur)
+      (Interval.make (Int.max lo c.qlo) (Int.min hi c.qhi))
+
+(* The reader treaps' keep policies (the writer never merges). *)
+let[@pint.hot] keep (c : tctx) ~incumbent =
+  match c.role with
+  | Rreader -> Policies.keep_rightmost c.sp ~s:c.cur ~incumbent
+  | Writer | Lreader -> Policies.keep_leftmost c.sp ~s:c.cur ~incumbent
+
+let make_tctx report sp h role ~shards ~shard =
+  let nobody = (Lazy.force dummy_lane_rec).u.Srec.sp in
+  let rec c =
+    {
+      report;
+      sp;
+      treap = role_treap h role;
+      role;
+      shards;
+      shard;
+      kind = Report.Write_read;
+      cur = nobody;
+      qlo = 0;
+      qhi = 0;
+      on_overlap = (fun lo hi prior -> on_overlap c lo hi prior);
+      keep = (fun ~incumbent -> keep c ~incumbent);
+    }
+  in
+  c
 
 let make ?(seed = 4242) ?(shards = 1) () =
   if shards < 1 then invalid_arg "Pint_detector.make: shards must be >= 1";
@@ -252,7 +312,8 @@ let new_trace r ~wid =
   let id = r.next_trace_id in
   r.next_trace_id <- id + 1;
   let tr = Trace.create ~id ~owner:wid in
-  Vec.push r.registry tr;
+  r.incoming <- tr :: r.incoming;
+  Atomic.incr r.n_incoming;
   Mutex.unlock r.reg_lock;
   r.cur_traces.(wid) <- tr;
   tr
@@ -269,6 +330,7 @@ let driver t (ctx : Hooks.ctx) =
       ()
   in
   Lanes.set_backpressure lanes ~rounds:t.bp_rounds;
+  let hist = Array.init s (make_hist ~seed:t.seed) in
   (* Lane obs wiring.  One shard: the lane's producer ring IS the writer
      stage's track (the historical single-queue occupancy counter).  When
      sharded, each lane gets its own "lane<k>" track so per-shard occupancy
@@ -290,12 +352,17 @@ let driver t (ctx : Hooks.ctx) =
       ctx;
       coals = Array.init ctx.n_workers (fun _ -> Coalescer.create ());
       cur_traces = Array.make ctx.n_workers dummy_trace;
-      registry = Vec.create ~capacity:64 dummy_trace;
+      scan = Vec.create ~capacity:64 dummy_trace;
       reg_lock = Mutex.create ();
+      incoming = [];
+      n_incoming = Atomic.make 0;
       lanes;
       consume_bufs =
         Array.init n_stages (fun _ -> Array.make Ahq.default_batch (Lazy.force dummy_lane_rec));
-      hist = Array.init s (make_hist ~seed:t.seed);
+      hist;
+      roles =
+        Array.init n_stages (fun i ->
+            make_tctx t.report ctx.sp hist.(i mod s) (role_of_idx t i) ~shards:s ~shard:(i mod s));
       core_done = Atomic.make false;
       collect_done = Atomic.make false;
       scan_cursor = 0;
@@ -336,30 +403,39 @@ let driver t (ctx : Hooks.ctx) =
 
 (* ------------------------------------------------------ treap-worker side *)
 
-let process_clears ~shards ~shard treap (u : Srec.t) =
-  let clear (b, l) =
-    Lanes.iter_subranges ~shards ~shard (Interval.make b (b + l - 1)) (fun sub ->
-        Itreap.clear_range treap sub)
-  in
-  List.iter clear u.clears;
-  List.iter clear u.frees
+(* The shard's share of a strand's clears or frees, each (base, len). *)
+let[@pint.hot] rec clear_all (c : tctx) = function
+  | [] -> ()
+  | (base, len) :: rest ->
+      Lanes.iter_subranges ~shards:c.shards ~shard:c.shard base (base + len - 1) c.treap
+        Itreap.clear_range;
+      clear_all c rest
+
+let rec heap_free_all aspace = function
+  | [] -> ()
+  | (base, len) :: rest ->
+      Aspace.heap_free aspace ~base ~len;
+      heap_free_all aspace rest
+
+let count_sub n _ _ = incr n
+
+let fill_sub (out, i) lo hi =
+  out.(!i) <- Interval.make lo hi;
+  incr i
 
 (* The per-shard split of one interval batch: two passes (count, fill) so
    the result is an exact-sized array.  Only reached when shards > 1. *)
 let split_owned ~shards ~shard (ivs : Interval.t array) =
+  let each ctx f =
+    Array.iter (fun (iv : Interval.t) -> Lanes.iter_subranges ~shards ~shard iv.lo iv.hi ctx f) ivs
+  in
   let n = ref 0 in
-  Array.iter (fun iv -> Lanes.iter_subranges ~shards ~shard iv (fun _ -> incr n)) ivs;
+  each n count_sub;
   if !n = 0 then [||]
   else begin
-    let out = Array.make !n (Interval.make 0 0) in
-    let i = ref 0 in
-    Array.iter
-      (fun iv ->
-        Lanes.iter_subranges ~shards ~shard iv (fun sub ->
-            out.(!i) <- sub;
-            incr i))
-      ivs;
-    out
+    let fill = (Array.make !n (Interval.make 0 0), ref 0) in
+    each fill fill_sub;
+    fst fill
   end
 
 let lane_payload ~shards (u : Srec.t) k =
@@ -371,38 +447,47 @@ let lane_payload ~shards (u : Srec.t) k =
       s_writes = split_owned ~shards ~shard:k u.Srec.writes;
     }
 
-(* One role's treap work on one strand's share [lr] of shard [shard], whose
-   treaps are [h]; returns the treap-node visits.  Every PINT stage and
-   [serial] run this.  The treap checks the strand against its pre-strand
-   contents before taking the strand's own updates:
+(* Check interval [iv] against the context's treap as [kind]. *)
+let[@pint.hot] check (c : tctx) kind (iv : Interval.t) =
+  c.kind <- kind;
+  c.qlo <- iv.lo;
+  c.qhi <- iv.hi;
+  Itreap.query c.treap iv ~f:c.on_overlap
+
+(* One role's treap work on one strand's share [lr] of the context's shard;
+   returns the treap-node visits.  Every PINT stage and [serial] run this.
+   The treap checks the strand against its pre-strand contents before
+   taking the strand's own updates:
    - writer: check the reads (Write_read), then check and insert each write
      in turn (Write_write) — coalesced writes are disjoint, so no write
      meets one its own strand inserted;
    - left-/right-most reader: check the writes (Read_write), then insert
      the reads under the role's keep policy;
-   then the shard's share of the strand's clears and frees. *)
-let role_step report sp ~shards ~shard h role (lr : lane_rec) =
-  let treap = role_treap h role in
+   then the shard's share of the strand's clears and frees.  Index loops
+   and the context's prebuilt callbacks keep it allocation-free. *)
+let[@pint.hot] role_step (c : tctx) (lr : lane_rec) =
+  let treap = c.treap in
   let v0 = Itreap.visits treap in
-  let s = lr.u.Srec.sp in
-  (match role with
+  let s = lr.u.Srec.sp and reads = lr.s_reads and writes = lr.s_writes in
+  c.cur <- s;
+  (match c.role with
   | Writer ->
-      Array.iter (fun iv -> Policies.check_treap report sp treap Report.Write_read iv s) lr.s_reads;
-      Array.iter
-        (fun iv ->
-          Policies.check_treap report sp treap Report.Write_write iv s;
-          Itreap.insert_replace treap iv s)
-        lr.s_writes
+      for i = 0 to Array.length reads - 1 do
+        check c Report.Write_read reads.(i)
+      done;
+      for i = 0 to Array.length writes - 1 do
+        check c Report.Write_write writes.(i);
+        Itreap.insert_replace treap writes.(i) s
+      done
   | Lreader | Rreader ->
-      let policy =
-        match role with Lreader -> Policies.keep_leftmost | _ -> Policies.keep_rightmost
-      in
-      let keep ~incumbent = policy sp ~s ~incumbent in
-      Array.iter
-        (fun iv -> Policies.check_treap report sp treap Report.Read_write iv s)
-        lr.s_writes;
-      Array.iter (fun iv -> Itreap.insert_merge treap iv s ~keep) lr.s_reads);
-  process_clears ~shards ~shard treap lr.u;
+      for i = 0 to Array.length writes - 1 do
+        check c Report.Read_write writes.(i)
+      done;
+      for i = 0 to Array.length reads - 1 do
+        Itreap.insert_merge treap reads.(i) s ~keep:c.keep
+      done);
+  clear_all c lr.u.Srec.clears;
+  clear_all c lr.u.Srec.frees;
   Itreap.visits treap - v0
 
 (* Last done_count bump (the 3N'th): the strand has passed all treap
@@ -424,90 +509,110 @@ let bump_done r ~slot ~ring (u : Srec.t) =
    does (and the collector stalls) — so a strand is never half-visible to
    the shard set and per-lane DAG order is preserved. *)
 let collect t r (u : Srec.t) =
-  let p0 = ref None in
-  let subs = ref 0 in
-  let committed =
-    Lanes.enqueue_each r.lanes (fun k ->
-        let p = lane_payload ~shards:t.shards u k in
-        subs := !subs + Array.length p.s_reads + Array.length p.s_writes;
-        if k = 0 then p0 := Some p;
-        p)
-  in
-  if not committed then false
-  else begin
-    (match u.Srec.child with
-    | Some c when u.Srec.is_spawn || u.Srec.child_is_sync -> Atomic.decr c.Srec.pred
-    | _ -> ());
-    r.n_collected <- r.n_collected + 1;
-    r.split_intervals <- r.split_intervals + Array.length u.Srec.reads + Array.length u.Srec.writes;
-    r.split_subranges <- r.split_subranges + !subs;
-    let ring = r.obs_stage.(0) in
-    (if Evring.enabled ring then begin
-       let ts = Evring.now ring in
-       Evring.emit_at ring ~ts ~kind:Ev.collect ~arg:u.Srec.uid;
-       if t.shards > 1 then Evring.emit_at ring ~ts ~kind:Ev.split ~arg:!subs;
-       Histo.add r.lat_collect (ts - u.Srec.obs_ts)
-     end);
-    (* under Par_exec downstream stages can outrun the collector's own
-       bump, so the collector may observe the completing increment *)
-    bump_done r ~slot:0 ~ring u;
-    (match !p0 with
-    | Some p ->
-        ignore (role_step t.report r.ctx.sp ~shards:t.shards ~shard:0 r.hist.(0) Writer p : int)
-    | None -> assert false (* enqueue_each evaluated f 0 iff it committed *));
-    (* the delayed frees become real here: the collector owns heap
-       recycling (§III-D, §III-F), after shard 0's treaps saw the clear *)
-    List.iter (fun (b, l) -> Aspace.heap_free r.ctx.aspace ~base:b ~len:l) u.Srec.frees;
-    true
+  let shards = t.shards in
+  Lanes.reserve r.lanes
+  && begin
+       let p0 = lane_payload ~shards u 0 in
+       Lanes.push r.lanes 0 p0;
+       let subs = ref (Array.length p0.s_reads + Array.length p0.s_writes) in
+       for k = 1 to shards - 1 do
+         let p = lane_payload ~shards u k in
+         subs := !subs + Array.length p.s_reads + Array.length p.s_writes;
+         Lanes.push r.lanes k p
+       done;
+       (match u.Srec.child with
+       | Some c when u.Srec.is_spawn || u.Srec.child_is_sync -> Atomic.decr c.Srec.pred
+       | _ -> ());
+       r.n_collected <- r.n_collected + 1;
+       r.split_intervals <-
+         r.split_intervals + Array.length u.Srec.reads + Array.length u.Srec.writes;
+       r.split_subranges <- r.split_subranges + !subs;
+       let ring = r.obs_stage.(0) in
+       (if Evring.enabled ring then begin
+          let ts = Evring.now ring in
+          Evring.emit_at ring ~ts ~kind:Ev.collect ~arg:u.Srec.uid;
+          if shards > 1 then Evring.emit_at ring ~ts ~kind:Ev.split ~arg:!subs;
+          Histo.add r.lat_collect (ts - u.Srec.obs_ts)
+        end);
+       (* under Par_exec downstream stages can outrun the collector's own
+          bump, so the collector may observe the completing increment *)
+       bump_done r ~slot:0 ~ring u;
+       ignore (role_step r.roles.(0) p0 : int);
+       (* the delayed frees become real here: the collector owns heap
+          recycling (§III-D, §III-F), after shard 0's treaps saw the clear *)
+       heap_free_all r.ctx.aspace u.Srec.frees;
+       true
+     end
+
+(* Hand the traces core workers started since the last step to the
+   collector's scan set, in creation order (the Micropool.adopt
+   pattern). *)
+let adopt_traces r =
+  if Atomic.get r.n_incoming > 0 then begin
+    Mutex.lock r.reg_lock;
+    let incoming = r.incoming in
+    r.incoming <- [];
+    Atomic.set r.n_incoming 0;
+    Mutex.unlock r.reg_lock;
+    List.iter (Vec.push r.scan) (List.rev incoming)
   end
 
+type scan = Collected | Empty | Full
+
+(* One collection attempt of Algorithm 2: scan the active traces
+   round-robin from position [i], retiring drained ones, and collect the
+   first ready strand. *)
+let rec scan_traces t r i tried =
+  let len = Vec.length r.scan in
+  if len = 0 || tried >= len then Empty
+  else begin
+    let idx = i mod len in
+    let tr = Vec.get r.scan idx in
+    if Trace.drained tr then begin
+      (* retire: swap-remove *)
+      Vec.set r.scan idx (Vec.get r.scan (len - 1));
+      ignore (Vec.pop r.scan : Trace.t);
+      scan_traces t r idx tried
+    end
+    else if Trace.unlocked tr then
+      match Trace.peek tr with
+      | Some u ->
+          if collect t r u then begin
+            Trace.pop tr;
+            r.scan_cursor <- idx;
+            Collected
+          end
+          else Full (* some lane full: stall until its consumers catch up *)
+      | None -> scan_traces t r (idx + 1) (tried + 1)
+    else scan_traces t r (idx + 1) (tried + 1)
+  end
+
+(* The collector's step: up to [Ahq.default_batch] collection attempts,
+   each resuming the scan at the last collected trace, so the strands go
+   out in the order one attempt per step would send them; the batch ends
+   at the first attempt that collects nothing. *)
 let writer_step t : Step.t =
   let r = active t in
-  let n = Vec.length r.registry in
-  if n = 0 then
-    if Atomic.get r.core_done then begin
-      Atomic.set r.collect_done true;
-      Step.finished
-    end
-    else Step.idle
-  else begin
-    (* scan active traces round-robin from the cursor *)
-    let rec scan i tried =
-      let len = Vec.length r.registry in
-      if len = 0 || tried >= len then Step.idle
-      else begin
-        let idx = i mod len in
-        let tr = Vec.get r.registry idx in
-        if Trace.drained tr then begin
-          (* retire: swap-remove under the registry lock *)
-          Mutex.lock r.reg_lock;
-          let last = Vec.length r.registry - 1 in
-          Vec.set r.registry idx (Vec.get r.registry last);
-          ignore (Vec.pop r.registry);
-          Mutex.unlock r.reg_lock;
-          scan idx tried
+  (* read before adopting: once it reads true, every trace a core worker
+     started is in the scan set when the step decides the run is over *)
+  let core_done = Atomic.get r.core_done in
+  adopt_traces r;
+  let v0 = Itreap.visits r.hist.(0).writer in
+  let n = ref 0 and last = ref Collected in
+  while !last = Collected && !n < Ahq.default_batch do
+    last := scan_traces t r r.scan_cursor 0;
+    if !last = Collected then incr n
+  done;
+  if !n > 0 then Step.worked ~records:!n (Itreap.visits r.hist.(0).writer - v0)
+  else
+    match !last with
+    | Full -> Step.stalled
+    | Empty | Collected ->
+        if core_done && Vec.length r.scan = 0 then begin
+          Atomic.set r.collect_done true;
+          Step.finished
         end
-        else if Trace.unlocked tr then begin
-          match Trace.peek tr with
-          | Some u ->
-              let v0 = Itreap.visits r.hist.(0).writer in
-              if collect t r u then begin
-                Trace.pop tr;
-                r.scan_cursor <- idx;
-                Step.worked (Itreap.visits r.hist.(0).writer - v0)
-              end
-              else Step.stalled (* some lane full: stall until its consumers catch up *)
-          | None -> scan (idx + 1) (tried + 1)
-        end
-        else scan (idx + 1) (tried + 1)
-      end
-    in
-    match scan r.scan_cursor 0 with
-    | `Idle when Vec.length r.registry = 0 && Atomic.get r.core_done ->
-        Atomic.set r.collect_done true;
-        Step.finished
-    | other -> other
-  end
+        else Step.idle
 
 (* Stage [i]'s step for every stage but the collector: shard [i mod
    shards]'s treap worker for [role_of_idx t i], consuming its lane in
@@ -527,11 +632,11 @@ let consume_step t i : Step.t =
   let n = Ahq.peek_batch_into lane cursor buf in
   if n = 0 then if Atomic.get r.collect_done then Step.finished else Step.idle
   else begin
-    let h = r.hist.(shard) in
+    let c = r.roles.(i) in
     let visits = ref 0 in
     for j = 0 to n - 1 do
       let lr = buf.(j) in
-      visits := !visits + role_step t.report r.ctx.sp ~shards:t.shards ~shard h role lr;
+      visits := !visits + role_step c lr;
       bump_done r ~slot:i ~ring:r.obs_stage.(i) lr.u
     done;
     Ahq.advance_n lane cursor n;
@@ -671,16 +776,17 @@ let serial ?(seed = 4242) ?(obs = Obs.disabled) () =
     let h = make_hist ~seed 0 in
     let coals = [| Coalescer.create () |] and tot = make_totals () and strands = ref 0 in
     (validators := fun () -> validate_hist h);
+    let role r = make_tctx report ctx.sp h r ~shards:1 ~shard:0 in
+    let writer = role Writer and lreader = role Lreader and rreader = role Rreader in
     (* the strand's three role steps, in stage order, then the heap takes
        its frees back *)
     let process (u : Srec.t) =
       incr strands;
       let lr = lane_payload ~shards:1 u 0 in
-      let step role = role_step report ctx.sp ~shards:1 ~shard:0 h role lr in
-      let w = step Writer in
-      let l = step Lreader in
-      let r = step Rreader in
-      List.iter (fun (base, len) -> Aspace.heap_free ctx.aspace ~base ~len) u.frees;
+      let w = role_step writer lr in
+      let l = role_step lreader lr in
+      let r = role_step rreader lr in
+      heap_free_all ctx.aspace u.frees;
       w + l + r
     in
     {

@@ -65,9 +65,11 @@ type t
     {!Lanes.shard_block}-word blocks congruent to it and runs a private
     {writer, lreader, rreader} treap triple off a private AHQ lane of 4096
     records; every treap stays sequential, so correctness needs no
-    concurrent treap.  A consuming treap worker takes up to
-    {!Ahq.default_batch} lane records per step, amortizing cursor updates
-    and slot-recycling checks. *)
+    concurrent treap.  The collector hands over up to
+    {!Ahq.default_batch} strands per step, in the order one strand per
+    step would send them, and a consuming treap worker takes up to as many
+    lane records per step, amortizing cursor updates and slot-recycling
+    checks. *)
 val make : ?seed:int -> ?shards:int -> unit -> t
 
 (** [serial ?seed ?obs ()] — STINT: one shard's writer, left-most-reader

@@ -1,11 +1,5 @@
 let race sp ~prior ~current = Sp_order.parallel sp prior current
 
-let check_treap report sp treap kind (iv : Interval.t) s =
-  Itreap.query treap iv ~f:(fun lo hi prior ->
-      if race sp ~prior ~current:s then
-        Report.add report kind ~prior:(Sp_order.id prior) ~current:(Sp_order.id s)
-          (Interval.make (Int.max lo iv.lo) (Int.min hi iv.hi)))
-
 let path_diags sum =
   let fast = sum Itreap.fastpath_hits
   and inplace = sum Itreap.inplace_hits

@@ -6,18 +6,6 @@
     [current] iff they are logically parallel. *)
 val race : Sp_order.t -> prior:Sp_order.strand -> current:Sp_order.strand -> bool
 
-(** [check_treap report sp treap kind iv s] adds to [report], as [kind],
-    every interval stored in [treap] that overlaps [iv] and whose owner
-    races with [s]; the witness is the overlap, built only for a race. *)
-val check_treap :
-  Report.t ->
-  Sp_order.t ->
-  Sp_order.strand Itreap.t ->
-  Report.kind ->
-  Interval.t ->
-  Sp_order.strand ->
-  unit
-
 (** [path_diags sum] — the treap path counters as diagnostics, each summed
     over a detector's treaps by [sum]: [fastpath_hits], [inplace_hits],
     [slowpath_hits], [fastpath_rate] (fast over all three) and

@@ -4,6 +4,7 @@ type metrics = {
   mutable visits : int;
   mutable idles : int;
   mutable stalls : int;
+  mutable minor_words : int;
 }
 
 type t = {
@@ -18,7 +19,8 @@ type t = {
   mutable stall_t0 : int;
 }
 
-let fresh_metrics () = { steps = 0; records = 0; visits = 0; idles = 0; stalls = 0 }
+let fresh_metrics () =
+  { steps = 0; records = 0; visits = 0; idles = 0; stalls = 0; minor_words = 0 }
 
 let default_cost ~records:_ ~visits = visits
 
@@ -45,6 +47,7 @@ let reset_metrics t =
   m.visits <- 0;
   m.idles <- 0;
   m.stalls <- 0;
+  m.minor_words <- 0;
   t.in_stall <- false;
   t.stall_t0 <- 0
 
@@ -59,8 +62,12 @@ let close_stall t now =
 let exec t =
   let tracing = Evring.enabled t.ring in
   let t0 = if tracing then Evring.now t.ring else 0 in
+  (* [Gc.minor_words] counts the calling domain's allocation only, so the
+     difference is this step's own, whichever domain drives the stage *)
+  let w0 = Gc.minor_words () in
   let st = t.step () in
   let m = t.metrics in
+  m.minor_words <- m.minor_words + int_of_float (Gc.minor_words () -. w0);
   (match st with
   | `Worked o ->
       m.steps <- m.steps + 1;
@@ -98,4 +105,5 @@ let diagnostics t =
     (key "visits", float_of_int m.visits);
     (key "idle", float_of_int m.idles);
     (key "stalls", float_of_int m.stalls);
+    (key "minor_words", float_of_int m.minor_words);
   ]

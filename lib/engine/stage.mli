@@ -11,7 +11,10 @@
       consume many records, so [records /. steps] is the achieved batch);
     - [visits] — accumulated cost payloads (treap-node visits for PINT);
     - [idles] — steps that found nothing to do upstream;
-    - [stalls] — steps blocked on a full downstream queue (backpressure).
+    - [stalls] — steps blocked on a full downstream queue (backpressure);
+    - [minor_words] — words the steps allocated on the minor heap of the
+      domain that ran them ([Gc.minor_words] around each step), so
+      [minor_words /. records] is the stage's allocation per record.
 
     A stage is single-consumer: it must be driven by one thread at a time
     (the {!Micropool} worker holding its group, the single-threaded
@@ -23,6 +26,7 @@ type metrics = {
   mutable visits : int;
   mutable idles : int;
   mutable stalls : int;
+  mutable minor_words : int;
 }
 
 type t

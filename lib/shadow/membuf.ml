@@ -1,8 +1,8 @@
-type f = { fbase : int; fdata : float array; fspace : Aspace.t; fstack : bool }
+type f = { fbase : int; fdata : float array; fstack : bool }
 
 let alloc_f space n =
   let base = Aspace.heap_alloc space n in
-  { fbase = base; fdata = Array.make n 0.; fspace = space; fstack = false }
+  { fbase = base; fdata = Array.make n 0.; fstack = false }
 
 let free_f b =
   if b.fstack then invalid_arg "Membuf.free_f: stack frame";
@@ -46,13 +46,10 @@ let poke_f b j v = b.fdata.(j) <- v
 module Frame = struct
   let with_f_hooked space ~worker ~words ~on_pop k =
     let base = Aspace.frame_push space ~worker ~words in
-    let frame = { fbase = base; fdata = Array.make words 0.; fspace = space; fstack = true } in
+    let frame = { fbase = base; fdata = Array.make words 0.; fstack = true } in
     Fun.protect
       ~finally:(fun () ->
         Aspace.frame_pop space ~worker ~base;
         on_pop ~base ~len:words)
       (fun () -> k frame)
-
-  let with_f space ~worker ~words k =
-    with_f_hooked space ~worker ~words ~on_pop:(fun ~base:_ ~len:_ -> ()) k
 end

@@ -49,14 +49,10 @@ val poke_f : f -> int -> float -> unit
 (** {1 Stack frames} *)
 
 module Frame : sig
-  (** [with_f space ~worker ~words k] pushes an activation frame of [words]
-      float locals on [worker]'s simulated stack, runs [k] on the frame
-      buffer, then pops the frame.  The frame interval is also passed so the
-      executor can attach a clear-on-return action to the popping strand. *)
-  val with_f : Aspace.t -> worker:int -> words:int -> (f -> 'a) -> 'a
-
-  (** Like {!with_f} but also tells [on_pop] the popped interval (base, len)
-      just before returning — the hook the executors use to schedule access
+  (** [with_f_hooked space ~worker ~words ~on_pop k] pushes an activation
+      frame of [words] float locals on [worker]'s simulated stack, runs [k]
+      on the frame buffer, then pops the frame and tells [on_pop] the popped
+      interval (base, len) — the hook the executors use to schedule access
       history clearing (§III-F). *)
   val with_f_hooked : Aspace.t -> worker:int -> words:int -> on_pop:(base:int -> len:int -> unit) -> (f -> 'a) -> 'a
 end

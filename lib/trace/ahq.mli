@@ -47,7 +47,7 @@ val set_obs : 'a t -> writer:Evring.t -> readers:Evring.t array -> unit
     rescanned only when the cached bound would reject.  Producer-side only:
     the cache it refreshes is writer-private.  With a single producer the
     answer stays valid until that producer enqueues, which is what lets
-    {!Lanes.enqueue_each} commit all-or-nothing across lanes. *)
+    {!Lanes.reserve} commit all-or-nothing across lanes. *)
 val has_room : 'a t -> bool
 
 (** [try_enqueue t s] — false iff the ring is full (same bound as

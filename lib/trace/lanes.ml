@@ -25,19 +25,18 @@ let shard_block = 1024
 
 let owner ?(block = shard_block) ~shards addr = addr / block mod shards
 
-let iter_subranges ?(block = shard_block) ~shards ~shard (iv : Interval.t) f =
-  if shards = 1 then f iv
-  else begin
-    let rec go lo =
-      if lo <= iv.Interval.hi then begin
-        let bstart = lo / block * block in
-        let hi = min iv.Interval.hi (bstart + block - 1) in
-        if lo / block mod shards = shard then f (Interval.make lo hi);
-        go (hi + 1)
-      end
-    in
-    go iv.Interval.lo
+(* A toplevel loop rather than a closure over the interval, so a split
+   allocates nothing of its own. *)
+let[@pint.hot] rec iter_blocks block shards shard lo hi ctx f =
+  if shards = 1 then f ctx lo hi
+  else if lo <= hi then begin
+    let bhi = Int.min hi ((lo / block * block) + block - 1) in
+    if lo / block mod shards = shard then f ctx lo bhi;
+    iter_blocks block shards shard (bhi + 1) hi ctx f
   end
+
+let iter_subranges ?(block = shard_block) ~shards ~shard lo hi ctx f =
+  iter_blocks block shards shard lo hi ctx f
 
 type 'a t = {
   lanes : 'a Ahq.t array;
@@ -77,17 +76,18 @@ let set_backpressure t ~rounds =
 
 let backpressure_waits t = t.bp_waits
 
-(* All-or-nothing enqueue: probe every lane for room first, then build and
-   enqueue the per-lane payloads.  Sound even with consumers advancing
-   cursors concurrently on other domains, because the collector is the only
-   producer on every lane: consumers only CREATE room (recycling consumed
-   slots), never take it away, so room observed by the probe cannot shrink
-   before the enqueues commit.  The converse race — a probe that finds a
-   lane full just before a concurrent consumer frees it — is what the
-   backpressure loop absorbs: ride the {!Backoff} ladder up to [bp_rounds]
-   re-probes before declaring the commit rejected.  [f k] is only evaluated
-   once all lanes have room, so payload construction (the interval split)
-   is never wasted work on a stall. *)
+(* All-or-nothing commit: probe every lane for room first ([reserve]),
+   then enqueue one record per lane ([push]).  Sound even with consumers
+   advancing cursors concurrently on other domains, because the collector
+   is the only producer on every lane: consumers only CREATE room
+   (recycling consumed slots), never take it away, so room observed by the
+   probe cannot shrink before the pushes commit.  The converse race — a
+   probe that finds a lane full just before a concurrent consumer frees it
+   — is what the backpressure loop absorbs: ride the {!Backoff} ladder up
+   to [bp_rounds] re-probes before declaring the commit rejected.  The
+   caller builds each lane's record only after [reserve] succeeds, so
+   payload construction (the interval split) is never wasted work on a
+   stall. *)
 let all_have_room t =
   let n = Array.length t.lanes in
   let rec go k = k >= n || (Ahq.has_room t.lanes.(k) && go (k + 1)) in
@@ -112,16 +112,12 @@ let rec wait_for_room t round =
     wait_for_room t (round + 1)
   end
 
-let[@pint.hot] enqueue_each t f =
-  wait_for_room t 0
-  && begin
-       for k = 0 to Array.length t.lanes - 1 do
-         if not (Ahq.try_enqueue t.lanes.(k) (f k)) then
-           (* unreachable by the single-producer argument above *)
-           failwith "Lanes.enqueue_each: lane lost room after probe"
-       done;
-       true
-     end
+let reserve t = wait_for_room t 0
+
+let[@pint.hot] push t k x =
+  if not (Ahq.try_enqueue t.lanes.(k) x) then
+    (* unreachable after [reserve] by the single-producer argument above *)
+    failwith "Lanes.push: lane lost room after probe"
 
 let rejects t k = t.rejects.(k)
 let total_rejects t = Array.fold_left ( + ) 0 t.rejects

@@ -18,12 +18,15 @@ val shard_block : int
     ([addr / block mod shards]). *)
 val owner : ?block:int -> shards:int -> int -> int
 
-(** [iter_subranges ?block ~shards ~shard iv f] — the block-aligned
-    subranges of [iv] owned by [shard], in address order; across all
-    shards the subranges partition [iv] exactly.  [block] (default
-    {!shard_block}) is exposed for property tests over other alignments. *)
+(** [iter_subranges ?block ~shards ~shard lo hi ctx f] calls [f ctx lo'
+    hi'] for each block-aligned subrange [\[lo', hi'\]] of [\[lo, hi\]]
+    owned by [shard], in address order; across all shards the subranges
+    partition [\[lo, hi\]] exactly.  At [shards = 1] that is one call with
+    [lo hi] itself.  [f] takes its state as [ctx], so a toplevel [f]
+    makes the walk allocate nothing.  [block] (default {!shard_block}) is
+    exposed for property tests over other alignments. *)
 val iter_subranges :
-  ?block:int -> shards:int -> shard:int -> Interval.t -> (Interval.t -> unit) -> unit
+  ?block:int -> shards:int -> shard:int -> int -> int -> 'c -> ('c -> int -> int -> unit) -> unit
 
 type 'a t
 
@@ -34,16 +37,21 @@ val create : ?capacity:int -> shards:int -> readers_of_lane:(int -> int) -> unit
 (** The underlying ring of lane [k] (consumers peek/advance it directly). *)
 val lane : 'a t -> int -> 'a Ahq.t
 
-(** [enqueue_each t f] — commit one record to every lane, all-or-nothing:
-    probes every lane for room first and only then evaluates [f k] and
-    enqueues its result on lane [k].  False (and nothing enqueued, with the
-    roomless lanes' reject counters bumped) if any lane stays full for the
-    whole backpressure window.  Producer side only: soundness of
-    probe-then-enqueue rests on the single-producer discipline of the
-    lanes; concurrent consumers only ever create room, never take it. *)
-val enqueue_each : 'a t -> (int -> 'a) -> bool
+(** [reserve t] — the first half of an all-or-nothing commit of one
+    record to every lane: true iff every lane has room for one more
+    record, after riding out a full lane for the backpressure window.
+    False (with the roomless lanes' reject counters bumped) if any lane
+    stays full.  After [true] the caller {!push}es exactly one record to
+    each lane.  Producer side only: soundness of probe-then-enqueue rests
+    on the single-producer discipline of the lanes; concurrent consumers
+    only ever create room, never take it. *)
+val reserve : 'a t -> bool
 
-(** [set_backpressure t ~rounds] — let {!enqueue_each} ride out a full lane
+(** [push t k x] — enqueue [x] on lane [k] after a successful {!reserve}.
+    @raise Failure if the lane has no room (a missing [reserve]). *)
+val push : 'a t -> int -> 'a -> unit
+
+(** [set_backpressure t ~rounds] — let {!reserve} ride out a full lane
     for up to [rounds] {!Backoff} rounds (re-probing after each) before
     rejecting the commit.  The default 0 rejects immediately, which is the
     only sound setting under a single-threaded driver: consumers only run
@@ -51,7 +59,7 @@ val enqueue_each : 'a t -> (int -> 'a) -> bool
     Enable only when lane consumers run on their own domains. *)
 val set_backpressure : 'a t -> rounds:int -> unit
 
-(** Producer backoff rounds taken inside {!enqueue_each} waiting for a
+(** Producer backoff rounds taken inside {!reserve} waiting for a
     saturated lane to drain. *)
 val backpressure_waits : 'a t -> int
 

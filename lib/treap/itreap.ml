@@ -505,8 +505,7 @@ let insert_merge t iv owner ~keep =
     commit t
   end
 
-let clear_range t iv =
-  let lo = iv.Interval.lo and hi = iv.Interval.hi in
+let clear_range t lo hi =
   (* No extension here: an interval merely touching the cleared range is
      left alone, so "nothing stored intersects" means "nothing to do". *)
   if not (intersects t lo hi t.root) then t.fastpath_hits <- t.fastpath_hits + 1

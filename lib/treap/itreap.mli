@@ -109,9 +109,11 @@ val insert_replace : 'o t -> Interval.t -> 'o -> unit
     get [owner].  The policy must be a pure function of the two owners. *)
 val insert_merge : 'o t -> Interval.t -> 'o -> keep:(incumbent:'o -> [ `Keep | `Replace ]) -> unit
 
-(** [clear_range t iv] removes all coverage of [iv], truncating stored
-    intervals that straddle its boundary. *)
-val clear_range : 'o t -> Interval.t -> unit
+(** [clear_range t lo hi] removes all coverage of [\[lo, hi\]],
+    truncating stored intervals that straddle its boundary.  It takes the
+    bounds as two ints, so a caller clearing (base, len) ranges builds no
+    interval. *)
+val clear_range : 'o t -> int -> int -> unit
 
 (** All stored intervals in address order. *)
 val to_list : 'o t -> (Interval.t * 'o) list

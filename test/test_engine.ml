@@ -59,8 +59,36 @@ let test_stage_diagnostics_keys () =
   List.iter
     (fun k -> check_bool (k ^ " present") true (List.mem_assoc k d))
     [ "stage.writer.steps"; "stage.writer.records"; "stage.writer.visits";
-      "stage.writer.idle"; "stage.writer.stalls" ];
+      "stage.writer.idle"; "stage.writer.stalls"; "stage.writer.minor_words" ];
   check_bool "stall counted" true (List.assoc "stage.writer.stalls" d = 1.)
+
+(* [minor_words] is what the steps allocated on the domain that ran them:
+   a step that builds 10 000 words of lists reads at least that, and a
+   domain allocating alongside is not charged to the stage. *)
+let test_stage_minor_words () =
+  let st =
+    Stage.make ~name:"alloc" (fun () ->
+        ignore (Sys.opaque_identity (List.init 3334 Fun.id));
+        Step.worked 0)
+  in
+  ignore (Stage.exec st : Step.t);
+  let m = Stage.metrics st in
+  check_bool "allocation counted" true (m.Stage.minor_words >= 10_000);
+  let quiet = Stage.make ~name:"quiet" (fun () -> Step.idle) in
+  let other =
+    Domain.spawn (fun () ->
+        for _ = 1 to 100 do
+          ignore (Sys.opaque_identity (List.init 10_000 Fun.id))
+        done)
+  in
+  for _ = 1 to 1000 do
+    ignore (Stage.exec quiet : Step.t)
+  done;
+  Domain.join other;
+  check_int "another domain's allocation is not the stage's" 0
+    (Stage.metrics quiet).Stage.minor_words;
+  Stage.reset_metrics st;
+  check_int "reset" 0 (Stage.metrics st).Stage.minor_words
 
 let test_pipeline_drive_completes () =
   let a = synthetic ~name:"a" ~idles:10 ~stalls:0 ~work:7 () in
@@ -142,7 +170,7 @@ let test_pipeline_diagnostics () =
   let p = Pipeline.of_stages [ a; b ] in
   Pipeline.drive p;
   let d = Pipeline.diagnostics p in
-  check_int "5 counters per stage" 10 (List.length d);
+  check_int "6 counters per stage" 12 (List.length d);
   check_bool "a steps" true (List.assoc "stage.a.steps" d = 2.);
   check_bool "b stalls" true (List.assoc "stage.b.stalls" d = 1.)
 
@@ -197,6 +225,7 @@ let () =
           Alcotest.test_case "step helpers" `Quick test_step_helpers;
           Alcotest.test_case "stage metrics" `Quick test_stage_metrics;
           Alcotest.test_case "stage diagnostics keys" `Quick test_stage_diagnostics_keys;
+          Alcotest.test_case "stage minor words" `Quick test_stage_minor_words;
           Alcotest.test_case "pipeline drives to done" `Quick test_pipeline_drive_completes;
           Alcotest.test_case "producer/consumer backpressure" `Quick
             test_pipeline_producer_consumer;

@@ -209,6 +209,108 @@ let fresh_capture (w : Workload.t) =
   ignore (Sim_exec.run ~config:Sim_exec.serial ~driver inst.Workload.run);
   finished ()
 
+(* The collector hands strands over a batch at a time: replayed through
+   pint at shards 1 and 2, the collector stage takes fewer steps than it
+   collects strands and the readers' achieved batch exceeds one, while
+   the races (witnesses included, at one shard) stay those of stint,
+   whose role steps run strand by strand, and a pinned trace's visits
+   stay pinned. *)
+let check_batched t ~pinned =
+  let replay ?shards det =
+    let d, _ = Option.get (Systems.make_detector ?shards det) in
+    Replay.run t d
+  in
+  let stint = replay "stint" in
+  let listing o = List.map (Format.asprintf "%a" Report.pp_race) o.Replay.races in
+  List.iter
+    (fun shards ->
+      let o = replay ~shards "pint" in
+      let diag k = Option.value ~default:nan (List.assoc_opt k o.Replay.diagnostics) in
+      let collector = if shards = 1 then "writer" else "writer0" in
+      let what fmt = Printf.sprintf ("shards %d: " ^^ fmt) shards in
+      let steps = diag ("stage." ^ collector ^ ".steps")
+      and records = diag ("stage." ^ collector ^ ".records") in
+      if not (records > steps) then
+        Alcotest.failf "shards %d: collector took %g steps for %g strands" shards steps records;
+      if not (diag "ahq_batch" > 1.) then
+        Alcotest.failf "shards %d: ahq_batch %g" shards (diag "ahq_batch");
+      if shards = 1 then begin
+        Alcotest.(check (list string)) (what "races and witnesses") (listing stint) (listing o);
+        Alcotest.(check (float 0.)) (what "writer visits")
+          (Option.value ~default:nan (List.assoc_opt "writer_visits" stint.Replay.diagnostics))
+          (diag "writer_visits")
+      end
+      else
+        check_bool (what "race set") true (signature o.Replay.races = signature stint.Replay.races);
+      List.iter
+        (fun (k, want) -> Alcotest.(check (float 0.)) (what "%s" k) want (diag k))
+        pinned)
+    [ 1; 2 ]
+
+(* A serial capture of [w] at [size]/[base]; the racy variant if [racy]. *)
+let capture_at ?(racy = false) (w : Workload.t) ~size ~base =
+  let inst =
+    match w.Workload.racy with
+    | Some r when racy -> r ~size ~base
+    | _ -> w.Workload.make ~size ~base
+  in
+  let driver, finished = Tracefile.capturing (Nodetect.make ()).Detector.driver in
+  ignore (Sim_exec.run ~config:Sim_exec.serial ~driver inst.Workload.run);
+  finished ()
+
+(* Directed case: after the walk of a capture longer than a lane, the
+   collector stepped alone fills lane 0 — [Worked] steps of one full
+   batch each that hand over exactly the lane's 4096 records — and then
+   stalls on the full lane; draining everything afterwards reports the
+   races of a normal replay. *)
+let test_collector_fills_lane () =
+  let t = capture_at ~racy:true (Registry.find "sort") ~size:32768 ~base:64 in
+  check_bool "capture longer than a lane" true (Tracefile.entry_count t > 4096);
+  let d, stages = Option.get (Systems.make_detector "pint") in
+  let s = Replay.Session.create d in
+  ignore (Replay.Session.feed s (Tracefile.to_bytes t));
+  ignore (Replay.Session.eof s);
+  let collector = List.hd stages in
+  let rec fill steps records =
+    match Stage.exec collector with
+    | `Worked o -> fill (steps + 1) (records + o.Step.records)
+    | `Stalled -> (steps, records)
+    | `Idle | `Done -> Alcotest.failf "collector neither worked nor stalled after %d" records
+  in
+  let steps, records = fill 0 0 in
+  Alcotest.(check int) "records before the lane is full" 4096 records;
+  Alcotest.(check int) "one full batch per step" (4096 / Ahq.default_batch) steps;
+  check_bool "still stalled" true (Stage.exec collector = `Stalled);
+  d.Detector.drain ();
+  let o = Replay.Session.outcome s in
+  let normal =
+    let d, _ = Option.get (Systems.make_detector "pint") in
+    Replay.run t d
+  in
+  check_bool "racy capture" true (normal.Replay.races <> []);
+  let listing o = List.map (Format.asprintf "%a" Report.pp_race) o.Replay.races in
+  Alcotest.(check (list string)) "races and witnesses" (listing normal) (listing o)
+
+(* Allocation budget of the treap stages, in minor words per strand, on
+   serial captures replayed through pint at one shard: each reader's role
+   steps allocate nothing per record (the bound leaves room for the
+   per-step outcome and the treap arena's doubling), the collector no
+   more than its per-strand lane record, trace hand-off and heap frees. *)
+let check_allocation (w : Workload.t) ~size ~base () =
+  let t = capture_at w ~size ~base in
+  let d, _ = Option.get (Systems.make_detector "pint") in
+  let o = Replay.run t d in
+  let diag k = Option.value ~default:nan (List.assoc_opt k o.Replay.diagnostics) in
+  List.iter
+    (fun (stage, bound) ->
+      let per_strand =
+        diag ("stage." ^ stage ^ ".minor_words") /. diag ("stage." ^ stage ^ ".records")
+      in
+      if not (per_strand <= bound) then
+        Alcotest.failf "%s %d/%d: %s allocates %.1f minor words per strand (bound %g)"
+          w.Workload.name size base stage per_strand bound)
+    [ ("writer", 45.); ("lreader", 2.); ("rreader", 2.) ]
+
 (* Corruption robustness: a damaged trace must always surface as a clean
    [Tracefile.Error] — never an escaping exception from the parser and
    never a silently wrong replay.  The format checks its magic and then a
@@ -352,6 +454,23 @@ let () =
               Alcotest.test_case ("fresh " ^ w.Workload.name) `Quick (fun () ->
                   check_serial_is_pint (fresh_capture w)))
             (Registry.all ()) );
+      ( "batch",
+        [
+          Alcotest.test_case "sort_racy.trace" `Quick (fun () ->
+              check_batched
+                (Tracefile.load (Filename.concat "golden" "sort_racy.trace"))
+                ~pinned:(List.assoc "sort_racy.trace" expected_visits));
+          Alcotest.test_case "fresh sort" `Quick (fun () ->
+              check_batched (fresh_capture (Registry.find "sort")) ~pinned:[]);
+          Alcotest.test_case "collector fills a lane" `Quick test_collector_fills_lane;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "sort 262144/128" `Quick
+            (check_allocation (Registry.find "sort") ~size:262144 ~base:128);
+          Alcotest.test_case "mmul 256/32" `Quick
+            (check_allocation (Registry.find "mmul") ~size:256 ~base:32);
+        ] );
       ( "corruption",
         List.map (fun path -> Alcotest.test_case path `Quick (check_corrupt path)) files );
       ( "corruption-chunked",

@@ -265,6 +265,18 @@ let cldeque_domains () =
    counter of precisely the roomless lanes.  Backpressure stays 0 here:
    single-threaded, waiting can never create room (the detector enforces
    the same default for the same reason). *)
+
+(* The collector's commit: [Lanes.reserve], then one [Lanes.push] per lane;
+   [f k] builds lane [k]'s record only once every lane has room. *)
+let commit_each t shards f =
+  Lanes.reserve t
+  && begin
+       for k = 0 to shards - 1 do
+         Lanes.push t k (f k)
+       done;
+       true
+     end
+
 let lanes_schedule ~seed ~steps =
   let rng = Random.State.make [| seed |] in
   let shards = 1 + Random.State.int rng 4 in
@@ -282,7 +294,7 @@ let lanes_schedule ~seed ~steps =
       let expect_ok = Array.for_all (fun k -> room k) (Array.init shards (fun k -> k)) in
       let evaluated = ref [] in
       let ok =
-        Lanes.enqueue_each t (fun k ->
+        commit_each t shards (fun k ->
             evaluated := k :: !evaluated;
             (!committed * shards) + k)
       in
@@ -372,7 +384,7 @@ let lanes_domains () =
   let doms = List.init shards (fun k -> Domain.spawn (consumer k)) in
   let all_committed = ref true in
   for i = 0 to total - 1 do
-    if not (Lanes.enqueue_each t (fun k -> (i * shards) + k)) then all_committed := false
+    if not (commit_each t shards (fun k -> (i * shards) + k)) then all_committed := false
   done;
   List.iteri
     (fun k d -> check_bool (Printf.sprintf "lane %d consumer saw FIFO commits" k) true (Domain.join d))

@@ -177,7 +177,9 @@ let test_frame_hook () =
 
 let test_frame_free_rejected () =
   let a = Aspace.create () in
-  Membuf.Frame.with_f a ~worker:0 ~words:8 (fun fr ->
+  Membuf.Frame.with_f_hooked a ~worker:0 ~words:8
+    ~on_pop:(fun ~base:_ ~len:_ -> ())
+    (fun fr ->
       Alcotest.check_raises "free of stack frame" (Invalid_argument "Membuf.free_f: stack frame")
         (fun () -> Membuf.free_f fr))
 

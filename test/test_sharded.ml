@@ -17,6 +17,10 @@ let run_sharded ?(n_workers = 4) ~shards prog =
   let r = Sim_exec.run ~config ~driver:det.Detector.driver prog in
   (det, r)
 
+(* [Lanes.iter_subranges] with an interval callback, for the checks below *)
+let iter_subs ?block ~shards ~shard (iv : Interval.t) f =
+  Lanes.iter_subranges ?block ~shards ~shard iv.lo iv.hi () (fun () lo hi -> f (Interval.make lo hi))
+
 let test_shard_subranges () =
   (* the shard decomposition partitions any interval exactly *)
   let block = Lanes.shard_block in
@@ -25,7 +29,7 @@ let test_shard_subranges () =
       let iv = Interval.make lo hi in
       let seen = Hashtbl.create 64 in
       for shard = 0 to shards - 1 do
-        Lanes.iter_subranges ~shards ~shard iv (fun sub ->
+        iter_subs ~shards ~shard iv (fun sub ->
             check_bool "within" true (sub.Interval.lo >= lo && sub.Interval.hi <= hi);
             check_int "single block" (sub.Interval.lo / block) (sub.Interval.hi / block);
             check_int "right shard" shard (sub.Interval.lo / block mod shards);
@@ -46,7 +50,7 @@ let test_shard_subranges () =
 
 let subranges ~shards ~shard iv =
   let acc = ref [] in
-  Lanes.iter_subranges ~shards ~shard iv (fun sub ->
+  iter_subs ~shards ~shard iv (fun sub ->
       acc := (sub.Interval.lo, sub.Interval.hi) :: !acc);
   List.rev !acc
 
@@ -114,7 +118,7 @@ let splitter_partition_prop =
       let iv = Interval.make lo hi in
       let subs = ref [] in
       for shard = 0 to shards - 1 do
-        Lanes.iter_subranges ~block ~shards ~shard iv (fun sub ->
+        iter_subs ~block ~shards ~shard iv (fun sub ->
             if Lanes.owner ~block ~shards sub.Interval.lo <> shard then
               QCheck.Test.fail_reportf "lo %d not owned by shard %d" sub.Interval.lo shard;
             if Lanes.owner ~block ~shards sub.Interval.hi <> shard then

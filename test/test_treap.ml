@@ -110,9 +110,9 @@ let test_query_none () =
 let test_clear_range () =
   let t = make_treap () in
   Itreap.insert_replace t (iv 0 20) 1;
-  Itreap.clear_range t (iv 5 15);
+  Itreap.clear_range t 5 15;
   Alcotest.check entry_t "cleared middle" [ (0, 4, 1); (16, 20, 1) ] (entries t);
-  Itreap.clear_range t (iv 0 100);
+  Itreap.clear_range t 0 100;
   Alcotest.check entry_t "cleared all" [] (entries t);
   check_int "covered" 0 (Itreap.covered t);
   Itreap.validate t
@@ -120,7 +120,7 @@ let test_clear_range () =
 let test_clear_range_noop () =
   let t = make_treap () in
   Itreap.insert_replace t (iv 0 4) 1;
-  Itreap.clear_range t (iv 10 20);
+  Itreap.clear_range t 10 20;
   Alcotest.check entry_t "untouched" [ (0, 4, 1) ] (entries t);
   Itreap.validate t
 
@@ -257,7 +257,7 @@ let policy ~new_owner ~incumbent = if incumbent <= new_owner then `Keep else `Re
 let apply t = function
   | Replace (l, h, o) -> Itreap.insert_replace t (iv l h) o
   | Merge (l, h, o) -> Itreap.insert_merge t (iv l h) o ~keep:(policy ~new_owner:o)
-  | Clear (l, h) -> Itreap.clear_range t (iv l h)
+  | Clear (l, h) -> Itreap.clear_range t l h
 
 (* The shapes an operation can take through the treap, told apart from
    outside: the entries stored before it, its path counters, and the depth
@@ -497,7 +497,7 @@ let test_path_counters () =
   check_int "adjacency goes slow" 3 (Itreap.slowpath_hits t);
   Alcotest.check entry_t "coalesced across the boundary" [ (0, 35, 5) ] (entries t);
   let f0 = Itreap.fastpath_hits t in
-  Itreap.clear_range t (iv 100 200);
+  Itreap.clear_range t 100 200;
   check_int "clear of untouched range is a fast no-op" (f0 + 1) (Itreap.fastpath_hits t);
   Alcotest.check entry_t "still intact" [ (0, 35, 5) ] (entries t);
   check_int "no in-place update yet" 0 (Itreap.inplace_hits t);
@@ -585,13 +585,13 @@ let test_general_shapes () =
   Itreap.insert_replace t (iv 5 9) 1;
   check "touch hi, empty lower half" [ (5, 14, 1); (20, 24, 2) ] t;
   let t = build [ (0, 9, 1); (20, 29, 2) ] in
-  Itreap.clear_range t (iv 0 4);
+  Itreap.clear_range t 0 4;
   check "clear, empty lower half" [ (5, 9, 1); (20, 29, 2) ] t;
-  Itreap.clear_range t (iv 25 40);
+  Itreap.clear_range t 25 40;
   check "clear, empty upper half" [ (5, 9, 1); (20, 24, 2) ] t;
-  Itreap.clear_range t (iv 7 21);
+  Itreap.clear_range t 7 21;
   check "clear across two entries" [ (5, 6, 1); (22, 24, 2) ] t;
-  Itreap.clear_range t (iv 0 30);
+  Itreap.clear_range t 0 30;
   check "clear, both halves empty" [] t
 
 (* The boundary nodes a split records must not outlive it: a later
@@ -599,12 +599,12 @@ let test_general_shapes () =
    as its neighbour and coalesce with it. *)
 let test_boundary_reset () =
   let t = build [ (0, 4, 1); (10, 14, 1) ] in
-  Itreap.clear_range t (iv 10 14);
+  Itreap.clear_range t 10 14;
   Itreap.insert_replace t (iv 5 9) 1;
   Alcotest.check entry_t "no stale upper neighbour" [ (0, 9, 1) ] (entries t);
   Itreap.validate t;
   let t = build [ (0, 4, 1); (5, 9, 1); (12, 20, 2) ] in
-  Itreap.clear_range t (iv 0 9);
+  Itreap.clear_range t 0 9;
   Itreap.insert_replace t (iv 10 14) 1;
   Alcotest.check entry_t "no stale lower neighbour" [ (10, 14, 1); (15, 20, 2) ] (entries t);
   Itreap.validate t
@@ -675,7 +675,7 @@ let test_visit_parity () =
     match Rng.int rng 10 with
     | 0 | 1 | 2 | 3 -> Itreap.insert_replace t (iv lo hi) owner
     | 4 | 5 | 6 | 7 -> Itreap.insert_merge t (iv lo hi) owner ~keep:(policy ~new_owner:owner)
-    | 8 -> Itreap.clear_range t (iv lo hi)
+    | 8 -> Itreap.clear_range t lo hi
     | _ ->
         Itreap.query t (iv lo hi) ~f:(fun lo hi o ->
             incr hits;
@@ -719,7 +719,7 @@ let test_arena_recycling () =
   let cap = Itreap.capacity t in
   check_int "first fill sizes the arena" (arena_step n) cap;
   for round = 1 to 5 do
-    Itreap.clear_range t (iv 0 (n * 4));
+    Itreap.clear_range t 0 (n * 4);
     check_int "cleared" 0 (Itreap.size t);
     Itreap.validate t;
     fill round;
@@ -736,7 +736,7 @@ let test_arena_recycling () =
     (match Rng.int rng 3 with
     | 0 -> Itreap.insert_replace t (iv lo hi) (Rng.int rng 4)
     | 1 -> Itreap.insert_merge t (iv lo hi) (Rng.int rng 4) ~keep:(policy ~new_owner:2)
-    | _ -> Itreap.clear_range t (iv lo hi));
+    | _ -> Itreap.clear_range t lo hi);
     peak := max !peak (Itreap.size t)
   done;
   Itreap.validate t;
