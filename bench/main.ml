@@ -25,7 +25,8 @@ let detector_run ?shards ~workload ~size ~base ~workers det () =
   let w = Registry.find workload in
   let inst = w.Workload.make ~size ~base in
   let d, stages = make_det ?shards det in
-  let config = { Sim_exec.default_config with n_workers = workers; stages } in
+  let strand_cost = Systems.strand_cost det in
+  let config = { Sim_exec.default_config with n_workers = workers; strand_cost; stages } in
   ignore (Sim_exec.run ~config ~driver:d.Detector.driver inst.Workload.run);
   d.Detector.drain ();
   d.Detector.diagnostics ()

@@ -100,7 +100,13 @@ let run_one workload detector exec workers domains shards size base racy seed ma
       Printf.printf "executor=seq strands=%d spawns=%d\n" r.Sim_exec.n_strands r.Sim_exec.n_spawns
   | Sim ->
       let config =
-        { Sim_exec.default_config with n_workers; seed; stages; obs_clock = Obs.clock obs }
+        {
+          Sim_exec.n_workers;
+          seed;
+          strand_cost = Systems.strand_cost detector;
+          stages;
+          obs_clock = Obs.clock obs;
+        }
       in
       let r = Sim_exec.run ~config ~driver inst.Workload.run in
       Printf.printf "executor=sim workers=%d strands=%d steals=%d makespan=%d total=%d\n"

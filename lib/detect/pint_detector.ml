@@ -650,14 +650,12 @@ let consume_step t i : Step.t =
    triple to one pool worker, [drain] round-robins them), so the per-stage
    metrics accumulate in one place regardless of who drives the
    pipeline. *)
-let default_step_cost ~records ~visits = (100 * records) + (5 * visits)
-
-let stages ?(cost = default_step_cost) t =
+let stages t =
   let s = t.shards in
   let all =
     List.init (3 * s) (fun i ->
         let step = if i = 0 then fun () -> writer_step t else fun () -> consume_step t i in
-        Stage.make ~name:(stage_name_of_idx t i) ~cost step)
+        Stage.make ~name:(stage_name_of_idx t i) ~cost:Cost_model.treap_step_cost step)
   in
   t.stage_list <- all;
   all

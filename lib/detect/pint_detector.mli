@@ -120,14 +120,14 @@ val role_mean : role -> (string * int) list -> float
 
 (** The pipeline as engine stages, in stage-index order: the collector,
     the shard writer workers (shards ≥ 2), then the [2·N] reader workers.
-    [cost] converts a step's treap-node visit count into virtual cycles
-    (the harness supplies the calibrated model; the default charges a small
-    constant plus a per-visit cost).  The returned stages are remembered by
-    the detector: [Detector.drain] drives the same values, and their per-stage
-    metrics appear in [Detector.diagnostics] (keys
+    Each step is priced in virtual cycles by {!Cost_model.treap_step_cost}
+    over its records and treap-node visits.  The returned stages are
+    remembered by the detector: [Detector.drain] drives the same values,
+    and their per-stage metrics appear in [Detector.diagnostics] (keys
     [stage.<name>.<counter>], plus [writer_stalls], the achieved
-    [ahq_batch] size and the [detect_span] critical path). *)
-val stages : ?cost:(records:int -> visits:int -> int) -> t -> Stage.t list
+    [ahq_batch] size and the [detect_span] critical path, the slowest
+    stage's total price). *)
+val stages : t -> Stage.t list
 
 (** [set_backpressure t ~rounds] — let the collector ride out a saturated
     lane for up to [rounds] {!Backoff} rounds before rejecting an

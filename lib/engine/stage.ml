@@ -22,9 +22,7 @@ type t = {
 let fresh_metrics () =
   { steps = 0; records = 0; visits = 0; idles = 0; stalls = 0; minor_words = 0 }
 
-let default_cost ~records:_ ~visits = visits
-
-let make ~name ?(cost = default_cost) step =
+let make ~name ~cost step =
   {
     name;
     step;

@@ -31,13 +31,13 @@ type metrics = {
 
 type t
 
-(** [make ~name ?cost step] — [cost] converts a step's outcome into
-    scheduler-specific cost units (virtual cycles for the simulator).  It
-    sees both the records consumed and the visit payload so that per-record
-    constants are charged per record, not per step — a batched step that
-    consumes [n] records must not amortize away work that is inherently
-    per-record.  Defaults to [fun ~records:_ ~visits -> visits]. *)
-val make : name:string -> ?cost:(records:int -> visits:int -> int) -> (unit -> Step.t) -> t
+(** [make ~name ~cost step] — [cost] converts a step's outcome into
+    virtual cycles for the simulator and for virtual-clock spans (PINT's
+    stages pass [Cost_model.treap_step_cost]).  It sees both the records
+    consumed and the visit payload so that per-record constants are
+    charged per record, not per step — a batched step that consumes [n]
+    records must not amortize away work that is inherently per-record. *)
+val make : name:string -> cost:(records:int -> visits:int -> int) -> (unit -> Step.t) -> t
 
 val name : t -> string
 

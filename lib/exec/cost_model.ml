@@ -43,7 +43,3 @@ let cracer_core_cost u kind = base_cost u kind + (c_hash_word * u.Srec.work)
 let treap_workers ~shards = 3 * shards
 
 let treap_step_cost ~records ~visits = (c_treap_strand * records) + (c_treap_visit * visits)
-
-let treap_time ~visits ~strands ~treaps =
-  (float_of_int c_treap_visit *. visits)
-  +. (float_of_int c_treap_strand *. strands *. float_of_int treaps)

@@ -1,13 +1,15 @@
-(** The virtual-cycle cost model.
+(** The virtual-cycle cost model: the one price list for virtual time.
 
-    Every performance number in the reproduced figures is a deterministic
-    function of measured event counts (words touched, arithmetic operations,
-    instrumentation events, treap-node visits, steals) weighted by the
-    constants in [cost_model.ml].  The constants were calibrated once
-    against the relative magnitudes the paper reports for the [heat]
-    benchmark in Figure 1 and then frozen — every other cell of every
-    figure is emergent (see EXPERIMENTS.md for the calibration note).
-    They are the model: there is no other instance of it to pass around.
+    Every virtual cycle the simulator accounts — the reproduced figures,
+    [pint_run -e sim]'s makespan, every [detect_span] diagnostic — is a
+    deterministic function of measured event counts (words touched,
+    arithmetic operations, instrumentation events, treap-node visits,
+    steals) weighted by the constants in [cost_model.ml].  The constants
+    were calibrated once against the relative magnitudes the paper reports
+    for the [heat] benchmark in Figure 1 and then frozen — every other cell
+    of every figure is emergent (see EXPERIMENTS.md for the calibration
+    note).  They are the model: there is no other instance of it to pass
+    around.
 
     Semantics of each constant (virtual cycles):
     - [c_flop] — one arithmetic operation in the computation proper;
@@ -25,10 +27,14 @@
       treap worker;
     - [c_steal], [c_steal_fail] — work stealing. *)
 
-(** The steal prices and strand-cost closures for {!Sim_exec.config}. *)
+(** The steal prices {!Sim_exec} charges a thief. *)
 
 val c_steal : int
 val c_steal_fail : int
+
+(** Strand prices, charged at a strand's finishing boundary: the
+    computation alone, and the computation under each detector's
+    instrumentation. *)
 
 val base_cost : Srec.t -> Events.finish_kind -> int
 val stint_core_cost : Srec.t -> Events.finish_kind -> int
@@ -41,11 +47,8 @@ val cracer_core_cost : Srec.t -> Events.finish_kind -> int
     accounting, generalized. *)
 val treap_workers : shards:int -> int
 
-(** Treap-worker step cost from a step's record and node-visit counts.
-    Charged per record so a batched step cannot amortize the per-strand
-    constant [c_treap_strand]. *)
+(** Treap-worker step cost from a step's record and node-visit counts: the
+    price of every PINT stage step, and of STINT's three role steps per
+    strand.  Charged per record so a batched step cannot amortize the
+    per-strand constant [c_treap_strand]. *)
 val treap_step_cost : records:int -> visits:int -> int
-
-(** Synchronous (serial) access-history cost from detector diagnostics:
-    [treap_time ~visits ~strands ~treaps]. *)
-val treap_time : visits:float -> strands:float -> treaps:int -> float

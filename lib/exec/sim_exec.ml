@@ -2,8 +2,6 @@ type config = {
   n_workers : int;
   seed : int;
   strand_cost : Srec.t -> Events.finish_kind -> int;
-  c_steal : int;
-  c_steal_fail : int;
   stages : Stage.t list;
   obs_clock : Clock.t;
 }
@@ -14,35 +12,22 @@ type result = {
   worker_clocks : int array;
   stage_clocks : (string * int) list;
   n_steals : int;
-  n_failed_steals : int;
   n_strands : int;
   n_spawns : int;
   n_nontrivial_syncs : int;
   core_work : int;
 }
 
-let default_strand_cost (u : Srec.t) (kind : Events.finish_kind) =
-  let boundary =
-    match kind with
-    | Events.F_spawn _ -> 30
-    | Events.F_sync _ -> 30
-    | Events.F_return _ -> 20
-    | Events.F_root -> 0
-  in
-  20 + u.work + (2 * (u.raw_reads + u.raw_writes)) + boundary
-
 let default_config =
   {
     n_workers = 4;
     seed = 1;
-    strand_cost = default_strand_cost;
-    c_steal = 200;
-    c_steal_fail = 50;
+    strand_cost = Cost_model.base_cost;
     stages = [];
     obs_clock = Clock.null;
   }
 
-let serial = { default_config with n_workers = 1; strand_cost = (fun _ _ -> 0) }
+let serial = { default_config with n_workers = 1 }
 
 (* ------------------------------------------------------- scheduler state *)
 
@@ -78,7 +63,7 @@ type sim_stage = { stage : Stage.t; mutable s_clock : int; mutable s_done : bool
 let run ~config ~driver main =
   let nw = config.n_workers in
   let rng = Rng.create config.seed in
-  let n_steals = ref 0 and n_failed = ref 0 in
+  let n_steals = ref 0 in
   let core_work = ref 0 in
   let cur_wid = ref 0 in
   (* Pin the (virtual) observability clock to the acting worker's own
@@ -86,11 +71,8 @@ let run ~config ~driver main =
      finishes at the worker's simulated time, deterministically. *)
   let oclk = config.obs_clock in
   let precharge (w : wstate Book.worker) kind =
-    let u = w.cur in
-    let c = config.strand_cost u kind in
+    let c = config.strand_cost w.cur kind in
     w.sched.clock <- w.sched.clock + c;
-    u.Srec.cost <- c;
-    u.Srec.finished_at <- w.sched.clock;
     core_work := !core_work + c
   in
   let t =
@@ -142,11 +124,10 @@ let run ~config ~driver main =
     | Some victim ->
         let item = Option.get (dq_steal_top victim) in
         incr n_steals;
-        w.sched.clock <- w.sched.clock + config.c_steal;
+        w.sched.clock <- w.sched.clock + Cost_model.c_steal;
         Book.steal t w item
     | None ->
-        incr n_failed;
-        w.sched.clock <- w.sched.clock + config.c_steal_fail;
+        w.sched.clock <- w.sched.clock + Cost_model.c_steal_fail;
         (* if every stealable item lies in the future, sleep until the first *)
         let earliest =
           Array.fold_left
@@ -262,7 +243,6 @@ let run ~config ~driver main =
     worker_clocks = clocks;
     stage_clocks = List.map (fun a -> (Stage.name a.stage, a.s_clock)) sim_stages;
     n_steals = !n_steals;
-    n_failed_steals = !n_failed;
     n_strands = Book.n_strands t;
     n_spawns = Book.n_spawns t;
     n_nontrivial_syncs = Book.n_nontrivial_syncs t;

@@ -19,14 +19,17 @@
       a fixed seed, bit-reproducible;
     - a worker's deque is a list of continuations with their push times; an
       idle worker steals from the top of a random victim's deque, paying
-      [c_steal], and can only take an item whose push time has passed;
+      {!Cost_model.c_steal} ({!Cost_model.c_steal_fail} for a failed
+      attempt), and can only take an item whose push time has passed;
     - a strand's cost is charged at its finishing boundary via the
-      [strand_cost] closure — the harness supplies per-detector cost models;
-      a fiber's last strand is charged when the fiber finishes, and its
-      return resolves on the worker's next turn;
+      [strand_cost] closure, one of {!Cost_model}'s strand prices
+      ([Systems.strand_cost] picks the one for a detector); a fiber's last
+      strand is charged when the fiber finishes, and its return resolves on
+      the worker's next turn;
     - pipeline {e stages} (PINT's treap workers, as engine {!Stage}s) are
       stepped after every core event and accumulate their processing costs
-      on their own clocks; the run's [total] is the max over all component
+      ({!Stage.cost}, {!Cost_model.treap_step_cost} for PINT's) on their
+      own clocks; the run's [total] is the max over all component
       clocks, and the stages' own metrics accumulate through {!Stage.exec}
       exactly as they do on real domains.
 
@@ -43,8 +46,7 @@ type config = {
   n_workers : int;
   seed : int;
   strand_cost : Srec.t -> Events.finish_kind -> int;
-  c_steal : int;
-  c_steal_fail : int;
+      (** the price of a finished strand, in virtual cycles *)
   stages : Stage.t list;  (** pipeline stages stepped in virtual time *)
   obs_clock : Clock.t;
       (** profiling clock (default {!Clock.null}); when a manual clock from
@@ -59,20 +61,21 @@ type result = {
   worker_clocks : int array;
   stage_clocks : (string * int) list;
   n_steals : int;
-  n_failed_steals : int;
   n_strands : int;
   n_spawns : int;
   n_nontrivial_syncs : int;
   core_work : int;  (** sum of all strand costs (1-worker-equivalent time) *)
 }
 
+(** Four workers, seed 1, no stages, strands priced by
+    {!Cost_model.base_cost} (the computation with no detector). *)
 val default_config : config
 
-(** The serial elision with no virtual time: one worker, every strand costs
-    0, no stages.  A PINT detector run this way leaves all access-history
-    work to its [Detector.drain] after the run (the paper's one-core
-    configuration); passing its stages instead steps them after every core
-    event, as [pint_run -e sim -p 1] does. *)
+(** The serial elision: {!default_config} at one worker.  A PINT detector
+    run this way leaves all access-history work to its [Detector.drain]
+    after the run (the paper's one-core configuration); passing its stages
+    instead steps them after every core event, as [pint_run -e sim -p 1]
+    does. *)
 val serial : config
 
 (** [run ~config ~driver main] — simulate [main] under [config] with the

@@ -14,8 +14,6 @@ type t = {
   mutable clears : (int * int) list;
   mutable frees : (int * int) list;
   done_count : int Atomic.t;
-  mutable finished_at : int;
-  mutable cost : int;
   mutable obs_ts : int;
 }
 
@@ -36,7 +34,5 @@ let make ~uid sp =
     clears = [];
     frees = [];
     done_count = Atomic.make 0;
-    finished_at = 0;
-    cost = 0;
     obs_ts = 0;
   }

@@ -15,9 +15,7 @@
     - [frees] are heap ranges whose actual deallocation is delayed until the
       writer treap worker collects this record (§III-F heap reuse);
     - [done_count] is the recycling fetch-and-add: a slot is reusable once
-      all three treap workers have processed the record;
-    - [finished_at]/[cost] are virtual-time accounting used by the
-      simulator-based benchmark harness. *)
+      all three treap workers have processed the record. *)
 
 type t = {
   uid : int;  (** unique, creation order *)
@@ -35,8 +33,6 @@ type t = {
   mutable clears : (int * int) list;  (** (base, len) stack ranges to clear *)
   mutable frees : (int * int) list;  (** (base, len) heap ranges to free on collect *)
   done_count : int Atomic.t;
-  mutable finished_at : int;
-  mutable cost : int;
   mutable obs_ts : int;
       (** profiling: observability timestamp of the strand's finish, written
           by the finishing core worker strictly before [Trace.push]

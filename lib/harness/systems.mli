@@ -16,36 +16,42 @@ type system = Base | Stint_sys | Pint_sys | Cracer_sys
 (** The detector names {!make_detector} accepts, in canonical order. *)
 val detector_names : string list
 
-(** [make_detector ?seed ?shards ?stage_cost name] — the one place a
-    detector is constructed from its command-line name ([none], [stint],
-    [cracer] or [pint]); shared by [pint_run], [pint_replay] and the bench
-    harness so the selection logic cannot drift.
+(** [make_detector ?seed ?shards name] — the one place a detector is
+    constructed from its command-line name ([none], [stint], [cracer] or
+    [pint]); shared by [pint_run], [pint_replay] and the bench harness so
+    the selection logic cannot drift.
 
     Returns the detector handle together with the pipeline stages an
     executor must drive for it — empty for the synchronous detectors, the
     writer + reader treap-worker stages for PINT (the same {!Stage.t} values
     the detector's own [drain] falls back to, so metrics accumulate in one
-    place no matter who steps them).  [seed] defaults to each detector's own
+    place no matter who steps them; each step is priced by
+    {!Cost_model.treap_step_cost}).  [seed] defaults to each detector's own
     default; [shards] (PINT only) selects the address-range shard count —
     each shard runs its own {writer, lreader, rreader} treap triple off its
-    own AHQ lane; [stage_cost] (PINT only) prices a stage step for the
-    virtual-time
-    simulator.  [obs] (default {!Obs.disabled}) attaches an observability
-    session: detector-side tracks and histograms are registered here, and
-    for PINT each pipeline stage gets the session ring matching its stage
-    name, so stage spans and AHQ counters land on the right Chrome-trace
-    track.  [bp_rounds] (PINT only, default 0) enables collector
-    backpressure for real-domain runs (see
+    own AHQ lane.  [obs] (default {!Obs.disabled}) attaches an
+    observability session: detector-side tracks and histograms are
+    registered here, and for PINT each pipeline stage gets the session ring
+    matching its stage name, so stage spans and AHQ counters land on the
+    right Chrome-trace track.  [bp_rounds] (PINT only, default 0) enables
+    collector backpressure for real-domain runs (see
     {!Pint_detector.set_backpressure}) — leave 0 for [seq]/[sim].  [None]
     for an unknown name. *)
 val make_detector :
   ?seed:int ->
   ?shards:int ->
-  ?stage_cost:(records:int -> visits:int -> int) ->
   ?obs:Obs.t ->
   ?bp_rounds:int ->
   string ->
   (Detector.t * Stage.t list) option
+
+(** [strand_cost name] — the {!Cost_model} strand price of the detector
+    named [name] (one of {!detector_names}): {!Cost_model.base_cost} for
+    [none], the detector's instrumented core cost otherwise.  The one map
+    from a detector to its [Sim_exec.config.strand_cost], used by {!run},
+    [pint_run -e sim] and the bench harness's simulated cases.
+    @raise Invalid_argument for an unknown name. *)
+val strand_cost : string -> Srec.t -> Events.finish_kind -> int
 
 (** [micropools stages] — group a flat stage list into shard micropool
     groups: stages sharing a shard index (per
@@ -74,7 +80,9 @@ type measurement = {
 (** [shards] (default 1) runs PINT with the N-shard access-history
     topology (shards × {writer, lreader, rreader} treap workers, one AHQ
     lane per shard); ignored for the other systems.  Every run is priced by
-    {!Cost_model} and seeded with 2022 (scheduler) and 2029 (treaps). *)
+    {!strand_cost} and {!Cost_model.treap_step_cost} — STINT's synchronous
+    access history as three treap steps per strand, after its core
+    makespan — and seeded with 2022 (scheduler) and 2029 (treaps). *)
 val run :
   ?shards:int ->
   workload:Workload.t ->

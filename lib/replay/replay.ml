@@ -47,9 +47,7 @@ let push_effects ~aspace ~(sink : Access.sink) (e : Tracefile.entry) (r : Srec.t
   r.Srec.raw_writes <- e.Tracefile.raw_writes;
   r.Srec.work <- e.Tracefile.work;
   r.Srec.compute <- e.Tracefile.compute;
-  r.Srec.clears <- e.Tracefile.clears;
-  r.Srec.finished_at <- e.Tracefile.finished_at;
-  r.Srec.cost <- e.Tracefile.cost
+  r.Srec.clears <- e.Tracefile.clears
 
 (* ---------------------------------------------------------------- sessions *)
 

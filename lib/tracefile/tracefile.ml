@@ -3,7 +3,7 @@ exception Error of string
 let error fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
 let magic = "PINTRACE"
-let current_version = 1
+let current_version = 2
 
 type finish =
   | Spawn of { cont : int; sync : int; child : int; first : bool }
@@ -23,8 +23,6 @@ type entry = {
   raw_writes : int;
   work : int;
   compute : int;
-  finished_at : int;
-  cost : int;
 }
 
 type t = { version : int; meta : (string * string) list; entries : entry array }
@@ -147,9 +145,7 @@ let put_entry buf e =
   Varint.write buf e.raw_reads;
   Varint.write buf e.raw_writes;
   Varint.write buf e.work;
-  Varint.write buf e.compute;
-  Varint.write buf e.finished_at;
-  Varint.write buf e.cost
+  Varint.write buf e.compute
 
 let get_entry ~max c =
   let uid = Varint.read c in
@@ -181,23 +177,7 @@ let get_entry ~max c =
   let raw_writes = Varint.read c in
   let work = Varint.read c in
   let compute = Varint.read c in
-  let finished_at = Varint.read c in
-  let cost = Varint.read c in
-  {
-    uid;
-    start;
-    finish;
-    reads;
-    writes;
-    clears;
-    frees;
-    raw_reads;
-    raw_writes;
-    work;
-    compute;
-    finished_at;
-    cost;
-  }
+  { uid; start; finish; reads; writes; clears; frees; raw_reads; raw_writes; work; compute }
 
 let to_bytes t =
   let body = Buffer.create 4096 in
@@ -500,8 +480,6 @@ let capturing ?(meta = []) (inner : Hooks.driver) : Hooks.driver * (unit -> t) =
           raw_writes = u.Srec.raw_writes;
           work = u.Srec.work;
           compute = u.Srec.compute;
-          finished_at = u.Srec.finished_at;
-          cost = u.Srec.cost;
         }
       in
       Mutex.lock lock;

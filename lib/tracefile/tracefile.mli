@@ -5,12 +5,12 @@
     A trace holds one {!entry} per executed strand: its boundary kinds (with
     the strand-DAG links the executors put in {!Events.finish_kind}), its
     coalesced read/write interval sets, the stack ranges it cleared and heap
-    ranges it freed, and the virtual-time metadata the simulator assigns.
-    Together these are exactly what the detectors consume through the
-    {!Hooks} contract, so a trace can later be replayed through any detector
-    without re-executing the workload (see {!Replay}).
+    ranges it freed, and its access and work counts.  Together these are
+    exactly what the detectors consume through the {!Hooks} contract, so a
+    trace can later be replayed through any detector without re-executing
+    the workload (see {!Replay}).
 
-    {2 File layout (version 1)}
+    {2 File layout (version 2)}
 
     {v
       magic   "PINTRACE"                                    8 raw bytes
@@ -18,9 +18,23 @@
               meta           varint count, then per pair:
                              varint klen, klen bytes, varint vlen, vlen bytes
               n_entries      varint
-              entries        see below
+              entries        per strand, in finish order:
+                             uid            varint
+                             start kind     1 byte
+                             finish kind    1 byte tag, then its uid links
+                                            (varints) and flags (bytes)
+                             reads, writes  varint count, then per
+                                            interval: varint lo minus the
+                                            previous hi, varint hi - lo
+                             clears, frees  varint count, then per range:
+                                            varint base, varint len
+                             raw_reads, raw_writes, work, compute
+                                            varint each
       crc     CRC-32 of body                                4 bytes LE
     v}
+
+    This build reads version 2 only: a file of any other version is
+    rejected with {!Error}.
 
     Every integer is an unsigned LEB128 varint ({!Varint}); interval arrays
     are delta-coded against the previous bound, so the dense, sorted sets the
@@ -59,10 +73,6 @@ type entry = {
   raw_writes : int;
   work : int;
   compute : int;
-  finished_at : int;
-      (** virtual finish time (simulator runs with a strand cost; 0 in
-          serial and [Par_exec] runs) *)
-  cost : int;  (** virtual strand cost (as [finished_at]) *)
 }
 
 type t = { version : int; meta : (string * string) list; entries : entry array }

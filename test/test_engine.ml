@@ -4,6 +4,9 @@
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* The price of a step in the stages below that never read one. *)
+let no_cost ~records:_ ~visits:_ = 0
+
 (* A synthetic stage: emits [work] productive steps (visits = 10, records =
    [records_per_step]), interleaving [idles] idle and [stalls] stalled
    steps first, then reports done. *)
@@ -67,14 +70,14 @@ let test_stage_diagnostics_keys () =
    domain allocating alongside is not charged to the stage. *)
 let test_stage_minor_words () =
   let st =
-    Stage.make ~name:"alloc" (fun () ->
+    Stage.make ~name:"alloc" ~cost:no_cost (fun () ->
         ignore (Sys.opaque_identity (List.init 3334 Fun.id));
         Step.worked 0)
   in
   ignore (Stage.exec st : Step.t);
   let m = Stage.metrics st in
   check_bool "allocation counted" true (m.Stage.minor_words >= 10_000);
-  let quiet = Stage.make ~name:"quiet" (fun () -> Step.idle) in
+  let quiet = Stage.make ~name:"quiet" ~cost:no_cost (fun () -> Step.idle) in
   let other =
     Domain.spawn (fun () ->
         for _ = 1 to 100 do
@@ -104,7 +107,7 @@ let test_pipeline_drive_completes () =
 
 (* A stage that counts how often it is stepped, whatever it reports. *)
 let counting ~name calls step =
-  Stage.make ~name (fun () ->
+  Stage.make ~name ~cost:no_cost (fun () ->
       incr calls;
       step ())
 
@@ -136,7 +139,7 @@ let test_pipeline_producer_consumer () =
   let cap = 4 in
   let to_produce = ref 50 in
   let producer =
-    Stage.make ~name:"prod" (fun () ->
+    Stage.make ~name:"prod" ~cost:no_cost (fun () ->
         if !to_produce = 0 then Step.finished
         else if Queue.length q >= cap then Step.stalled
         else begin
@@ -150,7 +153,7 @@ let test_pipeline_producer_consumer () =
   let consumer =
     (* half-rate consumer: pops only every other turn, so the queue fills and
        the producer is guaranteed to hit backpressure *)
-    Stage.make ~name:"cons" (fun () ->
+    Stage.make ~name:"cons" ~cost:no_cost (fun () ->
         incr tick;
         if Queue.is_empty q then if !to_produce = 0 then Step.finished else Step.idle
         else if !tick mod 2 = 1 && !to_produce > 0 then Step.idle
@@ -184,7 +187,7 @@ let test_pool_placement k () =
     List.init k (fun i ->
         let left = ref 200 in
         [
-          Stage.make ~name:(Printf.sprintf "g%d" i) (fun () ->
+          Stage.make ~name:(Printf.sprintf "g%d" i) ~cost:no_cost (fun () ->
               seen.(i) := (Domain.self () :> int) :: !(seen.(i));
               if !left = 0 then Step.finished
               else begin

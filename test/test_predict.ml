@@ -3,10 +3,11 @@
    committed golden trace, on random fork-join programs and, for the
    adjacency core alone, on random and hand-built DAGs — be monotone in
    the window, disjoint from the observed race set, and re-run only O(w)
-   EDF slots per pin.  The lucky trace (test/golden_gen/lucky.ml) is additionally
-   byte-pinned: its racy pair is invisible to every observed-order detector
-   and only reachable through prediction, so a silent regeneration drift
-   would quietly gut the corpus' predict coverage. *)
+   EDF slots per pin.  Every golden trace is byte-pinned to its capture in
+   test/golden_gen/corpus.ml, the lucky one (test/golden_gen/lucky.ml) above
+   all: its racy pair is invisible to every observed-order detector and
+   only reachable through prediction, so a silent regeneration drift would
+   quietly gut the corpus' predict coverage. *)
 
 let check_bool = Alcotest.(check bool)
 
@@ -35,10 +36,12 @@ let observe t =
 
 (* ------------------------------------------------------------- the corpus *)
 
-let test_lucky_pinned () =
-  let committed = read_file "golden/lucky_racy.trace" in
-  let regenerated = Tracefile.to_bytes (Lucky.trace ()) in
-  check_bool "committed lucky trace = regenerated capture" true (committed = regenerated)
+(* A committed golden trace is byte for byte what its [Corpus] capture
+   writes today. *)
+let check_regenerated (name, capture) () =
+  let committed = read_file (Filename.concat "golden" (name ^ ".trace")) in
+  let regenerated = Tracefile.to_bytes (capture ()) in
+  check_bool ("committed " ^ name ^ " trace = regenerated capture") true (committed = regenerated)
 
 let test_lucky_predict_only () =
   let t = Tracefile.of_bytes (read_file "golden/lucky_racy.trace") in
@@ -498,9 +501,14 @@ let () =
     [
       ( "lucky",
         [
-          Alcotest.test_case "trace bytes pinned" `Quick test_lucky_pinned;
+          Alcotest.test_case "trace bytes pinned" `Quick
+            (check_regenerated ("lucky_racy", Lucky.trace));
           Alcotest.test_case "only predictable" `Quick test_lucky_predict_only;
         ] );
+      ( "regenerated",
+        List.map
+          (fun ((name, _) as trace) -> Alcotest.test_case name `Quick (check_regenerated trace))
+          Corpus.workload_traces );
       ( "oracle",
         List.map (fun p -> Alcotest.test_case p `Quick (check_golden_oracle p)) files );
       ( "disjoint",

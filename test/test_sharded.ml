@@ -240,15 +240,19 @@ let test_detection_span_monotonic () =
   check_bool (Printf.sprintf "span falls 1->2 shards (%.0f -> %.0f)" s1 s2) true (s2 < s1);
   check_bool (Printf.sprintf "span falls 2->4 shards (%.0f -> %.0f)" s2 s4) true (s4 < s2)
 
-let test_detection_span_monotonic_replay () =
-  (* same property on the replay path (bench group replay:heat48:shards):
-     one recorded strand stream, pure access-history work *)
+(* heat48's serial capture, the stream the replay:heat48 bench groups use *)
+let heat48_capture () =
   let w = Registry.find "heat" in
   let inst = w.Workload.make ~size:48 ~base:8 in
   let d0, _ = Option.get (Systems.make_detector "none") in
   let driver, finished = Tracefile.capturing d0.Detector.driver in
   ignore (Sim_exec.run ~config:Sim_exec.serial ~driver inst.Workload.run);
-  let t = finished () in
+  finished ()
+
+let test_detection_span_monotonic_replay () =
+  (* same property on the replay path (bench group replay:heat48:shards):
+     one recorded strand stream, pure access-history work *)
+  let t = heat48_capture () in
   let span shards =
     let d, _ = Option.get (Systems.make_detector ~shards "pint") in
     List.assoc "detect_span" (Replay.run t d).Replay.diagnostics
@@ -256,6 +260,43 @@ let test_detection_span_monotonic_replay () =
   let s1 = span 1 and s2 = span 2 and s4 = span 4 in
   check_bool (Printf.sprintf "replay span falls 1->2 (%.0f -> %.0f)" s1 s2) true (s2 < s1);
   check_bool (Printf.sprintf "replay span falls 2->4 (%.0f -> %.0f)" s2 s4) true (s4 < s2)
+
+let test_detection_span_one_unit () =
+  (* one price list: a replay of the serial capture through the figures'
+     treap seed hands each stage the records a one-worker simulation does,
+     in the same order, and prices them the same way, so it reports the
+     figures' detect_span at every shard count *)
+  let w = Registry.find "heat" in
+  let t = heat48_capture () in
+  List.iter
+    (fun shards ->
+      let m = Systems.run ~shards ~workload:w ~size:48 ~base:8 ~workers:1 Systems.Pint_sys in
+      let d, _ = Option.get (Systems.make_detector ~seed:2029 ~shards "pint") in
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "replay detect_span = figure detect_span at %d shard(s)" shards)
+        (List.assoc "detect_span" m.Systems.diags)
+        (List.assoc "detect_span" (Replay.run t d).Replay.diagnostics))
+    [ 1; 2; 4 ]
+
+let test_sim_one_unit () =
+  (* pint_run -e sim's configuration (the detector's strand price, its
+     stages) runs the figures' schedule: same makespan, same steals *)
+  let w = Registry.find "heat" in
+  let inst = w.Workload.make ~size:48 ~base:8 in
+  let d, stages = Option.get (Systems.make_detector "pint") in
+  let config =
+    {
+      Sim_exec.n_workers = 4;
+      seed = 2022;
+      strand_cost = Systems.strand_cost "pint";
+      stages;
+      obs_clock = Obs.clock Obs.disabled;
+    }
+  in
+  let r = Sim_exec.run ~config ~driver:d.Detector.driver inst.Workload.run in
+  let m = Systems.run ~workload:w ~size:48 ~base:8 ~workers:4 Systems.Pint_sys in
+  check_int "makespan = figure core time" (int_of_float m.Systems.core_time) r.Sim_exec.makespan;
+  check_int "steals = figure steals" m.Systems.n_steals r.Sim_exec.n_steals
 
 let test_sharded_heap_and_frames () =
   let det, _ =
@@ -290,6 +331,9 @@ let () =
           Alcotest.test_case "detection span monotone" `Quick test_detection_span_monotonic;
           Alcotest.test_case "detection span monotone (replay)" `Quick
             test_detection_span_monotonic_replay;
+          Alcotest.test_case "detection span: replay = figures" `Quick
+            test_detection_span_one_unit;
+          Alcotest.test_case "sim run = figure run" `Quick test_sim_one_unit;
           Alcotest.test_case "heap+frames" `Quick test_sharded_heap_and_frames;
         ] );
     ]
