@@ -75,7 +75,7 @@ let predict_run ~window () =
 (* One real-domain detection run: PINT sharded across micropool domains
    under Par_exec, wall clock.  Core workers are fixed at 1 so the fork-join
    side contributes identical work at every shard count; collector
-   backpressure is on (real consumers drain the lanes concurrently).  The
+   backpressure is on (real consumers drain the queue concurrently).  The
    recorded "domains" is the host's core budget, which the gate's scaling
    check reads to decide whether this host could scale at all. *)
 let par_run ~shards ~workload ~size ~base () =

@@ -189,7 +189,8 @@ let shards_arg =
     & opt int 1
     & info [ "shards" ]
         ~doc:"Address-range shards for pint: each shard runs its own writer/lreader/rreader \
-              treap triple on its own AHQ lane. 1 is the paper's topology.")
+              treap triple over its own blocks of the address space, all fed by one access-history \
+              queue. 1 is the paper's topology.")
 let size_arg = Arg.(value & opt (some int) None & info [ "n"; "size" ] ~doc:"Problem size.")
 let base_arg = Arg.(value & opt (some int) None & info [ "b"; "base" ] ~doc:"Base-case size.")
 let racy_arg = Arg.(value & flag & info [ "racy" ] ~doc:"Run the race-injected variant.")

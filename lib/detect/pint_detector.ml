@@ -1,30 +1,31 @@
-(* The N-shard access-history topology (ROADMAP item 1, generalizing the
-   paper's fixed {writer, lreader, rreader} triple and the §VI sharding
-   sketch): address-range shard k owns the [Lanes.shard_block]-word blocks
-   congruent to k and runs its own {writer, lreader, rreader} treap triple
-   off its own AHQ lane.  Race checks are per-address, so routing every
-   block-aligned subrange to exactly one shard preserves the race set while
-   every treap stays sequential — no concurrent treap is ever needed.
-   [shards = 1] is the paper's configuration: one lane, three treap
+(* The N-shard access-history topology (generalizing the paper's fixed
+   {writer, lreader, rreader} triple and the §VI sharding sketch):
+   address-range shard k owns the [Shard.shard_block]-word blocks
+   congruent to k and runs its own {writer, lreader, rreader} treap
+   triple.  Race checks are per-address, so restricting every treap to
+   the block-aligned subranges its shard owns preserves the race set
+   while every treap stays sequential — no concurrent treap is ever
+   needed.  [shards = 1] is the paper's configuration: three treap
    workers, nothing ever split.
 
    Stage/worker layout for N shards (stage index = position below):
      [0]            the collector: scans traces in DAG order (Algorithm 2),
-                    splits each strand's interval batch per shard, commits
-                    the pieces to all N lanes atomically, and doubles as
-                    shard 0's writer treap worker (processing its piece
-                    synchronously, exactly the paper's writer at N = 1);
-     [1 .. N-1]     shard k's writer treap worker, consuming lane k;
+                    enqueues each strand once on the access-history queue,
+                    and doubles as shard 0's writer treap worker
+                    (processing the strand synchronously, exactly the
+                    paper's writer at N = 1);
+     [1 .. N-1]     shard k's writer treap worker;
      [N .. 2N-1]    shard k's left-most reader treap worker;
      [2N .. 3N-1]   shard k's right-most reader treap worker.
-   Every lane carries the full DAG-ordered strand stream (restricted to the
-   shard's address range), so per-shard clear/free ordering is preserved
-   verbatim.
+   Stage i ≥ 1 reads the queue through cursor i − 1, so every stage sees
+   the full DAG-ordered strand stream and restricts each strand's reads,
+   writes, clears and frees to its shard's blocks itself; per-shard
+   clear/free ordering is preserved verbatim.
 
    [serial] is STINT as a configuration of the same core: one shard's
    treaps, whose three role steps ([role_step], the function every stage
    calls) run on the calling thread at each strand's finish — no trace, no
-   lane, no stage. *)
+   queue, no stage. *)
 
 (* ------------------------------------------------------------- stage roles *)
 
@@ -72,18 +73,6 @@ let role_mean role clocks =
 
 (* --------------------------------------------------------------- run state *)
 
-(* What a lane carries: the strand record plus this shard's block-aligned
-   subranges of its read/write batches, computed once at collect time.  The
-   record itself is shared across lanes (its done_count/pred atomics must
-   be the strand's, not a copy's); at one shard the interval arrays are the
-   record's own — the split only materializes when there is something to
-   split. *)
-type lane_rec = {
-  u : Srec.t;
-  s_reads : Interval.t array;
-  s_writes : Interval.t array;
-}
-
 (* One shard's access history: the treaps behind its writer, left-most
    reader and right-most reader roles. *)
 type hist = {
@@ -106,10 +95,11 @@ let make_hist ~seed k =
 let role_treap h = function Writer -> h.writer | Lreader -> h.lreader | Rreader -> h.rreader
 
 (* One treap's role context, built once per run: what [role_step]'s
-   per-record path reads, the strand it is applying and the interval it is
-   checking (set before each treap call), and the query callback and keep
-   policy, each built once over the context — so no record, interval or
-   read builds a closure. *)
+   per-record path reads, the strand it is applying, the race kind it is
+   checking and the subrange it is checking (set before each treap call),
+   the query callback and keep policy, each built once over the context —
+   so no record, subrange or read builds a closure — and the count of
+   subranges the role has applied. *)
 type tctx = {
   report : Report.t;
   sp : Sp_order.t;
@@ -121,6 +111,7 @@ type tctx = {
   mutable cur : Sp_order.strand;
   mutable qlo : int;
   mutable qhi : int;
+  mutable subranges : int;
   on_overlap : int -> int -> Sp_order.strand -> unit;
   keep : incumbent:Sp_order.strand -> [ `Keep | `Replace ];
 }
@@ -152,19 +143,14 @@ type run = {
      collector takes the lock only when there is something to adopt *)
   mutable incoming : Trace.t list;
   n_incoming : int Atomic.t;
-  lanes : lane_rec Lanes.t; (* one AHQ lane per shard *)
-  consume_bufs : lane_rec array array; (* per consuming stage, reusable; slot 0 unused *)
+  ahq : Srec.t Ahq.t; (* one cursor per consuming stage: stage i reads cursor i - 1 *)
+  consume_bufs : Srec.t array array; (* per consuming stage, reusable; slot 0 unused *)
   hist : hist array; (* one per shard *)
   roles : tctx array; (* stage i's treap context *)
   core_done : bool Atomic.t;
   collect_done : bool Atomic.t;
   mutable scan_cursor : int;
   mutable n_collected : int;
-  (* Collector-side split accounting: source intervals seen vs per-shard
-     subranges committed; the ratio is the split rate (1.0 = no interval
-     ever straddled an ownership boundary). *)
-  mutable split_intervals : int;
-  mutable split_subranges : int;
   mutable next_trace_id : int;
   totals : totals;
   (* observability (all Evring.null / unregistered when profiling is off):
@@ -187,11 +173,10 @@ type t = {
   mutable run : run option;
   mutable stage_list : Stage.t list;
   mutable obs : Obs.t;
-  (* Lane backpressure window (Backoff rounds the collector rides out a
-     saturated lane before rejecting a commit).  0 — the default — is
-     mandatory under single-threaded drivers; real-domain runs opt in via
-     [set_backpressure] before the run starts.  Applied to the lanes at
-     wiring time (driver). *)
+  (* Backpressure window (Backoff rounds the collector rides out a full
+     queue before rejecting an enqueue).  0 — the default — is mandatory
+     under single-threaded drivers; real-domain runs opt in via
+     [set_backpressure] before the run starts. *)
   mutable bp_rounds : int;
 }
 
@@ -199,12 +184,12 @@ let dummy_trace = Trace.create ~id:(-1) ~owner:(-1)
 
 (* Placeholder filling the reusable batch buffers before their first use;
    never processed (peek_batch_into reports how many slots are live). *)
-let dummy_lane_rec =
+let dummy_srec =
   lazy
     (let _, root = Sp_order.create () in
-     { u = Srec.make ~uid:(-1) root; s_reads = [||]; s_writes = [||] })
+     Srec.make ~uid:(-1) root)
 
-(* Per-lane AHQ capacity, in strand records. *)
+(* AHQ capacity, in strand records. *)
 let queue_capacity = 4096
 
 (* The race check a role runs per stored interval its query meets: the
@@ -222,7 +207,7 @@ let[@pint.hot] keep (c : tctx) ~incumbent =
   | Writer | Lreader -> Policies.keep_leftmost c.sp ~s:c.cur ~incumbent
 
 let make_tctx report sp h role ~shards ~shard =
-  let nobody = (Lazy.force dummy_lane_rec).u.Srec.sp in
+  let nobody = (Lazy.force dummy_srec).Srec.sp in
   let rec c =
     {
       report;
@@ -235,6 +220,7 @@ let make_tctx report sp h role ~shards ~shard =
       cur = nobody;
       qlo = 0;
       qhi = 0;
+      subranges = 0;
       on_overlap = (fun lo hi prior -> on_overlap c lo hi prior);
       keep = (fun ~incumbent -> keep c ~incumbent);
     }
@@ -259,13 +245,13 @@ let set_obs t obs = t.obs <- obs
 (* Recommended backpressure window for real-domain runs: the Backoff
    ladder's spin rungs plus ~50 parked sleeps (≈2.5 ms at 50 µs each) —
    long enough to ride out a treap worker's worst batch, short enough that
-   a genuinely wedged lane still surfaces as a reject/stall. *)
+   a genuinely wedged queue still surfaces as a reject/stall. *)
 let recommended_bp_rounds = 64
 
 let set_backpressure t ~rounds =
   if rounds < 0 then invalid_arg "Pint_detector.set_backpressure: rounds must be >= 0";
-  t.bp_rounds <- rounds;
-  match t.run with Some r -> Lanes.set_backpressure r.lanes ~rounds | None -> ()
+  t.bp_rounds <- rounds
+
 let stage_name t role k = stage_name_of ~shards:t.shards role k
 
 (* Stage index layout (see the header comment): stage [i] plays
@@ -322,31 +308,11 @@ let driver t (ctx : Hooks.ctx) =
   let s = t.shards in
   let n_stages = 3 * s in
   let obs_stage = Array.init n_stages (fun i -> Obs.track t.obs (stage_name_of_idx t i)) in
-  let lanes =
-    (* lane 0 has no writer cursor (the collector processes shard 0's piece
-       synchronously at collect time, exactly the paper's writer worker) *)
-    Lanes.create ~capacity:queue_capacity ~shards:s
-      ~readers_of_lane:(fun k -> if k = 0 then 2 else 3)
-      ()
-  in
-  Lanes.set_backpressure lanes ~rounds:t.bp_rounds;
+  (* the collector is the producer and processes shard 0's writer share
+     itself, so only the other stages need a cursor *)
+  let ahq = Ahq.create ~capacity:queue_capacity ~readers:(n_stages - 1) in
+  Ahq.set_obs ahq ~writer:obs_stage.(0) ~readers:(Array.sub obs_stage 1 (n_stages - 1));
   let hist = Array.init s (make_hist ~seed:t.seed) in
-  (* Lane obs wiring.  One shard: the lane's producer ring IS the writer
-     stage's track (the historical single-queue occupancy counter).  When
-     sharded, each lane gets its own "lane<k>" track so per-shard occupancy
-     renders as separate Chrome counter tracks; all of them are emitted
-     from the collector stage, which is the single producer on every
-     lane. *)
-  for k = 0 to s - 1 do
-    let writer_ring =
-      if s = 1 then obs_stage.(0) else Obs.track t.obs (Printf.sprintf "lane%d" k)
-    in
-    let readers =
-      if k = 0 then [| obs_stage.(s); obs_stage.(2 * s) |]
-      else [| obs_stage.(k); obs_stage.(s + k); obs_stage.(2 * s + k) |]
-    in
-    Ahq.set_obs (Lanes.lane lanes k) ~writer:writer_ring ~readers
-  done;
   let r =
     {
       ctx;
@@ -356,9 +322,9 @@ let driver t (ctx : Hooks.ctx) =
       reg_lock = Mutex.create ();
       incoming = [];
       n_incoming = Atomic.make 0;
-      lanes;
+      ahq;
       consume_bufs =
-        Array.init n_stages (fun _ -> Array.make Ahq.default_batch (Lazy.force dummy_lane_rec));
+        Array.init n_stages (fun _ -> Array.make Ahq.default_batch (Lazy.force dummy_srec));
       hist;
       roles =
         Array.init n_stages (fun i ->
@@ -367,8 +333,6 @@ let driver t (ctx : Hooks.ctx) =
       collect_done = Atomic.make false;
       scan_cursor = 0;
       n_collected = 0;
-      split_intervals = 0;
-      split_subranges = 0;
       next_trace_id = 0;
       totals = make_totals ();
       obs_stage;
@@ -407,7 +371,7 @@ let driver t (ctx : Hooks.ctx) =
 let[@pint.hot] rec clear_all (c : tctx) = function
   | [] -> ()
   | (base, len) :: rest ->
-      Lanes.iter_subranges ~shards:c.shards ~shard:c.shard base (base + len - 1) c.treap
+      Shard.iter_subranges ~shards:c.shards ~shard:c.shard base (base + len - 1) c.treap
         Itreap.clear_range;
       clear_all c rest
 
@@ -417,44 +381,33 @@ let rec heap_free_all aspace = function
       Aspace.heap_free aspace ~base ~len;
       heap_free_all aspace rest
 
-let count_sub n _ _ = incr n
+(* The per-subrange treap calls [role_step] hands to
+   [Shard.iter_subranges], each a toplevel function of the context: check
+   subrange [lo, hi] against the treap as [c.kind]; the writer's check and
+   take-over of one of its strand's write subranges; a reader's merge of
+   one read subrange under its keep policy. *)
+let[@pint.hot] check_sub (c : tctx) lo hi =
+  c.subranges <- c.subranges + 1;
+  c.qlo <- lo;
+  c.qhi <- hi;
+  Itreap.query c.treap lo hi ~f:c.on_overlap
 
-let fill_sub (out, i) lo hi =
-  out.(!i) <- Interval.make lo hi;
-  incr i
+let[@pint.hot] write_sub (c : tctx) lo hi =
+  check_sub c lo hi;
+  Itreap.insert_replace c.treap lo hi c.cur
 
-(* The per-shard split of one interval batch: two passes (count, fill) so
-   the result is an exact-sized array.  Only reached when shards > 1. *)
-let split_owned ~shards ~shard (ivs : Interval.t array) =
-  let each ctx f =
-    Array.iter (fun (iv : Interval.t) -> Lanes.iter_subranges ~shards ~shard iv.lo iv.hi ctx f) ivs
-  in
-  let n = ref 0 in
-  each n count_sub;
-  if !n = 0 then [||]
-  else begin
-    let fill = (Array.make !n (Interval.make 0 0), ref 0) in
-    each fill fill_sub;
-    fst fill
-  end
+let[@pint.hot] read_sub (c : tctx) lo hi =
+  c.subranges <- c.subranges + 1;
+  Itreap.insert_merge c.treap lo hi c.cur ~keep:c.keep
 
-let lane_payload ~shards (u : Srec.t) k =
-  if shards = 1 then { u; s_reads = u.Srec.reads; s_writes = u.Srec.writes }
-  else
-    {
-      u;
-      s_reads = split_owned ~shards ~shard:k u.Srec.reads;
-      s_writes = split_owned ~shards ~shard:k u.Srec.writes;
-    }
+(* [f] over the shard's subranges of every interval of [ivs], in order. *)
+let[@pint.hot] each_sub (c : tctx) (ivs : Interval.t array) f =
+  for i = 0 to Array.length ivs - 1 do
+    let iv = ivs.(i) in
+    Shard.iter_subranges ~shards:c.shards ~shard:c.shard iv.lo iv.hi c f
+  done
 
-(* Check interval [iv] against the context's treap as [kind]. *)
-let[@pint.hot] check (c : tctx) kind (iv : Interval.t) =
-  c.kind <- kind;
-  c.qlo <- iv.lo;
-  c.qhi <- iv.hi;
-  Itreap.query c.treap iv ~f:c.on_overlap
-
-(* One role's treap work on one strand's share [lr] of the context's shard;
+(* One role's treap work on the context's shard's share of strand [u];
    returns the treap-node visits.  Every PINT stage and [serial] run this.
    The treap checks the strand against its pre-strand contents before
    taking the strand's own updates:
@@ -465,79 +418,57 @@ let[@pint.hot] check (c : tctx) kind (iv : Interval.t) =
      the reads under the role's keep policy;
    then the shard's share of the strand's clears and frees.  Index loops
    and the context's prebuilt callbacks keep it allocation-free. *)
-let[@pint.hot] role_step (c : tctx) (lr : lane_rec) =
+let[@pint.hot] role_step (c : tctx) (u : Srec.t) =
   let treap = c.treap in
   let v0 = Itreap.visits treap in
-  let s = lr.u.Srec.sp and reads = lr.s_reads and writes = lr.s_writes in
-  c.cur <- s;
+  c.cur <- u.Srec.sp;
   (match c.role with
   | Writer ->
-      for i = 0 to Array.length reads - 1 do
-        check c Report.Write_read reads.(i)
-      done;
-      for i = 0 to Array.length writes - 1 do
-        check c Report.Write_write writes.(i);
-        Itreap.insert_replace treap writes.(i) s
-      done
+      c.kind <- Report.Write_read;
+      each_sub c u.Srec.reads check_sub;
+      c.kind <- Report.Write_write;
+      each_sub c u.Srec.writes write_sub
   | Lreader | Rreader ->
-      for i = 0 to Array.length writes - 1 do
-        check c Report.Read_write writes.(i)
-      done;
-      for i = 0 to Array.length reads - 1 do
-        Itreap.insert_merge treap reads.(i) s ~keep:c.keep
-      done);
-  clear_all c lr.u.Srec.clears;
-  clear_all c lr.u.Srec.frees;
+      c.kind <- Report.Read_write;
+      each_sub c u.Srec.writes check_sub;
+      each_sub c u.Srec.reads read_sub);
+  clear_all c u.Srec.clears;
+  clear_all c u.Srec.frees;
   Itreap.visits treap - v0
 
-(* Last done_count bump (the 3N'th): the strand has passed all treap
-   workers.  [slot] indexes the bumping stage's private histogram; the
-   ring is the bumping stage's own track, so the emit stays single-owner. *)
-let note_complete r ~slot ~ring (u : Srec.t) =
-  if Evring.enabled ring then begin
+(* [done_count] counts the stages that have processed the strand.  Only
+   a profiled run keeps it — a run's rings are all live or all null —
+   and the stage whose bump takes it to [3N] marks the strand complete
+   and records its finish→done latency: [slot] indexes that stage's
+   private histogram and the ring is its own track, so the emit stays
+   single-owner. *)
+let bump_done r ~slot ~ring (u : Srec.t) =
+  if Evring.enabled ring && Atomic.fetch_and_add u.Srec.done_count 1 = r.done_target - 1 then begin
     let ts = Evring.now ring in
     Evring.emit_at ring ~ts ~kind:Ev.complete ~arg:u.Srec.uid;
     Histo.add r.lat_done.(slot) (ts - u.Srec.obs_ts)
   end
 
-let bump_done r ~slot ~ring (u : Srec.t) =
-  let prev = Atomic.fetch_and_add u.Srec.done_count 1 in
-  if prev = r.done_target - 1 then note_complete r ~slot ~ring u
-
-(* Algorithm 2: Collect, generalized to N lanes.  The commit is
-   all-or-nothing — either every shard's lane accepts the strand or none
-   does (and the collector stalls) — so a strand is never half-visible to
-   the shard set and per-lane DAG order is preserved. *)
+(* Algorithm 2: Collect.  The strand is enqueued once for every consuming
+   stage (or the collector stalls on a full queue), then the collector
+   does shard 0's writer work on it. *)
 let collect t r (u : Srec.t) =
-  let shards = t.shards in
-  Lanes.reserve r.lanes
+  Ahq.try_enqueue r.ahq ~rounds:t.bp_rounds u
   && begin
-       let p0 = lane_payload ~shards u 0 in
-       Lanes.push r.lanes 0 p0;
-       let subs = ref (Array.length p0.s_reads + Array.length p0.s_writes) in
-       for k = 1 to shards - 1 do
-         let p = lane_payload ~shards u k in
-         subs := !subs + Array.length p.s_reads + Array.length p.s_writes;
-         Lanes.push r.lanes k p
-       done;
        (match u.Srec.child with
        | Some c when u.Srec.is_spawn || u.Srec.child_is_sync -> Atomic.decr c.Srec.pred
        | _ -> ());
        r.n_collected <- r.n_collected + 1;
-       r.split_intervals <-
-         r.split_intervals + Array.length u.Srec.reads + Array.length u.Srec.writes;
-       r.split_subranges <- r.split_subranges + !subs;
        let ring = r.obs_stage.(0) in
        (if Evring.enabled ring then begin
           let ts = Evring.now ring in
           Evring.emit_at ring ~ts ~kind:Ev.collect ~arg:u.Srec.uid;
-          if shards > 1 then Evring.emit_at ring ~ts ~kind:Ev.split ~arg:!subs;
           Histo.add r.lat_collect (ts - u.Srec.obs_ts)
         end);
        (* under Par_exec downstream stages can outrun the collector's own
           bump, so the collector may observe the completing increment *)
        bump_done r ~slot:0 ~ring u;
-       ignore (role_step r.roles.(0) p0 : int);
+       ignore (role_step r.roles.(0) u : int);
        (* the delayed frees become real here: the collector owns heap
           recycling (§III-D, §III-F), after shard 0's treaps saw the clear *)
        heap_free_all r.ctx.aspace u.Srec.frees;
@@ -582,7 +513,7 @@ let rec scan_traces t r i tried =
             r.scan_cursor <- idx;
             Collected
           end
-          else Full (* some lane full: stall until its consumers catch up *)
+          else Full (* queue full: stall until its consumers catch up *)
       | None -> scan_traces t r (idx + 1) (tried + 1)
     else scan_traces t r (idx + 1) (tried + 1)
   end
@@ -615,31 +546,24 @@ let writer_step t : Step.t =
         else Step.idle
 
 (* Stage [i]'s step for every stage but the collector: shard [i mod
-   shards]'s treap worker for [role_of_idx t i], consuming its lane in
-   batches — one cursor update and one slot-recycling scan per batch,
-   through the stage's reusable buffer, so the batch itself allocates
-   nothing.  Lane 0 has no writer cursor (the collector does shard 0's
-   writer work at collect time), so {lreader, rreader} read cursors
-   {0, 1} there and {1, 2} behind the writer's cursor 0 elsewhere. *)
+   shards]'s treap worker for [role_of_idx t i], reading the queue through
+   cursor [i - 1] in batches — one cursor update and one slot-recycling
+   scan per batch, through the stage's reusable buffer, so the batch
+   itself allocates nothing. *)
 let consume_step t i : Step.t =
   let r = active t in
-  let role = role_of_idx t i and shard = i mod t.shards in
-  let cursor =
-    (match role with Writer -> 0 | Lreader -> 1 | Rreader -> 2) - if shard = 0 then 1 else 0
-  in
-  let lane = Lanes.lane r.lanes shard in
   let buf = r.consume_bufs.(i) in
-  let n = Ahq.peek_batch_into lane cursor buf in
+  let n = Ahq.peek_batch_into r.ahq (i - 1) buf in
   if n = 0 then if Atomic.get r.collect_done then Step.finished else Step.idle
   else begin
     let c = r.roles.(i) in
     let visits = ref 0 in
     for j = 0 to n - 1 do
-      let lr = buf.(j) in
-      visits := !visits + role_step c lr;
-      bump_done r ~slot:i ~ring:r.obs_stage.(i) lr.u
+      let u = buf.(j) in
+      visits := !visits + role_step c u;
+      bump_done r ~slot:i ~ring:r.obs_stage.(i) u
     done;
-    Ahq.advance_n lane cursor n;
+    Ahq.advance_n r.ahq (i - 1) n;
     Step.worked ~records:n !visits
   end
 
@@ -720,8 +644,16 @@ let diagnostics t () =
         role_mean role
           (List.map (fun st -> (Stage.name st, (Stage.metrics st).Stage.records)) t.stage_list)
       in
+      (* the source intervals of every collected strand (all of them, once
+         drained) against the subranges the shards' writers applied: the
+         ratio is the split rate (1.0 = no interval ever straddled an
+         ownership boundary) *)
+      let split_intervals = Atomic.get r.totals.intervals in
+      let split_subranges =
+        Array.fold_left ( + ) 0 (Array.init t.shards (fun k -> r.roles.(k).subranges))
+      in
       Policies.path_diags sum_treaps
-      @ ("queue_min_rescans", float_of_int (Lanes.total_min_rescans r.lanes))
+      @ ("queue_min_rescans", float_of_int (Ahq.min_rescans r.ahq))
         :: coal_diags r.coals
       @ [
         ("collected", float_of_int r.n_collected);
@@ -734,14 +666,13 @@ let diagnostics t () =
         ("writer_size", float_of_int (sum_role Itreap.size Writer));
         ("lreader_size", float_of_int (sum_role Itreap.size Lreader));
         ("rreader_size", float_of_int (sum_role Itreap.size Rreader));
-        ("queue_enqueued", float_of_int (Lanes.total_enqueued r.lanes));
-        ("lane_rejects", float_of_int (Lanes.total_rejects r.lanes));
-        ("lane_peak_depth", float_of_int (Lanes.max_peak_occupancy r.lanes));
-        ("backpressure_waits", float_of_int (Lanes.backpressure_waits r.lanes));
-        ("split_intervals", float_of_int r.split_intervals);
-        ("split_subranges", float_of_int r.split_subranges);
-        ( "split_rate",
-          float_of_int r.split_subranges /. float_of_int (max 1 r.split_intervals) );
+        ("queue_enqueued", float_of_int (Ahq.enqueued r.ahq));
+        ("lane_rejects", float_of_int (Ahq.rejects r.ahq));
+        ("lane_peak_depth", float_of_int (Ahq.peak_occupancy r.ahq));
+        ("backpressure_waits", float_of_int (Ahq.backpressure_waits r.ahq));
+        ("split_intervals", float_of_int split_intervals);
+        ("split_subranges", float_of_int split_subranges);
+        ("split_rate", float_of_int split_subranges /. float_of_int (max 1 split_intervals));
         ("traces", float_of_int r.next_trace_id);
       ]
       @ totals_diags r.totals
@@ -780,10 +711,9 @@ let serial ?(seed = 4242) ?(obs = Obs.disabled) () =
        its frees back *)
     let process (u : Srec.t) =
       incr strands;
-      let lr = lane_payload ~shards:1 u 0 in
-      let w = role_step writer lr in
-      let l = role_step lreader lr in
-      let r = role_step rreader lr in
+      let w = role_step writer u in
+      let l = role_step lreader u in
+      let r = role_step rreader u in
       heap_free_all ctx.aspace u.frees;
       w + l + r
     in

@@ -10,30 +10,32 @@
     - a worker switches to a fresh trace when it starts a stolen
       continuation or passes a non-trivial sync.
 
-    Access-history side: [shards] address-range shards, each owning its own
-    {writer, lreader, rreader} treap triple and its own AHQ lane (routed by
-    {!Lanes}: block [b] belongs to shard [b mod shards]).  All workers are
-    packaged as engine {!Stage}s so every execution mode can drive them
-    through the shared pipeline machinery —
+    Access-history side: [shards] address-range shards ({!Shard}: block
+    [b] belongs to shard [b mod shards]), each owning its own {writer,
+    lreader, rreader} treap triple, and one access-history queue ({!Ahq})
+    carrying every strand once, with a cursor per consuming stage.  All
+    workers are packaged as engine {!Stage}s so every execution mode can
+    drive them through the shared pipeline machinery —
     - the {b collector} (stage ["writer"] / ["writer0"]) collects ready
-      strands from traces in a DAG-conforming order (Algorithm 2), splits
-      each strand's interval batch into block-aligned per-shard subranges,
-      commits them to all lanes atomically (all-or-nothing, stalling on
-      backpressure), performs the delayed heap frees, and doubles as shard
-      0's writer treap worker — at one shard this {e is} the paper's writer
-      worker, byte for byte;
-    - shard k's {b writer} treap worker (k ≥ 1) consumes lane k, checking
-      read/write subranges against the shard's last-writer treap;
+      strands from traces in a DAG-conforming order (Algorithm 2),
+      enqueues each one (stalling on backpressure), performs the delayed
+      heap frees, and doubles as shard 0's writer treap worker — at one
+      shard this {e is} the paper's writer worker, byte for byte;
+    - shard k's {b writer} treap worker (k ≥ 1) follows the queue, checking
+      the strand's read/write subranges in shard k against the shard's
+      last-writer treap;
     - shard k's {b left-most} / {b right-most} reader treap workers follow
-      lane k in batches ({!Ahq.peek_batch_into}), check write subranges
-      against their reader treap and insert read subranges under their
-      respective keep policies.
+      the queue in batches ({!Ahq.peek_batch_into}), check the write
+      subranges in shard k against their reader treap and insert the read
+      subranges under their respective keep policies.
+    Every stage restricts a strand's reads, writes, clears and frees to
+    its shard's blocks itself ({!Shard.iter_subranges}).
 
     Race-set invariant: every address belongs to exactly one shard per
-    role, and every lane carries the full DAG-ordered strand stream
-    restricted to that shard's range — so for any shard count the reported
-    race set equals the [shards = 1] paper configuration's (the golden
-    differential-replay suite asserts this at Theorem-5 granularity).
+    role, and every stage sees the full DAG-ordered strand stream — so for
+    any shard count the reported race set equals the [shards = 1] paper
+    configuration's (the golden differential-replay suite asserts this at
+    Theorem-5 granularity).
 
     A serial run ({!Sim_exec.serial}, which passes no stages) leaves the
     stages to one [Detector.drain] call at the end (the paper's one-core
@@ -62,13 +64,13 @@ type t
 
     [shards] (default 1, the paper's three-treap-worker configuration)
     selects the address-range shard count: each shard owns the
-    {!Lanes.shard_block}-word blocks congruent to it and runs a private
-    {writer, lreader, rreader} treap triple off a private AHQ lane of 4096
-    records; every treap stays sequential, so correctness needs no
-    concurrent treap.  The collector hands over up to
+    {!Shard.shard_block}-word blocks congruent to it and runs a private
+    {writer, lreader, rreader} treap triple; every treap stays sequential,
+    so correctness needs no concurrent treap.  The stages share one
+    access-history queue of 4096 strands.  The collector hands over up to
     {!Ahq.default_batch} strands per step, in the order one strand per
     step would send them, and a consuming treap worker takes up to as many
-    lane records per step, amortizing cursor updates and slot-recycling
+    strands per step, amortizing cursor updates and slot-recycling
     checks. *)
 val make : ?seed:int -> ?shards:int -> unit -> t
 
@@ -91,8 +93,8 @@ val detector : t -> Detector.t
 
 (** Attach an observability session.  Must be called before the first strand
     finishes (i.e. before the executor starts): the run's tracks — one per
-    stage, plus per-lane occupancy tracks ["lane<k>"] when sharded — and
-    the pipeline-latency histograms ("lat.finish_to_collect",
+    stage, the collector's also carrying the queue's occupancy — and the
+    pipeline-latency histograms ("lat.finish_to_collect",
     "lat.finish_to_done") are registered lazily when the first trace record
     arrives.  With a disabled session (the default) every hot-path hook
     short-circuits to the null ring. *)
@@ -119,7 +121,8 @@ val role_mean : role -> (string * int) list -> float
 (** {2 Pipeline} *)
 
 (** The pipeline as engine stages, in stage-index order: the collector,
-    the shard writer workers (shards ≥ 2), then the [2·N] reader workers.
+    the shard writer workers (shards ≥ 2), then the [2·N] reader workers;
+    stage [i ≥ 1] reads the access-history queue through cursor [i − 1].
     Each step is priced in virtual cycles by {!Cost_model.treap_step_cost}
     over its records and treap-node visits.  The returned stages are
     remembered by the detector: [Detector.drain] drives the same values,
@@ -129,10 +132,9 @@ val role_mean : role -> (string * int) list -> float
     stage's total price). *)
 val stages : t -> Stage.t list
 
-(** [set_backpressure t ~rounds] — let the collector ride out a saturated
-    lane for up to [rounds] {!Backoff} rounds before rejecting an
-    all-or-nothing commit (see {!Lanes.set_backpressure}).  Default 0
-    (reject immediately) — the only sound setting under single-threaded
+(** [set_backpressure t ~rounds] — let the collector ride out a full
+    queue for up to [rounds] {!Backoff} rounds before rejecting an enqueue
+    (see {!Ahq.try_enqueue}).  Default 0 (reject immediately) — the only sound setting under single-threaded
     drivers; enable only for real-domain runs, before the run starts.  The
     producer rounds actually waited surface as the [backpressure_waits]
     diagnostic. *)
@@ -140,5 +142,5 @@ val set_backpressure : t -> rounds:int -> unit
 
 (** The [rounds] value real-domain callers should pass to
     {!set_backpressure} absent a reason to differ (≈2.5 ms of waiting
-    before a commit is rejected). *)
+    before an enqueue is rejected). *)
 val recommended_bp_rounds : int

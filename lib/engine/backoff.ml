@@ -1,6 +1,6 @@
 (* Exponential idle backoff shared by every spinning loop in the system
-   (stage drive loops, micropool domains, idle core workers, lane
-   producers waiting out backpressure).
+   (stage drive loops, micropool domains, idle core workers, the
+   access-history queue's producer waiting out backpressure).
 
    Rounds 0..7 spin-wait with a doubling number of [Domain.cpu_relax]
    pauses — cheap, keeps the latency of an imminent wakeup minimal.  From

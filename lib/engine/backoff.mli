@@ -6,7 +6,8 @@
     on parks in a short sleep so that on oversubscribed hosts the waiting
     domain yields its core to whichever domain it is waiting for.
     Replaces bare [Domain.cpu_relax] spinning everywhere (stage drive
-    loops, micropools, idle core workers, backpressured lane producers). *)
+    loops, micropools, idle core workers, the backpressured access-history
+    queue producer). *)
 
 val relax : int -> unit
 

@@ -13,7 +13,8 @@
    "pinned" means pinned to a domain; the OS scheduler keeps a busy domain
    on its core in practice.)  Each worker steps all the groups it holds
    one {!Pipeline.step} round at a time — the three stages of one shard
-   share one lane's data anyway, so co-scheduling them is cache-friendly —
+   share one address range anyway, so co-scheduling them is
+   cache-friendly —
    and backs off with the engine {!Backoff} only when every group it holds
    is unproductive.
 

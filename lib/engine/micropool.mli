@@ -28,7 +28,7 @@ val shared : ?rings:Evring.t array -> int -> shared
     [k] workers [k] groups land one per worker in order.  The groups'
     stages must not be driven by anyone else from this point; they run
     until each reports [`Done] (for a detector: after its run's [on_done]
-    has fired and its lanes drained).
+    has fired and its access-history queue drained).
 
     [notify] (default: nothing) is the lease's completion event.  It is
     called exactly once, by the worker domain that retires the lease's

@@ -14,8 +14,10 @@
       processes this record (§III-F stack reuse);
     - [frees] are heap ranges whose actual deallocation is delayed until the
       writer treap worker collects this record (§III-F heap reuse);
-    - [done_count] is the recycling fetch-and-add: a slot is reusable once
-      all three treap workers have processed the record. *)
+    - [done_count] counts the pipeline stages that have processed the
+      record, in profiled runs only; the stage whose increment reaches
+      the stage count ([3·shards]) records the strand's finish→done
+      latency (the [lat.finish_to_done] histogram). *)
 
 type t = {
   uid : int;  (** unique, creation order *)

@@ -31,7 +31,7 @@ let strand_cost = function
 
 (* Group a flat stage list into shard micropools for the real-domain
    executor: stages carrying the same shard index (per the detector's
-   naming authority) share one pool, so each pool domain owns one lane's
+   naming authority) share one pool, so each pool domain owns one shard's
    full {writer, lreader, rreader} triple; stages the parser does not
    recognize get singleton pools.  Pool order follows first appearance, so
    [make_detector]'s stage order yields pools in shard order. *)

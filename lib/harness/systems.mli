@@ -28,8 +28,8 @@ val detector_names : string list
     place no matter who steps them; each step is priced by
     {!Cost_model.treap_step_cost}).  [seed] defaults to each detector's own
     default; [shards] (PINT only) selects the address-range shard count —
-    each shard runs its own {writer, lreader, rreader} treap triple off its
-    own AHQ lane.  [obs] (default {!Obs.disabled}) attaches an
+    each shard runs its own {writer, lreader, rreader} treap triple off the
+    one access-history queue.  [obs] (default {!Obs.disabled}) attaches an
     observability session: detector-side tracks and histograms are
     registered here, and for PINT each pipeline stage gets the session ring
     matching its stage name, so stage spans and AHQ counters land on the
@@ -78,8 +78,8 @@ type measurement = {
 }
 
 (** [shards] (default 1) runs PINT with the N-shard access-history
-    topology (shards × {writer, lreader, rreader} treap workers, one AHQ
-    lane per shard); ignored for the other systems.  Every run is priced by
+    topology (shards × {writer, lreader, rreader} treap workers sharing
+    one access-history queue); ignored for the other systems.  Every run is priced by
     {!strand_cost} and {!Cost_model.treap_step_cost} — STINT's synchronous
     access history as three treap steps per strand, after its core
     makespan — and seeded with 2022 (scheduler) and 2029 (treaps). *)

@@ -8,9 +8,8 @@ let treap_op = 3 (* span; arg = treap-node visits of the step *)
 let stall = 4 (* span; writer blocked on a full AHQ *)
 let recycle = 5 (* arg = slots recycled by this cursor advance *)
 let complete = 6 (* all 3N treap workers have processed the strand *)
-let split = 7 (* arg = per-shard subranges the strand's intervals split into *)
-let steal = 8 (* worker stole a ditem from a peer deque; arg = victim worker *)
-let park = 9 (* a pool/worker domain entered the deep-backoff sleep regime *)
+let steal = 7 (* worker stole a ditem from a peer deque; arg = victim worker *)
+let park = 8 (* a pool/worker domain entered the deep-backoff sleep regime *)
 
 let name = function
   | 0 -> "finish"
@@ -20,9 +19,8 @@ let name = function
   | 4 -> "stall"
   | 5 -> "recycle"
   | 6 -> "complete"
-  | 7 -> "split"
-  | 8 -> "steal"
-  | 9 -> "park"
+  | 7 -> "steal"
+  | 8 -> "park"
   | k -> "ev" ^ string_of_int k
 
 (* The exporter's phase split: spans render as Chrome "X" complete events,
@@ -34,8 +32,7 @@ let arg_label = function
   | 1 -> "occupancy"
   | 3 -> "visits"
   | 5 -> "slots"
-  | 7 -> "subranges"
-  | 8 -> "victim"
-  | 9 -> "pool"
+  | 7 -> "victim"
+  | 8 -> "pool"
   | 0 | 2 | 6 -> "uid"
   | _ -> "arg"

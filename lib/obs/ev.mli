@@ -11,10 +11,6 @@ val stall : int
 val recycle : int
 val complete : int
 
-(** Collector-side: a strand's interval batch was split and committed to
-    the per-shard lanes; the payload is the subrange count. *)
-val split : int
-
 (** Work-stealing executor: a worker stole a ditem from a peer's deque;
     the payload is the victim worker's index. *)
 val steal : int

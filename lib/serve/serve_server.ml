@@ -143,8 +143,8 @@ let start_stream t c ~shards ~predict =
   let shards = if shards = 0 then 1 else shards in
   let obs = Obs.create ~clock:Clock.monotonic () in
   (* no collector backpressure: a shared-pool slot steps shard 0's
-     collector and its lane's readers on one worker, so waiting out a full
-     lane there could never succeed *)
+     collector and readers on one worker, so waiting out a full queue
+     there could never succeed *)
   match Systems.make_detector ~shards ~obs cfg.detector with
   | None -> fail_conn t c (Printf.sprintf "unknown detector %S" cfg.detector)
   | Some (det, stages) ->
@@ -192,7 +192,8 @@ let handle_msg t c msg =
              t.cfg.max_window)
       else if shards < 0 || shards > t.cfg.pool_workers then
         (* more shards than pool domains cannot run in parallel, and each
-           one costs a treap triple, a lane and a pool slot up front *)
+           one costs a treap triple, three queue cursors and a pool slot up
+           front *)
         fail_conn t c
           (Printf.sprintf "shard count %d out of range (server allows 0..%d)" shards
              t.cfg.pool_workers)
@@ -214,7 +215,7 @@ let handle_msg t c msg =
 (* A tenant whose pipeline lags its feed pauses reads: the unread socket
    fills, TCP/unix flow control pushes back on the client, and the shared
    pool catches up — per-session graceful degradation instead of unbounded
-   lane rejects.  [collected] counts strands the collector has committed,
+   queue rejects.  [collected] counts strands the collector has enqueued,
    so the difference is the in-flight backlog. *)
 let conn_wants_read cfg c =
   match c.c_phase with

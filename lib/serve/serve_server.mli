@@ -6,9 +6,9 @@
     and strand replay all run on the serving thread ([serve]), which is
     what makes every session's decoder and walk state single-owner
     (OWNERSHIP.md).  The only cross-domain traffic is the one each detector
-    already has — its AHQ lanes to the shared pool workers — plus the
-    completion countdown of each {!Micropool.submit} lease, whose [notify]
-    writes one byte to the server's self-pipe.  The pipe's read end is in
+    already has — its access-history queue to the shared pool workers —
+    plus the completion countdown of each {!Micropool.submit} lease, whose
+    [notify] writes one byte to the server's self-pipe.  The pipe's read end is in
     every [select] read set, so a session whose pipeline drains gets its
     summary as soon as its lease is done, not at the next poll tick.
 

@@ -14,9 +14,9 @@
      [slots.(h mod cap)] BEFORE [Atomic.incr head] (its releasing write);
      a reader only touches a slot after reading [head] past it, so it sees
      the full record.  [head] is written by the single producer only.
-     Publisher: [try_enqueue].  Acquirers: every reader entry point that
-     reaches [slot_at] ([peek], [peek_batch], [peek_batch_into]) — the
-     lint pass proves no spawned path reads a slot without passing one.
+     Publisher: [try_enqueue].  Acquirer: [peek_batch_into], the one
+     reader entry point that reaches [slot_at] — the lint pass proves no
+     spawned path reads a slot without passing one.
    - ["ahq.recycle"] (slot recycling) — [advance_n] plain-clears a slot
      only when every OTHER cursor (read atomically) is already past it,
      and BEFORE atomically advancing its own cursor (its releasing
@@ -25,21 +25,18 @@
      [try_enqueue]) is the acquiring read, so the clear is published to
      the producer before any reuse, and no reader can still be peeking a
      cleared slot (peeks start at the reader's own cursor).
-   - writer-private caches — [cached_min], [min_rescans], [peak_occ] are
-     touched only by the single producer ([private:] rows; cross-domain
-     reads are post-drain diagnostics accessors); [cached_min] is a
-     monotone lower bound on the cursor minimum (cursors only advance), so
-     a stale value is only ever conservative: it can under-report room,
-     never invent it.
+   - writer-private caches and counters — [cached_min], [min_rescans],
+     [peak_occ], [rejects], [bp_waits] are touched only by the single
+     producer ([private:] rows; cross-domain reads are post-drain
+     diagnostics accessors); [cached_min] is a monotone lower bound on
+     the cursor minimum (cursors only advance), so a stale value is only
+     ever conservative: it can under-report room, never invent it.
 
    The one deliberately racy read is the occupancy sample in [advance_n]
    (another reader may advance between our snapshot and the emit) — it is
    an observability sample, not a correctness input. *)
 
 type reader = int
-
-let l = 0
-let r = 1
 
 type 'a t = {
   slots : 'a option array [@pint.publishes "ahq.slot ahq.recycle"];
@@ -57,6 +54,10 @@ type 'a t = {
   (* Writer-private occupancy high-water mark (against the cached bound, so
      conservative the same way the emitted samples are). *)
   mutable peak_occ : int;
+  (* Writer-private backpressure counters: enqueues rejected on a ring that
+     stayed full, and backoff rounds waited for one to drain. *)
+  mutable rejects : int;
+  mutable bp_waits : int;
   (* observability hooks, installed before the pipeline starts; the writer
      ring is written only from [try_enqueue] (writer stage), reader ring
      [i] only from reader [i]'s [advance_n].  Evring.null when disabled. *)
@@ -64,7 +65,7 @@ type 'a t = {
   mutable obs_r : Evring.t array;
 }
 
-let create ?(capacity = 4096) ?(readers = 2) () =
+let create ~capacity ~readers =
   if capacity <= 0 then invalid_arg "Ahq.create: capacity must be positive";
   if readers < 1 then invalid_arg "Ahq.create: need at least one reader";
   {
@@ -75,6 +76,8 @@ let create ?(capacity = 4096) ?(readers = 2) () =
     cached_min = 0;
     min_rescans = 0;
     peak_occ = 0;
+    rejects = 0;
+    bp_waits = 0;
     obs_w = Evring.null;
     obs_r = Array.make readers Evring.null;
   }
@@ -94,10 +97,9 @@ let min_cursor t =
   Array.fold_left (fun m c -> imin m (Atomic.get c)) max_int t.cursors
 
 (* Writer-side room probe: refreshes the cached cursor minimum only when
-   the cached bound would reject the enqueue.  Exposed so a multi-lane
-   router can check every lane before committing an all-or-nothing
-   enqueue — with a single producer, room observed here cannot shrink
-   before the enqueue that follows. *)
+   the cached bound would reject the enqueue.  With a single producer,
+   room observed here cannot shrink before the enqueue that follows:
+   readers only ever create room. *)
 let[@pint.hot] has_room t =
   let h = Atomic.get t.head in
   h - t.cached_min < t.cap
@@ -107,12 +109,27 @@ let[@pint.hot] has_room t =
        h - t.cached_min < t.cap
      end
 
+(* A full ring: re-probe after each of up to [rounds] backoff rounds, and
+   count a reject if it stays full.  With readers on other domains a full
+   ring is a transient, which the wait rides out; under a single-threaded
+   driver [rounds] is 0 and the enqueue is rejected at once. *)
+let rec wait_for_room t rounds round =
+  if round >= rounds then begin
+    t.rejects <- t.rejects + 1;
+    false
+  end
+  else begin
+    t.bp_waits <- t.bp_waits + 1;
+    Backoff.relax round;
+    has_room t || wait_for_room t rounds (round + 1)
+  end
+
 (* [@pint.publishes "ahq.slot"]: the slot write is ordered before the
    [Atomic.incr head] release.  [@pint.acquires "ahq.recycle"]: the
    cursor scan in [has_room] is the acquiring read that orders every
    reader's slot-clear before this producer's reuse of the slot. *)
-let[@pint.hot] [@pint.publishes "ahq.slot"] [@pint.acquires "ahq.recycle"] try_enqueue t s =
-  if not (has_room t) then false
+let[@pint.hot] [@pint.publishes "ahq.slot"] [@pint.acquires "ahq.recycle"] try_enqueue t ~rounds s =
+  if not (has_room t || wait_for_room t rounds 0) then false
   else begin
     let h = Atomic.get t.head in
     t.slots.(h mod t.cap) <- Some s;
@@ -135,21 +152,11 @@ let slot_at t pos =
   | Some s -> s
   | None -> failwith "Ahq: published slot is empty"
 
-(* Every reader entry point that dereferences a slot acquires "ahq.slot":
-   the [Atomic.get t.head] bound check is the acquiring read matching the
-   producer's release in [try_enqueue]. *)
-let[@pint.acquires "ahq.slot"] peek t i =
-  let pos = Atomic.get (cursor t i) in
-  if pos >= Atomic.get t.head then None else Some (slot_at t pos)
-
 let default_batch = 32
 
-let[@pint.acquires "ahq.slot"] peek_batch ?(max = default_batch) t i =
-  if max <= 0 then invalid_arg "Ahq.peek_batch: max must be positive";
-  let pos = Atomic.get (cursor t i) in
-  let n = imin (Atomic.get t.head - pos) max in
-  if n <= 0 then [||] else Array.init n (fun k -> slot_at t (pos + k))
-
+(* The reader entry point that dereferences slots acquires "ahq.slot": the
+   [Atomic.get t.head] bound check is the acquiring read matching the
+   producer's release in [try_enqueue]. *)
 let[@pint.hot] [@pint.acquires "ahq.slot"] peek_batch_into t i buf =
   let cap = Array.length buf in
   if cap = 0 then invalid_arg "Ahq.peek_batch_into: empty buffer";
@@ -169,7 +176,7 @@ let[@pint.publishes "ahq.recycle"] advance_n t i n =
   if n <= 0 then invalid_arg "Ahq.advance_n: n must be positive";
   let c = cursor t i in
   let pos0 = Atomic.get c in
-  if pos0 + n > Atomic.get t.head then failwith "Ahq.advance: nothing pending";
+  if pos0 + n > Atomic.get t.head then failwith "Ahq.advance_n: nothing pending";
   (* Recycle the record references for the slots every other reader has
      already moved past.  Clearing must happen BEFORE our cursor advances:
      while our cursor still sits at [pos0] the writer cannot reuse any of
@@ -195,15 +202,13 @@ let[@pint.publishes "ahq.recycle"] advance_n t i n =
     Evring.emit obs ~kind:Ev.enqueue ~arg:(Atomic.get t.head - imin (pos0 + n) !min_other)
   end
 
-let advance t i = advance_n t i 1
-
 let enqueued t = Atomic.get t.head
 let processed t i = Atomic.get (cursor t i)
 let min_rescans t = t.min_rescans
 let peak_occupancy t = t.peak_occ
+let rejects t = t.rejects
+let backpressure_waits t = t.bp_waits
 
 let drained t =
   let h = Atomic.get t.head in
   Array.for_all (fun c -> Atomic.get c = h) t.cursors
-
-let capacity t = t.cap

@@ -466,8 +466,7 @@ let commit t =
 
 (* ---------------------------------------------------------- operations *)
 
-let insert_replace t iv owner =
-  let lo = iv.Interval.lo and hi = iv.Interval.hi in
+let insert_replace t lo hi owner =
   if not (insert_fast t lo hi owner replace_any) then begin
     note_slow t;
     slow_extract t hi;
@@ -480,8 +479,7 @@ let insert_replace t iv owner =
     commit t
   end
 
-let insert_merge t iv owner ~keep =
-  let lo = iv.Interval.lo and hi = iv.Interval.hi in
+let insert_merge t lo hi owner ~keep =
   (* When nothing stored intersects, the whole range is one uncovered gap:
      it goes to the new strand, same as insert_replace. *)
   if not (insert_fast t lo hi owner keep) then begin
@@ -536,7 +534,7 @@ let[@pint.hot] rec query_desc t qlo qhi f n =
     end
   end
 
-let[@pint.hot] query t iv ~f = query_desc t iv.Interval.lo iv.Interval.hi f t.root
+let[@pint.hot] query t lo hi ~f = query_desc t lo hi f t.root
 
 let find t addr =
   let rec go n =

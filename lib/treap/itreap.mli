@@ -7,6 +7,10 @@
     algorithms exploit: the set of stored intervals overlapping a probe
     interval is always contiguous in key order.
 
+    Queries, inserts and clears take their operand as two ints [lo hi]
+    (the closed range [\[lo, hi\]]), so a caller holding a subrange
+    builds no interval.
+
     Insertions maintain the paper's exactness guarantee: inserting [3,7] by
     [w] into a treap holding [1,4,u],[6,10,v] yields [1,2,u],[3,7,w],
     [8,10,v].  Two insertion semantics cover the three access-history roles:
@@ -92,27 +96,28 @@ val slowpath_hits : 'o t -> int
     buffers (no fresh allocation for overlap/piece staging). *)
 val scratch_reuse : 'o t -> int
 
-(** [query t iv ~f] calls [f lo hi owner] for every stored interval
-    [\[lo, hi\]] overlapping [iv], in increasing address order.  [f] must
-    not modify [t]. *)
-val query : 'o t -> Interval.t -> f:(int -> int -> 'o -> unit) -> unit
+(** [query t qlo qhi ~f] calls [f lo hi owner] for every stored interval
+    [\[lo, hi\]] overlapping [\[qlo, qhi\]], in increasing address order.
+    [f] must not modify [t]. *)
+val query : 'o t -> int -> int -> f:(int -> int -> 'o -> unit) -> unit
 
 (** [find t addr] — owner of the interval covering [addr], if any. *)
 val find : 'o t -> int -> (Interval.t * 'o) option
 
-(** [insert_replace t iv owner] — last-writer semantics (see above). *)
-val insert_replace : 'o t -> Interval.t -> 'o -> unit
+(** [insert_replace t lo hi owner] — last-writer semantics (see above)
+    over [\[lo, hi\]]. *)
+val insert_replace : 'o t -> int -> int -> 'o -> unit
 
-(** [insert_merge t iv owner ~keep] — reader semantics.  For every stored
-    segment [seg] with incumbent [u] overlapping [iv], the policy
-    [keep ~incumbent:u] decides the segment's new owner; gaps inside [iv]
-    get [owner].  The policy must be a pure function of the two owners. *)
-val insert_merge : 'o t -> Interval.t -> 'o -> keep:(incumbent:'o -> [ `Keep | `Replace ]) -> unit
+(** [insert_merge t lo hi owner ~keep] — reader semantics.  For every
+    stored segment [seg] with incumbent [u] overlapping [\[lo, hi\]], the
+    policy [keep ~incumbent:u] decides the segment's new owner; gaps
+    inside [\[lo, hi\]] get [owner].  The policy must be a pure function
+    of the two owners. *)
+val insert_merge :
+  'o t -> int -> int -> 'o -> keep:(incumbent:'o -> [ `Keep | `Replace ]) -> unit
 
 (** [clear_range t lo hi] removes all coverage of [\[lo, hi\]],
-    truncating stored intervals that straddle its boundary.  It takes the
-    bounds as two ints, so a caller clearing (base, len) ranges builds no
-    interval. *)
+    truncating stored intervals that straddle its boundary. *)
 val clear_range : 'o t -> int -> int -> unit
 
 (** All stored intervals in address order. *)

@@ -12,12 +12,11 @@
 
 let idx ny i j = (i * ny) + j
 
-let band_kernel ~inplace src dst nx ny r0 r1 =
+let band_kernel src dst nx ny r0 r1 =
   let lo = max 0 (r0 - 1) and hi = min (nx - 1) r1 in
   Access.emit_read ~addr:(Membuf.base_f src + idx ny lo 0) ~len:((hi - lo + 1) * ny);
   Access.emit_write ~addr:(Membuf.base_f dst + idx ny r0 0) ~len:((r1 - r0) * ny);
   Access.emit_compute ~amount:(7 * (r1 - r0) * ny);
-  ignore inplace;
   for i = r0 to r1 - 1 do
     for j = 0 to ny - 1 do
       let v = Membuf.peek_f src (idx ny i j) in
@@ -29,13 +28,13 @@ let band_kernel ~inplace src dst nx ny r0 r1 =
     done
   done
 
-let rec bands ~inplace src dst nx ny base r0 r1 =
-  if r1 - r0 <= base then band_kernel ~inplace src dst nx ny r0 r1
+let rec bands src dst nx ny base r0 r1 =
+  if r1 - r0 <= base then band_kernel src dst nx ny r0 r1
   else begin
     let mid = (r0 + r1) / 2 in
     Fj.scope (fun () ->
-        Fj.spawn (fun () -> bands ~inplace src dst nx ny base r0 mid);
-        bands ~inplace src dst nx ny base mid r1;
+        Fj.spawn (fun () -> bands src dst nx ny base r0 mid);
+        bands src dst nx ny base mid r1;
         Fj.sync ())
   end
 
@@ -72,7 +71,7 @@ let make_good ~size ~base =
     let src = ref g0 and dst = ref g1 in
     for _ = 1 to steps do
       Fj.scope (fun () ->
-          bands ~inplace:false !src !dst nx ny base 0 nx;
+          bands !src !dst nx ny base 0 nx;
           Fj.sync ());
       let t = !src in
       src := !dst;
@@ -101,7 +100,7 @@ let make_racy ~size ~base =
     for _ = 1 to 2 do
       Fj.scope (fun () ->
           (* in-place update: bands race on their halo rows *)
-          bands ~inplace:true g g nx ny base 0 nx;
+          bands g g nx ny base 0 nx;
           Fj.sync ())
     done
   in

@@ -74,24 +74,55 @@ let check_one path () =
     check_bool (path ^ ": replay = live rerun") true (snd (List.hd sigs) = live)
   end
 
-(* Sharding must be invisible in the race set: replaying a golden trace
-   through the N-shard pipeline must produce exactly the shards=1 (paper
+(* A serial capture of [w] at [size]/[base]; the racy variant if [racy]. *)
+let capture_at ?(racy = false) (w : Workload.t) ~size ~base =
+  let inst =
+    match w.Workload.racy with
+    | Some r when racy -> r ~size ~base
+    | _ -> w.Workload.make ~size ~base
+  in
+  let driver, finished = Tracefile.capturing (Nodetect.make ()).Detector.driver in
+  ignore (Sim_exec.run ~config:Sim_exec.serial ~driver inst.Workload.run);
+  finished ()
+
+(* Every access of every golden trace falls in one shard block, which
+   shard 0 owns at any shard count.  A racy heat 64/8 capture's grid spans
+   four blocks, so at 2 and 4 shards it reaches every shard: the one input
+   here on which a routing fault (a shard that never gets its share) shows
+   up as a writer stage with no treap work. *)
+let heat64 = lazy (capture_at ~racy:true (Registry.find "heat") ~size:64 ~base:8)
+
+(* Every shard's writer stage did treap work. *)
+let check_every_shard what (d : Detector.t) shards =
+  let diags = d.Detector.diagnostics () in
+  for k = 0 to shards - 1 do
+    let key = Printf.sprintf "stage.writer%d.visits" k in
+    match List.assoc_opt key diags with
+    | Some v when v > 0. -> ()
+    | v ->
+        Alcotest.failf "%s: shards=%d: %s = %s" what shards key
+          (Option.fold ~none:"absent" ~some:string_of_float v)
+  done
+
+(* Sharding must be invisible in the race set: replaying a trace through
+   the N-shard pipeline must produce exactly the shards=1 (paper
    configuration) verdicts at Theorem-5 granularity — the differential
    machinery compares deduplicated (kind, earlier, later) triples, the same
    key [Report.add] dedups on, so split sub-intervals cannot leak through
-   as spurious differences. *)
-let check_sharded path () =
-  let t = Tracefile.load path in
+   as spurious differences.  [every_shard]: the input must also reach
+   every shard. *)
+let check_sharded ?(every_shard = false) ~shard_counts what t =
   List.iter
     (fun shards ->
       let d1, _ = make_det "pint" in
       let dn, _ = Option.get (Systems.make_detector ~shards "pint") in
       let d = Replay.differential t dn d1 in
       if not (Replay.no_divergence d) then
-        Alcotest.failf "%s: pint shards=%d diverges from shards=1: %s" path shards
+        Alcotest.failf "%s: pint shards=%d diverges from shards=1: %s" what shards
           (Format.asprintf "%a" Replay.pp_divergence d);
+      if every_shard then check_every_shard what dn shards;
       dn.Detector.validate ())
-    [ 2; 4; 8 ]
+    shard_counts
 
 (* The same invariant under real domains: a replay session whose shard
    groups each run on their own micropool worker, concurrently with the
@@ -100,10 +131,10 @@ let check_sharded path () =
    race set must still equal the shards=1 single-threaded replay at
    Theorem-5 (kind, prior, current) granularity — detection work is
    partitioned by address range, so scheduling can reorder discovery but
-   never change the verdicts. *)
-let check_sharded_domains path () =
-  let t = Tracefile.load path in
-  let bytes = In_channel.with_open_bin path In_channel.input_all in
+   never change the verdicts.  The one access-history queue's cursors then
+   live on several pool domains. *)
+let check_sharded_domains ?(every_shard = false) what t =
+  let bytes = Tracefile.to_bytes t in
   let d1, _ = make_det "pint" in
   let ref_sig = signature (Replay.run t d1).Replay.races in
   List.iter
@@ -124,9 +155,10 @@ let check_sharded_domains path () =
       dn.Detector.drain ();
       let o = Replay.Session.outcome s in
       dn.Detector.validate ();
+      if every_shard then check_every_shard what dn shards;
       if signature o.Replay.races <> ref_sig then
         Alcotest.failf "%s: real-domain pint shards=%d diverges from shards=1 (%d vs %d races)"
-          path shards
+          what shards
           (List.length o.Replay.races)
           (List.length ref_sig))
     [ 2; 4 ]
@@ -247,25 +279,14 @@ let check_batched t ~pinned =
         pinned)
     [ 1; 2 ]
 
-(* A serial capture of [w] at [size]/[base]; the racy variant if [racy]. *)
-let capture_at ?(racy = false) (w : Workload.t) ~size ~base =
-  let inst =
-    match w.Workload.racy with
-    | Some r when racy -> r ~size ~base
-    | _ -> w.Workload.make ~size ~base
-  in
-  let driver, finished = Tracefile.capturing (Nodetect.make ()).Detector.driver in
-  ignore (Sim_exec.run ~config:Sim_exec.serial ~driver inst.Workload.run);
-  finished ()
-
-(* Directed case: after the walk of a capture longer than a lane, the
-   collector stepped alone fills lane 0 — [Worked] steps of one full
-   batch each that hand over exactly the lane's 4096 records — and then
-   stalls on the full lane; draining everything afterwards reports the
-   races of a normal replay. *)
-let test_collector_fills_lane () =
+(* Directed case: after the walk of a capture longer than the
+   access-history queue, the collector stepped alone fills the queue —
+   [Worked] steps of one full batch each that hand over exactly its 4096
+   records — and then stalls on the full queue; draining everything
+   afterwards reports the races of a normal replay. *)
+let test_collector_fills_queue () =
   let t = capture_at ~racy:true (Registry.find "sort") ~size:32768 ~base:64 in
-  check_bool "capture longer than a lane" true (Tracefile.entry_count t > 4096);
+  check_bool "capture longer than the queue" true (Tracefile.entry_count t > 4096);
   let d, stages = Option.get (Systems.make_detector "pint") in
   let s = Replay.Session.create d in
   ignore (Replay.Session.feed s (Tracefile.to_bytes t));
@@ -278,7 +299,7 @@ let test_collector_fills_lane () =
     | `Idle | `Done -> Alcotest.failf "collector neither worked nor stalled after %d" records
   in
   let steps, records = fill 0 0 in
-  Alcotest.(check int) "records before the lane is full" 4096 records;
+  Alcotest.(check int) "records before the queue is full" 4096 records;
   Alcotest.(check int) "one full batch per step" (4096 / Ahq.default_batch) steps;
   check_bool "still stalled" true (Stage.exec collector = `Stalled);
   d.Detector.drain ();
@@ -295,7 +316,7 @@ let test_collector_fills_lane () =
    serial captures replayed through pint at one shard: each reader's role
    steps allocate nothing per record (the bound leaves room for the
    per-step outcome and the treap arena's doubling), the collector no
-   more than its per-strand lane record, trace hand-off and heap frees. *)
+   more than its queue slot's option box, trace hand-off and heap frees. *)
 let check_allocation (w : Workload.t) ~size ~base () =
   let t = capture_at w ~size ~base in
   let d, _ = Option.get (Systems.make_detector "pint") in
@@ -438,9 +459,26 @@ let () =
       ( "corpus",
         List.map (fun path -> Alcotest.test_case path `Quick (check_one path)) files );
       ( "sharded",
-        List.map (fun path -> Alcotest.test_case path `Quick (check_sharded path)) files );
+        List.map
+          (fun path ->
+            Alcotest.test_case path `Quick (fun () ->
+                check_sharded ~shard_counts:[ 2; 4; 8 ] path (Tracefile.load path)))
+          files
+        @ [
+            Alcotest.test_case "heat 64/8" `Quick (fun () ->
+                check_sharded ~every_shard:true ~shard_counts:[ 2; 4 ] "heat 64/8"
+                  (Lazy.force heat64));
+          ] );
       ( "sharded-domains",
-        List.map (fun path -> Alcotest.test_case path `Quick (check_sharded_domains path)) files );
+        List.map
+          (fun path ->
+            Alcotest.test_case path `Quick (fun () ->
+                check_sharded_domains path (Tracefile.load path)))
+          files
+        @ [
+            Alcotest.test_case "heat 64/8" `Quick (fun () ->
+                check_sharded_domains ~every_shard:true "heat 64/8" (Lazy.force heat64));
+          ] );
       ( "visits",
         List.map (fun path -> Alcotest.test_case path `Quick (check_visits path)) files );
       ( "serial",
@@ -462,7 +500,7 @@ let () =
                 ~pinned:(List.assoc "sort_racy.trace" expected_visits));
           Alcotest.test_case "fresh sort" `Quick (fun () ->
               check_batched (fresh_capture (Registry.find "sort")) ~pinned:[]);
-          Alcotest.test_case "collector fills a lane" `Quick test_collector_fills_lane;
+          Alcotest.test_case "collector fills a lane" `Quick test_collector_fills_queue;
         ] );
       ( "allocation",
         [

@@ -17,13 +17,13 @@ let run_sharded ?(n_workers = 4) ~shards prog =
   let r = Sim_exec.run ~config ~driver:det.Detector.driver prog in
   (det, r)
 
-(* [Lanes.iter_subranges] with an interval callback, for the checks below *)
+(* [Shard.iter_subranges] with an interval callback, for the checks below *)
 let iter_subs ?block ~shards ~shard (iv : Interval.t) f =
-  Lanes.iter_subranges ?block ~shards ~shard iv.lo iv.hi () (fun () lo hi -> f (Interval.make lo hi))
+  Shard.iter_subranges ?block ~shards ~shard iv.lo iv.hi () (fun () lo hi -> f (Interval.make lo hi))
 
 let test_shard_subranges () =
   (* the shard decomposition partitions any interval exactly *)
-  let block = Lanes.shard_block in
+  let block = Shard.shard_block in
   List.iter
     (fun (lo, hi, shards) ->
       let iv = Interval.make lo hi in
@@ -57,7 +57,7 @@ let subranges ~shards ~shard iv =
 let check_ranges = Alcotest.(check (list (pair int int)))
 
 let test_shard_subranges_straddle () =
-  let block = Lanes.shard_block in
+  let block = Shard.shard_block in
   (* two blocks: the split lands exactly on the block boundary *)
   let iv = Interval.make (block - 6) (block + 4) in
   check_ranges "straddle shard0" [ (block - 6, block - 1) ] (subranges ~shards:2 ~shard:0 iv);
@@ -71,7 +71,7 @@ let test_shard_subranges_straddle () =
   check_ranges "straddle3 shard1" [ (block, (2 * block) - 1) ] (subranges ~shards:2 ~shard:1 iv3)
 
 let test_shard_subranges_single_word () =
-  let block = Lanes.shard_block in
+  let block = Shard.shard_block in
   List.iter
     (fun addr ->
       let iv = Interval.make addr addr in
@@ -84,7 +84,7 @@ let test_shard_subranges_single_word () =
     [ 0; block - 1; block; (2 * block) + 17 ]
 
 let test_shard_subranges_more_shards_than_blocks () =
-  let block = Lanes.shard_block in
+  let block = Shard.shard_block in
   (* a 2-block interval under 5 shards: shards 2..4 own nothing *)
   let iv = Interval.make 10 (block + 10) in
   check_ranges "shard0" [ (10, block - 1) ] (subranges ~shards:5 ~shard:0 iv);
@@ -119,9 +119,9 @@ let splitter_partition_prop =
       let subs = ref [] in
       for shard = 0 to shards - 1 do
         iter_subs ~block ~shards ~shard iv (fun sub ->
-            if Lanes.owner ~block ~shards sub.Interval.lo <> shard then
+            if Shard.owner ~block ~shards sub.Interval.lo <> shard then
               QCheck.Test.fail_reportf "lo %d not owned by shard %d" sub.Interval.lo shard;
-            if Lanes.owner ~block ~shards sub.Interval.hi <> shard then
+            if Shard.owner ~block ~shards sub.Interval.hi <> shard then
               QCheck.Test.fail_reportf "hi %d not owned by shard %d" sub.Interval.hi shard;
             (* a subrange never crosses a block boundary once there is more
                than one shard to cross into *)

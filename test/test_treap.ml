@@ -22,7 +22,7 @@ let depth t addr =
 
 let build ?seed es =
   let t = make_treap ?seed () in
-  List.iter (fun (l, h, o) -> Itreap.insert_replace t (iv l h) o) es;
+  List.iter (fun (l, h, o) -> Itreap.insert_replace t l h o) es;
   t
 
 (* ------------------------------------------------------------- directed *)
@@ -36,7 +36,7 @@ let test_empty () =
 
 let test_single_insert () =
   let t = make_treap () in
-  Itreap.insert_replace t (iv 10 20) 1;
+  Itreap.insert_replace t 10 20 1;
   Alcotest.check entry_t "one entry" [ (10, 20, 1) ] (entries t);
   check_int "covered" 11 (Itreap.covered t);
   check_bool "find inside" true (Itreap.find t 15 = Some (iv 10 20, 1));
@@ -48,52 +48,52 @@ let test_paper_example () =
      {[1,2,u],[3,7,w],[8,10,v]} *)
   let u = 1 and v = 2 and w = 3 in
   let t = make_treap () in
-  Itreap.insert_replace t (iv 1 4) u;
-  Itreap.insert_replace t (iv 6 10) v;
-  Itreap.insert_replace t (iv 3 7) w;
+  Itreap.insert_replace t 1 4 u;
+  Itreap.insert_replace t 6 10 v;
+  Itreap.insert_replace t 3 7 w;
   Alcotest.check entry_t "paper example" [ (1, 2, u); (3, 7, w); (8, 10, v) ] (entries t);
   Itreap.validate t
 
 let test_replace_exact () =
   let t = make_treap () in
-  Itreap.insert_replace t (iv 5 9) 1;
-  Itreap.insert_replace t (iv 5 9) 2;
+  Itreap.insert_replace t 5 9 1;
+  Itreap.insert_replace t 5 9 2;
   Alcotest.check entry_t "replaced" [ (5, 9, 2) ] (entries t);
   Itreap.validate t
 
 let test_replace_engulf () =
   let t = make_treap () in
-  Itreap.insert_replace t (iv 5 6) 1;
-  Itreap.insert_replace t (iv 8 9) 2;
-  Itreap.insert_replace t (iv 0 20) 3;
+  Itreap.insert_replace t 5 6 1;
+  Itreap.insert_replace t 8 9 2;
+  Itreap.insert_replace t 0 20 3;
   Alcotest.check entry_t "engulfed" [ (0, 20, 3) ] (entries t);
   Itreap.validate t
 
 let test_replace_interior_split () =
   let t = make_treap () in
-  Itreap.insert_replace t (iv 0 20) 1;
-  Itreap.insert_replace t (iv 8 12) 2;
+  Itreap.insert_replace t 0 20 1;
+  Itreap.insert_replace t 8 12 2;
   Alcotest.check entry_t "split" [ (0, 7, 1); (8, 12, 2); (13, 20, 1) ] (entries t);
   check_int "covered unchanged" 21 (Itreap.covered t);
   Itreap.validate t
 
 let test_same_owner_merge () =
   let t = make_treap () in
-  Itreap.insert_replace t (iv 0 4) 1;
-  Itreap.insert_replace t (iv 5 9) 1;
+  Itreap.insert_replace t 0 4 1;
+  Itreap.insert_replace t 5 9 1;
   Alcotest.check entry_t "adjacent same owner merged" [ (0, 9, 1) ] (entries t);
-  Itreap.insert_replace t (iv 20 29) 1;
-  Itreap.insert_replace t (iv 10 19) 1;
+  Itreap.insert_replace t 20 29 1;
+  Itreap.insert_replace t 10 19 1;
   Alcotest.check entry_t "merge both sides" [ (0, 29, 1) ] (entries t);
   check_int "one node" 1 (Itreap.size t);
   Itreap.validate t
 
 let test_query_order () =
   let t = make_treap () in
-  List.iter (fun (l, h, o) -> Itreap.insert_replace t (iv l h) o)
+  List.iter (fun (l, h, o) -> Itreap.insert_replace t l h o)
     [ (0, 4, 1); (10, 14, 2); (20, 24, 3); (30, 34, 4) ];
   let got = ref [] in
-  Itreap.query t (iv 12 31) ~f:(fun lo _ o -> got := (lo, o) :: !got);
+  Itreap.query t 12 31 ~f:(fun lo _ o -> got := (lo, o) :: !got);
   Alcotest.(check (list (pair int int)))
     "overlaps in address order"
     [ (10, 2); (20, 3); (30, 4) ]
@@ -101,15 +101,15 @@ let test_query_order () =
 
 let test_query_none () =
   let t = make_treap () in
-  Itreap.insert_replace t (iv 0 4) 1;
-  Itreap.insert_replace t (iv 10 14) 2;
+  Itreap.insert_replace t 0 4 1;
+  Itreap.insert_replace t 10 14 2;
   let got = ref 0 in
-  Itreap.query t (iv 5 9) ~f:(fun _ _ _ -> incr got);
+  Itreap.query t 5 9 ~f:(fun _ _ _ -> incr got);
   check_int "gap query" 0 !got
 
 let test_clear_range () =
   let t = make_treap () in
-  Itreap.insert_replace t (iv 0 20) 1;
+  Itreap.insert_replace t 0 20 1;
   Itreap.clear_range t 5 15;
   Alcotest.check entry_t "cleared middle" [ (0, 4, 1); (16, 20, 1) ] (entries t);
   Itreap.clear_range t 0 100;
@@ -119,21 +119,21 @@ let test_clear_range () =
 
 let test_clear_range_noop () =
   let t = make_treap () in
-  Itreap.insert_replace t (iv 0 4) 1;
+  Itreap.insert_replace t 0 4 1;
   Itreap.clear_range t 10 20;
   Alcotest.check entry_t "untouched" [ (0, 4, 1) ] (entries t);
   Itreap.validate t
 
 let test_insert_merge_gap_only () =
   let t = make_treap () in
-  Itreap.insert_merge t (iv 3 9) 7 ~keep:(fun ~incumbent:_ -> `Keep);
+  Itreap.insert_merge t 3 9 7 ~keep:(fun ~incumbent:_ -> `Keep);
   Alcotest.check entry_t "gap gets new owner" [ (3, 9, 7) ] (entries t);
   Itreap.validate t
 
 let test_insert_merge_keep () =
   let t = make_treap () in
-  Itreap.insert_replace t (iv 5 9) 1;
-  Itreap.insert_merge t (iv 0 14) 2 ~keep:(fun ~incumbent:_ -> `Keep);
+  Itreap.insert_replace t 5 9 1;
+  Itreap.insert_merge t 0 14 2 ~keep:(fun ~incumbent:_ -> `Keep);
   Alcotest.check entry_t "incumbent kept, gaps filled"
     [ (0, 4, 2); (5, 9, 1); (10, 14, 2) ]
     (entries t);
@@ -141,18 +141,18 @@ let test_insert_merge_keep () =
 
 let test_insert_merge_replace () =
   let t = make_treap () in
-  Itreap.insert_replace t (iv 5 9) 1;
-  Itreap.insert_merge t (iv 0 14) 2 ~keep:(fun ~incumbent:_ -> `Replace);
+  Itreap.insert_replace t 5 9 1;
+  Itreap.insert_merge t 0 14 2 ~keep:(fun ~incumbent:_ -> `Replace);
   Alcotest.check entry_t "all replaced and coalesced" [ (0, 14, 2) ] (entries t);
   check_int "single node" 1 (Itreap.size t);
   Itreap.validate t
 
 let test_insert_merge_partial_overlap () =
   let t = make_treap () in
-  Itreap.insert_replace t (iv 0 9) 1;
+  Itreap.insert_replace t 0 9 1;
   (* New reader overlaps the right half only; incumbent survives on the
      overlap, the stickout keeps its owner. *)
-  Itreap.insert_merge t (iv 5 14) 2 ~keep:(fun ~incumbent:_ -> `Keep);
+  Itreap.insert_merge t 5 14 2 ~keep:(fun ~incumbent:_ -> `Keep);
   Alcotest.check entry_t "partial overlap"
     [ (0, 9, 1); (10, 14, 2) ]
     (entries t);
@@ -160,17 +160,17 @@ let test_insert_merge_partial_overlap () =
 
 let test_insert_merge_mixed_policy () =
   let t = make_treap () in
-  Itreap.insert_replace t (iv 0 4) 1;
-  Itreap.insert_replace t (iv 6 10) 3;
+  Itreap.insert_replace t 0 4 1;
+  Itreap.insert_replace t 6 10 3;
   (* keep incumbents smaller than the new owner 2: keeps 1, replaces 3 *)
   let keep ~incumbent = if incumbent < 2 then `Keep else `Replace in
-  Itreap.insert_merge t (iv 0 12) 2 ~keep;
+  Itreap.insert_merge t 0 12 2 ~keep;
   Alcotest.check entry_t "mixed" [ (0, 4, 1); (5, 12, 2) ] (entries t);
   Itreap.validate t
 
 let test_reset () =
   let t = make_treap () in
-  Itreap.insert_replace t (iv 0 9) 1;
+  Itreap.insert_replace t 0 9 1;
   Itreap.reset t;
   check_int "size" 0 (Itreap.size t);
   Alcotest.check entry_t "empty" [] (entries t)
@@ -178,7 +178,7 @@ let test_reset () =
 let test_visits_counted () =
   let t = make_treap () in
   for i = 0 to 63 do
-    Itreap.insert_replace t (iv (i * 10) ((i * 10) + 4)) i
+    Itreap.insert_replace t (i * 10) ((i * 10) + 4) i
   done;
   check_bool "visits accumulate" true (Itreap.visits t > 64)
 
@@ -255,8 +255,8 @@ let op_print = function
 let policy ~new_owner ~incumbent = if incumbent <= new_owner then `Keep else `Replace
 
 let apply t = function
-  | Replace (l, h, o) -> Itreap.insert_replace t (iv l h) o
-  | Merge (l, h, o) -> Itreap.insert_merge t (iv l h) o ~keep:(policy ~new_owner:o)
+  | Replace (l, h, o) -> Itreap.insert_replace t l h o
+  | Merge (l, h, o) -> Itreap.insert_merge t l h o ~keep:(policy ~new_owner:o)
   | Clear (l, h) -> Itreap.clear_range t l h
 
 (* The shapes an operation can take through the treap, told apart from
@@ -397,7 +397,7 @@ let treap_query_model_prop =
       let q = iv qlo (qlo + qw - 1) in
       (* flatten the query result to per-address owners *)
       let from_query = Array.make Model.space None in
-      Itreap.query t q ~f:(fun lo hi o ->
+      Itreap.query t q.Interval.lo q.Interval.hi ~f:(fun lo hi o ->
           for a = max lo q.Interval.lo to min hi q.Interval.hi do
             from_query.(a) <- Some o
           done);
@@ -481,19 +481,19 @@ let treap_list_model_prop =
 
 let test_path_counters () =
   let t = make_treap () in
-  Itreap.insert_replace t (iv 0 4) 1;
-  Itreap.insert_replace t (iv 10 14) 2;
-  Itreap.insert_merge t (iv 20 24) 3 ~keep:(fun ~incumbent:_ -> `Keep);
+  Itreap.insert_replace t 0 4 1;
+  Itreap.insert_replace t 10 14 2;
+  Itreap.insert_merge t 20 24 3 ~keep:(fun ~incumbent:_ -> `Keep);
   check_int "disjoint inserts take the fast path" 3 (Itreap.fastpath_hits t);
   check_int "no slow ops yet" 0 (Itreap.slowpath_hits t);
-  Itreap.insert_replace t (iv 3 12) 4;
+  Itreap.insert_replace t 3 12 4;
   check_int "overlap goes slow" 1 (Itreap.slowpath_hits t);
   check_int "first slow op grows the scratch" 0 (Itreap.scratch_reuse t);
-  Itreap.insert_replace t (iv 0 30) 5;
+  Itreap.insert_replace t 0 30 5;
   check_int "second slow op reuses it" 1 (Itreap.scratch_reuse t);
   (* Touching (not overlapping) a same-owner neighbour must still go slow:
      canonical form requires the coalescing only the general path does. *)
-  Itreap.insert_replace t (iv 31 35) 5;
+  Itreap.insert_replace t 31 35 5;
   check_int "adjacency goes slow" 3 (Itreap.slowpath_hits t);
   Alcotest.check entry_t "coalesced across the boundary" [ (0, 35, 5) ] (entries t);
   let f0 = Itreap.fastpath_hits t in
@@ -509,45 +509,45 @@ let test_path_counters () =
    owner no longer forces the general path. *)
 let test_path_counters_exact () =
   let t = make_treap () in
-  Itreap.insert_replace t (iv 0 4) 1;
-  Itreap.insert_replace t (iv 10 14) 2;
-  Itreap.insert_replace t (iv 20 24) 3;
+  Itreap.insert_replace t 0 4 1;
+  Itreap.insert_replace t 10 14 2;
+  Itreap.insert_replace t 20 24 3;
   let slow0 = Itreap.slowpath_hits t in
-  Itreap.insert_replace t (iv 10 14) 4;
+  Itreap.insert_replace t 10 14 4;
   check_int "exact re-cover by a new owner is done in place" 1 (Itreap.inplace_hits t);
   check_int "no slow op" slow0 (Itreap.slowpath_hits t);
   check_int "size unchanged" 3 (Itreap.size t);
   check_int "covered unchanged" 15 (Itreap.covered t);
   Alcotest.check entry_t "owner replaced" [ (0, 4, 1); (10, 14, 4); (20, 24, 3) ] (entries t);
-  Itreap.insert_merge t (iv 10 14) 5 ~keep:(fun ~incumbent:_ -> `Keep);
+  Itreap.insert_merge t 10 14 5 ~keep:(fun ~incumbent:_ -> `Keep);
   check_int "exact merge under Keep is in place" 2 (Itreap.inplace_hits t);
   Alcotest.check entry_t "Keep leaves the entries"
     [ (0, 4, 1); (10, 14, 4); (20, 24, 3) ]
     (entries t);
-  Itreap.insert_replace t (iv 10 14) 4;
+  Itreap.insert_replace t 10 14 4;
   check_int "an equal owner is in place too" 3 (Itreap.inplace_hits t);
   check_int "still no slow op" slow0 (Itreap.slowpath_hits t);
   (* touching, not overlapping, neighbours with other owners *)
   let fast0 = Itreap.fastpath_hits t in
-  Itreap.insert_replace t (iv 5 9) 6;
+  Itreap.insert_replace t 5 9 6;
   check_int "a touch with a different owner takes join_mid" (fast0 + 1) (Itreap.fastpath_hits t);
   check_int "and runs no slow op" slow0 (Itreap.slowpath_hits t);
   Itreap.validate t;
   let t = make_treap () in
-  Itreap.insert_replace t (iv 0 4) 1;
-  Itreap.insert_replace t (iv 5 9) 2;
+  Itreap.insert_replace t 0 4 1;
+  Itreap.insert_replace t 5 9 2;
   check_int "touch: no slow op" 0 (Itreap.slowpath_hits t);
   Alcotest.check entry_t "touch keeps two entries" [ (0, 4, 1); (5, 9, 2) ] (entries t);
   (* an exact re-cover whose new owner matches the touching neighbour on
      the left, then on the right, must coalesce: the general path *)
-  Itreap.insert_replace t (iv 5 9) 1;
+  Itreap.insert_replace t 5 9 1;
   check_int "left neighbour has the new owner: slow" 1 (Itreap.slowpath_hits t);
   check_int "not in place" 0 (Itreap.inplace_hits t);
   Alcotest.check entry_t "coalesced leftwards" [ (0, 9, 1) ] (entries t);
   let t = make_treap () in
-  Itreap.insert_replace t (iv 0 4) 1;
-  Itreap.insert_replace t (iv 5 9) 2;
-  Itreap.insert_merge t (iv 0 4) 2 ~keep:(fun ~incumbent:_ -> `Replace);
+  Itreap.insert_replace t 0 4 1;
+  Itreap.insert_replace t 5 9 2;
+  Itreap.insert_merge t 0 4 2 ~keep:(fun ~incumbent:_ -> `Replace);
   check_int "right neighbour has the new owner: slow" 1 (Itreap.slowpath_hits t);
   check_int "not in place either" 0 (Itreap.inplace_hits t);
   Alcotest.check entry_t "coalesced rightwards" [ (0, 9, 2) ] (entries t);
@@ -565,24 +565,24 @@ let test_general_shapes () =
   in
   let keep ~incumbent:_ = `Keep in
   let t = build [ (0, 9, 1) ] in
-  Itreap.insert_replace t (iv 5 14) 2;
+  Itreap.insert_replace t 5 14 2;
   check "lone straddler truncated" [ (0, 4, 1); (5, 14, 2) ] t;
   let t = build [ (0, 3, 5); (4, 11, 1); (20, 25, 3) ] in
-  Itreap.insert_replace t (iv 8 14) 2;
+  Itreap.insert_replace t 8 14 2;
   check "straddler between neighbours" [ (0, 3, 5); (4, 7, 1); (8, 14, 2); (20, 25, 3) ] t;
-  Itreap.insert_merge t (iv 6 16) 1 ~keep;
+  Itreap.insert_merge t 6 16 1 ~keep;
   check "merge over a straddler" [ (0, 3, 5); (4, 7, 1); (8, 14, 2); (15, 16, 1); (20, 25, 3) ] t;
   let t = build [ (0, 4, 1); (20, 24, 2) ] in
-  Itreap.insert_replace t (iv 5 9) 1;
+  Itreap.insert_replace t 5 9 1;
   check "touch lo" [ (0, 9, 1); (20, 24, 2) ] t;
   let t = build [ (0, 4, 1) ] in
-  Itreap.insert_merge t (iv 5 9) 1 ~keep;
+  Itreap.insert_merge t 5 9 1 ~keep;
   check "touch lo, empty upper half" [ (0, 9, 1) ] t;
   let t = build [ (0, 4, 3); (10, 14, 1) ] in
-  Itreap.insert_replace t (iv 5 9) 1;
+  Itreap.insert_replace t 5 9 1;
   check "touch hi" [ (0, 4, 3); (5, 14, 1) ] t;
   let t = build [ (10, 14, 1); (20, 24, 2) ] in
-  Itreap.insert_replace t (iv 5 9) 1;
+  Itreap.insert_replace t 5 9 1;
   check "touch hi, empty lower half" [ (5, 14, 1); (20, 24, 2) ] t;
   let t = build [ (0, 9, 1); (20, 29, 2) ] in
   Itreap.clear_range t 0 4;
@@ -600,12 +600,12 @@ let test_general_shapes () =
 let test_boundary_reset () =
   let t = build [ (0, 4, 1); (10, 14, 1) ] in
   Itreap.clear_range t 10 14;
-  Itreap.insert_replace t (iv 5 9) 1;
+  Itreap.insert_replace t 5 9 1;
   Alcotest.check entry_t "no stale upper neighbour" [ (0, 9, 1) ] (entries t);
   Itreap.validate t;
   let t = build [ (0, 4, 1); (5, 9, 1); (12, 20, 2) ] in
   Itreap.clear_range t 0 9;
-  Itreap.insert_replace t (iv 10 14) 1;
+  Itreap.insert_replace t 10 14 1;
   Alcotest.check entry_t "no stale lower neighbour" [ (10, 14, 1); (15, 20, 2) ] (entries t);
   Itreap.validate t
 
@@ -623,7 +623,7 @@ let test_exact_fallback () =
         let nb_lo, _, _ = nb in
         let above = depth t 10 < depth t nb_lo in
         let slow0 = Itreap.slowpath_hits t in
-        Itreap.insert_replace t (iv 10 14) 1;
+        Itreap.insert_replace t 10 14 1;
         Hashtbl.replace seen (nb_lo, above) ();
         check_int "general path" (slow0 + 1) (Itreap.slowpath_hits t);
         check_int "not in place" 0 (Itreap.inplace_hits t);
@@ -644,7 +644,7 @@ let test_big_sequential_build () =
   let t = make_treap ~seed:3 () in
   let n = 20_000 in
   for i = 0 to n - 1 do
-    Itreap.insert_replace t (iv (i * 3) ((i * 3) + 1)) i
+    Itreap.insert_replace t (i * 3) ((i * 3) + 1) i
   done;
   check_int "all separate" n (Itreap.size t);
   Itreap.validate t;
@@ -673,11 +673,11 @@ let test_visit_parity () =
     let hi = lo + match Rng.int rng 3 with 0 -> 7 | 1 -> 3 | _ -> 12 in
     let owner = Rng.int rng 6 in
     match Rng.int rng 10 with
-    | 0 | 1 | 2 | 3 -> Itreap.insert_replace t (iv lo hi) owner
-    | 4 | 5 | 6 | 7 -> Itreap.insert_merge t (iv lo hi) owner ~keep:(policy ~new_owner:owner)
+    | 0 | 1 | 2 | 3 -> Itreap.insert_replace t lo hi owner
+    | 4 | 5 | 6 | 7 -> Itreap.insert_merge t lo hi owner ~keep:(policy ~new_owner:owner)
     | 8 -> Itreap.clear_range t lo hi
     | _ ->
-        Itreap.query t (iv lo hi) ~f:(fun lo hi o ->
+        Itreap.query t lo hi ~f:(fun lo hi o ->
             incr hits;
             qsum := (!qsum * 31) + (lo * 7) + (hi * 3) + o)
   done;
@@ -712,7 +712,7 @@ let test_arena_recycling () =
   let n = 300 in
   let fill round =
     for i = 0 to n - 1 do
-      Itreap.insert_replace t (iv (i * 4) ((i * 4) + 1)) (i + round)
+      Itreap.insert_replace t (i * 4) ((i * 4) + 1) (i + round)
     done
   in
   fill 0;
@@ -734,8 +734,8 @@ let test_arena_recycling () =
     let lo = Rng.int rng (n * 4) in
     let hi = lo + Rng.int rng 12 in
     (match Rng.int rng 3 with
-    | 0 -> Itreap.insert_replace t (iv lo hi) (Rng.int rng 4)
-    | 1 -> Itreap.insert_merge t (iv lo hi) (Rng.int rng 4) ~keep:(policy ~new_owner:2)
+    | 0 -> Itreap.insert_replace t lo hi (Rng.int rng 4)
+    | 1 -> Itreap.insert_merge t lo hi (Rng.int rng 4) ~keep:(policy ~new_owner:2)
     | _ -> Itreap.clear_range t lo hi);
     peak := max !peak (Itreap.size t)
   done;

@@ -195,7 +195,7 @@ let forbidden_idents = [ "Obj.magic"; "Obj.repr"; "Obj.obj"; "Stdlib.exit" ]
 
 (* R4: banned inside [@pint.hot] bodies only — formatting machinery, and
    blocking synchronization: the lock-free transfer paths (deque steal,
-   lane enqueue) are hot-marked precisely so a mutex can never creep back
+   queue enqueue) are hot-marked precisely so a mutex can never creep back
    onto them. *)
 let hot_forbidden_prefixes =
   [
@@ -284,7 +284,7 @@ let sync_hof_prefixes =
    code the linter cannot see calls these concurrently with running
    domains, so everything they reach is analyzed as multi-domain context.
    [Replay.Session] is driven by the serve IO loop while shared-pool
-   domains consume the detector's lanes (DESIGN.md §14). *)
+   domains consume the detector's access-history queue (DESIGN.md §14). *)
 let seed_name_patterns =
   [ "Replay.Session.feed"; "Replay.Session.eof"; "Replay.Session.abort"; "Replay.Session.poll_races" ]
 
