@@ -99,7 +99,8 @@ let role_treap h = function Writer -> h.writer | Lreader -> h.lreader | Rreader 
    checking and the subrange it is checking (set before each treap call),
    the query callback and keep policy, each built once over the context —
    so no record, subrange or read builds a closure — and the count of
-   subranges the role has applied. *)
+   subranges the role has applied, and the racing pairs already sent to
+   the report for the strand being applied ([sent]). *)
 type tctx = {
   report : Report.t;
   sp : Sp_order.t;
@@ -112,6 +113,7 @@ type tctx = {
   mutable qlo : int;
   mutable qhi : int;
   mutable subranges : int;
+  sent : Race_table.t;
   on_overlap : int -> int -> Sp_order.strand -> unit;
   keep : incumbent:Sp_order.strand -> [ `Keep | `Replace ];
 }
@@ -143,7 +145,7 @@ type run = {
      collector takes the lock only when there is something to adopt *)
   mutable incoming : Trace.t list;
   n_incoming : int Atomic.t;
-  ahq : Srec.t Ahq.t; (* one cursor per consuming stage: stage i reads cursor i - 1 *)
+  ahq : Ahq.t; (* one cursor per consuming stage: stage i reads cursor i - 1 *)
   consume_bufs : Srec.t array array; (* per consuming stage, reusable; slot 0 unused *)
   hist : hist array; (* one per shard *)
   roles : tctx array; (* stage i's treap context *)
@@ -182,23 +184,21 @@ type t = {
 
 let dummy_trace = Trace.create ~id:(-1) ~owner:(-1)
 
-(* Placeholder filling the reusable batch buffers before their first use;
-   never processed (peek_batch_into reports how many slots are live). *)
-let dummy_srec =
-  lazy
-    (let _, root = Sp_order.create () in
-     Srec.make ~uid:(-1) root)
-
 (* AHQ capacity, in strand records. *)
 let queue_capacity = 4096
 
 (* The race check a role runs per stored interval its query meets: the
    stored owner races the strand being applied iff they are logically
-   parallel; the witness is the overlap, built only for a race. *)
+   parallel, and the role sends each racing pair to the report once per
+   strand, at its first overlap — the witness the report keeps.  The
+   witness is built only when the pair is sent. *)
 let[@pint.hot] on_overlap (c : tctx) lo hi prior =
-  if Policies.race c.sp ~prior ~current:c.cur then
-    Report.add c.report c.kind ~prior:(Sp_order.id prior) ~current:(Sp_order.id c.cur)
-      (Interval.make (Int.max lo c.qlo) (Int.min hi c.qhi))
+  if Policies.race c.sp ~prior ~current:c.cur then begin
+    let p = Sp_order.id prior in
+    if Race_table.first c.sent ~prior:p c.kind then
+      Report.add c.report c.kind ~prior:p ~current:(Sp_order.id c.cur)
+        (Interval.make (Int.max lo c.qlo) (Int.min hi c.qhi))
+  end
 
 (* The reader treaps' keep policies (the writer never merges). *)
 let[@pint.hot] keep (c : tctx) ~incumbent =
@@ -207,7 +207,7 @@ let[@pint.hot] keep (c : tctx) ~incumbent =
   | Writer | Lreader -> Policies.keep_leftmost c.sp ~s:c.cur ~incumbent
 
 let make_tctx report sp h role ~shards ~shard =
-  let nobody = (Lazy.force dummy_srec).Srec.sp in
+  let nobody = Srec.placeholder.Srec.sp in
   let rec c =
     {
       report;
@@ -221,6 +221,7 @@ let make_tctx report sp h role ~shards ~shard =
       qlo = 0;
       qhi = 0;
       subranges = 0;
+      sent = Race_table.create ();
       on_overlap = (fun lo hi prior -> on_overlap c lo hi prior);
       keep = (fun ~incumbent -> keep c ~incumbent);
     }
@@ -323,8 +324,9 @@ let driver t (ctx : Hooks.ctx) =
       incoming = [];
       n_incoming = Atomic.make 0;
       ahq;
-      consume_bufs =
-        Array.init n_stages (fun _ -> Array.make Ahq.default_batch (Lazy.force dummy_srec));
+      (* [Srec.placeholder] fills them before their first use; it is never
+         processed, since peek_batch_into reports how many slots are live *)
+      consume_bufs = Array.init n_stages (fun _ -> Array.make Ahq.default_batch Srec.placeholder);
       hist;
       roles =
         Array.init n_stages (fun i ->
@@ -422,6 +424,8 @@ let[@pint.hot] role_step (c : tctx) (u : Srec.t) =
   let treap = c.treap in
   let v0 = Itreap.visits treap in
   c.cur <- u.Srec.sp;
+  (* [sent] holds for one strand *)
+  Race_table.next_strand c.sent;
   (match c.role with
   | Writer ->
       c.kind <- Report.Write_read;
@@ -666,6 +670,7 @@ let diagnostics t () =
         ("writer_size", float_of_int (sum_role Itreap.size Writer));
         ("lreader_size", float_of_int (sum_role Itreap.size Lreader));
         ("rreader_size", float_of_int (sum_role Itreap.size Rreader));
+        ("report_adds", float_of_int (Report.raw_count t.report));
         ("queue_enqueued", float_of_int (Ahq.enqueued r.ahq));
         ("lane_rejects", float_of_int (Ahq.rejects r.ahq));
         ("lane_peak_depth", float_of_int (Ahq.peak_occupancy r.ahq));
@@ -740,6 +745,7 @@ let serial ?(seed = 4242) ?(obs = Obs.disabled) () =
                 ("reader_visits", readers Itreap.visits);
                 ("writer_size", float_of_int (Itreap.size h.writer));
                 ("reader_size", readers Itreap.size);
+                ("report_adds", float_of_int (Report.raw_count report));
               ]
             @ Policies.path_diags (fun f -> f h.writer + f h.lreader + f h.rreader)
             @ coal_diags coals);

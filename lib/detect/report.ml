@@ -48,6 +48,8 @@ let mem t ~prior ~current =
   Mutex.unlock t.lock;
   found
 
+let kind_index = function Write_write -> 0 | Write_read -> 1 | Read_write -> 2
+
 let kind_to_string = function
   | Write_write -> "W/W"
   | Write_read -> "W/R"

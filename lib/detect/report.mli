@@ -36,7 +36,10 @@ val add : t -> kind -> prior:int -> current:int -> Interval.t -> unit
 (** Distinct races recorded. *)
 val count : t -> int
 
-(** Total reports including duplicates (diagnostic). *)
+(** Calls to {!add} so far, whether or not their key was new (diagnostic;
+    PINT's and STINT's [report_adds]).  It is not the number of conflicting
+    overlaps: a treap role sends each racing pair once per strand however
+    many stored intervals of the prior strand it meets. *)
 val raw_count : t -> int
 
 (** All distinct races, ordered by (prior, current, kind). *)
@@ -44,6 +47,10 @@ val races : t -> race list
 
 (** [mem t ~prior ~current] — some race between this (ordered) strand pair. *)
 val mem : t -> prior:int -> current:int -> bool
+
+(** [Write_write], [Write_read], [Read_write] as 0, 1, 2: the order
+    {!races} sorts kinds in, as an int for keys. *)
+val kind_index : kind -> int
 
 val kind_to_string : kind -> string
 val origin_to_string : origin -> string

@@ -36,3 +36,7 @@ let make ~uid sp =
     done_count = Atomic.make 0;
     obs_ts = 0;
   }
+
+let placeholder =
+  let _, root = Sp_order.create () in
+  make ~uid:(-1) root

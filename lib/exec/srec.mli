@@ -45,3 +45,9 @@ type t = {
 (** [make ~uid sp] — a fresh record with empty intervals and zeroed
     bookkeeping. *)
 val make : uid:int -> Sp_order.strand -> t
+
+(** A record that stands for no strand (uid [-1], on an SP order of its
+    own). It fills the empty slots of the access-history queue and of
+    record buffers, so that a slot holds a record, not an option; it is
+    never enqueued or processed. *)
+val placeholder : t

@@ -31,6 +31,8 @@ let succ_uids (e : Tracefile.entry) =
   | Tracefile.Return { parent_sync = Some s; _ } -> [ s ]
   | Tracefile.Return { parent_sync = None; _ } | Tracefile.Root -> []
 
+module Itbl = Hashtbl.Make (Int)
+
 module Builder = struct
   type t = {
     mutable acc : (int * Tracefile.entry * Sp_order.strand) list;
@@ -60,12 +62,12 @@ module Builder = struct
         if Option.is_some slots.(pos) then failwith "Predict.Builder.dag: duplicate position";
         slots.(pos) <- Some (e, s))
       t.acc;
-    let pos_of = Hashtbl.create (2 * n) in
+    let pos_of = Itbl.create (2 * n) in
     Array.iteri
       (fun pos slot ->
         match slot with
         | None -> failwith "Predict.Builder.dag: missing position"
-        | Some ((e : Tracefile.entry), _) -> Hashtbl.replace pos_of e.Tracefile.uid pos)
+        | Some ((e : Tracefile.entry), _) -> Itbl.replace pos_of e.Tracefile.uid pos)
       slots;
     let succs =
       Array.mapi
@@ -73,7 +75,7 @@ module Builder = struct
           let e, _ = Option.get slot in
           List.map
             (fun uid ->
-              match Hashtbl.find_opt pos_of uid with
+              match Itbl.find_opt pos_of uid with
               | Some p when p > pos -> p
               | Some _ -> failwith "Predict.Builder.dag: DAG link points backwards"
               | None -> failwith "Predict.Builder.dag: dangling DAG link")
@@ -108,8 +110,6 @@ type finding = { kind : Report.kind; prior : int; current : int; where : Interva
 
 type result = { window : int; predicted : finding list; diagnostics : (string * float) list }
 
-let kind_tag = function Report.Write_write -> 0 | Report.Write_read -> 1 | Report.Read_write -> 2
-
 let finding_key f = (f.kind, f.prior, f.current)
 
 let compare_findings a b =
@@ -117,7 +117,7 @@ let compare_findings a b =
   | 0 -> (
       match compare a.current b.current with
       | 0 -> (
-          match compare (kind_tag a.kind) (kind_tag b.kind) with
+          match compare (Report.kind_index a.kind) (Report.kind_index b.kind) with
           | 0 -> Interval.compare a.where b.where
           | c -> c)
       | c -> c)
@@ -133,23 +133,34 @@ let pp_finding fmt f =
   Format.fprintf fmt "predicted %s race between strands %d and %d at %a"
     (Report.kind_to_string f.kind) f.prior f.current Interval.pp f.where
 
-(* The observed set at Theorem-5 granularity, both orientations: an observed
-   (kind, prior, current) names the same pair as the flipped kind with the
-   strands swapped (collect order and position order can disagree under a
-   parallel capture). *)
+(* Observed races are matched at Theorem-5 granularity, both orientations:
+   an observed (kind, prior, current) names the same pair as the flipped
+   kind with the strands swapped (collect order and position order can
+   disagree under a parallel capture). *)
 let flip_kind = function
   | Report.Write_write -> Report.Write_write
   | Report.Write_read -> Report.Read_write
   | Report.Read_write -> Report.Write_read
 
-let observed_table (observed : Report.race list) =
-  let tbl = Hashtbl.create 64 in
+(* [observed_among ~ids pending observed] — which of the [pending]
+   findings' keys the observed set names: one table over those keys, one
+   walk of [observed], nothing built per observed race.  Findings name
+   Sp_order ids below [ids], on which the int key is injective, so an
+   observed race naming an id outside that range names no pending key. *)
+let observed_among ~ids pending (observed : Report.race list) =
+  let key kind prior current = (((prior * ids) + current) * 3) + Report.kind_index kind in
+  let seen = Itbl.create 64 in
+  List.iter (fun f -> Itbl.replace seen (key f.kind f.prior f.current) false) pending;
+  let mark k = if Itbl.mem seen k then Itbl.replace seen k true in
+  let in_range id = id >= 0 && id < ids in
   List.iter
     (fun (r : Report.race) ->
-      Hashtbl.replace tbl (kind_tag r.Report.kind, r.Report.prior, r.Report.current) ();
-      Hashtbl.replace tbl (kind_tag (flip_kind r.Report.kind), r.Report.current, r.Report.prior) ())
+      if in_range r.Report.prior && in_range r.Report.current then begin
+        mark (key r.Report.kind r.Report.prior r.Report.current);
+        mark (key (flip_kind r.Report.kind) r.Report.current r.Report.prior)
+      end)
     observed;
-  tbl
+  fun f -> Itbl.find seen (key f.kind f.prior f.current)
 
 (* --------------------------------------------------- interval machinery *)
 
@@ -495,8 +506,9 @@ let predict ~window ~observed (dag : dag) =
   let cands = scan_candidates dag ~window st in
   st.candidates <- List.length cands;
   let sched = Sched.make ~window dag in
-  let obs = observed_table observed in
-  let findings = ref [] in
+  (* the feasible residues, judged against the observed set only once all
+     are known *)
+  let pending = ref [] in
   List.iter
     (fun (up, vp) ->
       let u = dag.nodes.(up) and v = dag.nodes.(vp) in
@@ -521,14 +533,23 @@ let predict ~window ~observed (dag : dag) =
       | residues ->
         if feasible_adjacent sched st ~a:up ~b:vp then
           List.iter
-            (fun (k, w) ->
-              if Hashtbl.mem obs (kind_tag k, u.id, v.id) then
-                st.suppressed_observed <- st.suppressed_observed + 1
-              else findings := { kind = k; prior = u.id; current = v.id; where = w } :: !findings)
+            (fun (k, w) -> pending := { kind = k; prior = u.id; current = v.id; where = w } :: !pending)
             residues
         else st.infeasible <- st.infeasible + 1)
     cands;
-  let predicted = List.sort compare_findings !findings in
+  let findings =
+    match !pending with
+    | [] -> []
+    | pending ->
+        let observed = observed_among ~ids:(Sp_order.strand_count dag.sp) pending observed in
+        List.filter
+          (fun f ->
+            let seen = observed f in
+            if seen then st.suppressed_observed <- st.suppressed_observed + 1;
+            not seen)
+          pending
+  in
+  let predicted = List.sort compare_findings findings in
   {
     window;
     predicted;
@@ -553,6 +574,15 @@ let predict ~window ~observed (dag : dag) =
    re-derived, and adjacency feasibility enumerates *all* permissible
    reorderings via a subset DP over the at-most-(2w+1) positions in flight
    around each slot. *)
+
+let observed_table (observed : Report.race list) =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun (r : Report.race) ->
+      Hashtbl.replace tbl (Report.kind_index r.Report.kind, r.Report.prior, r.Report.current) ();
+      Hashtbl.replace tbl (Report.kind_index (flip_kind r.Report.kind), r.Report.current, r.Report.prior) ())
+    observed;
+  tbl
 
 let oracle ~window ~observed (dag : dag) =
   if window < 0 then invalid_arg "Predict.oracle: negative window";
@@ -706,7 +736,7 @@ let oracle ~window ~observed (dag : dag) =
               match residue (overlap_segs aa bb) !kills with
               | [] -> ()
               | w :: _ ->
-                  if not (Hashtbl.mem obs (kind_tag k, u.id, v.id)) then
+                  if not (Hashtbl.mem obs (Report.kind_index k, u.id, v.id)) then
                     findings := { kind = k; prior = u.id; current = v.id; where = w } :: !findings)
             [
               (Report.Write_write, u.writes, v.writes);

@@ -38,8 +38,9 @@
 
 type reader = int
 
-type 'a t = {
-  slots : 'a option array [@pint.publishes "ahq.slot ahq.recycle"];
+type t = {
+  (* a slot no record occupies holds [Srec.placeholder] *)
+  slots : Srec.t array [@pint.publishes "ahq.slot ahq.recycle"];
   cap : int;
   head : int Atomic.t; (* total enqueued; writer-owned *)
   cursors : int Atomic.t array; (* total processed, per reader *)
@@ -69,7 +70,7 @@ let create ~capacity ~readers =
   if capacity <= 0 then invalid_arg "Ahq.create: capacity must be positive";
   if readers < 1 then invalid_arg "Ahq.create: need at least one reader";
   {
-    slots = Array.make capacity None;
+    slots = Array.make capacity Srec.placeholder;
     cap = capacity;
     head = Atomic.make 0;
     cursors = Array.init readers (fun _ -> Atomic.make 0);
@@ -132,7 +133,7 @@ let[@pint.hot] [@pint.publishes "ahq.slot"] [@pint.acquires "ahq.recycle"] try_e
   if not (has_room t || wait_for_room t rounds 0) then false
   else begin
     let h = Atomic.get t.head in
-    t.slots.(h mod t.cap) <- Some s;
+    t.slots.(h mod t.cap) <- s;
     Atomic.incr t.head;
     (* occupancy sample against the cached bound: conservative (the true
        occupancy may be lower) but free, and exact whenever the cache was
@@ -148,9 +149,9 @@ let cursor t i =
   t.cursors.(i)
 
 let slot_at t pos =
-  match t.slots.(pos mod t.cap) with
-  | Some s -> s
-  | None -> failwith "Ahq: published slot is empty"
+  let s = t.slots.(pos mod t.cap) in
+  if s == Srec.placeholder then failwith "Ahq: published slot is empty";
+  s
 
 let default_batch = 32
 
@@ -191,7 +192,7 @@ let[@pint.publishes "ahq.recycle"] advance_n t i n =
   Array.iteri (fun j other -> if j <> i then min_other := imin !min_other (Atomic.get other)) t.cursors;
   let clear_upto = imin (pos0 + n) !min_other in
   for pos = pos0 to clear_upto - 1 do
-    t.slots.(pos mod t.cap) <- None
+    t.slots.(pos mod t.cap) <- Srec.placeholder
   done;
   Atomic.set c (pos0 + n);
   let obs = t.obs_r.(i) in

@@ -21,20 +21,22 @@
     memory-ordering audit at the top of the implementation), with no lock
     on any path. *)
 
-type 'a t
+type t
 
 type reader = int
 
 (** [create ~capacity ~readers] — a ring of [capacity] records with
-    [readers >= 1] cursors. *)
-val create : capacity:int -> readers:int -> 'a t
+    [readers >= 1] cursors.  {!Srec.placeholder} fills every slot that
+    holds no record (a recycled slot is reset to it), so an enqueue
+    stores the record itself. *)
+val create : capacity:int -> readers:int -> t
 
 (** Install observability tracks (before the pipeline starts): the writer
     ring receives an {!Ev.enqueue} occupancy sample per successful enqueue,
     reader ring [i] receives {!Ev.recycle} slot-recycling events and
     occupancy samples from reader [i]'s cursor advances.  Disabled rings
     ({!Evring.null}, the default) make all of it a no-op. *)
-val set_obs : 'a t -> writer:Evring.t -> readers:Evring.t array -> unit
+val set_obs : t -> writer:Evring.t -> readers:Evring.t array -> unit
 
 (** {2 Producer (the collector)} *)
 
@@ -48,7 +50,7 @@ val set_obs : 'a t -> writer:Evring.t -> readers:Evring.t array -> unit
     valid); the cursors are rescanned only when the cached bound would
     reject, which keeps the common not-near-full enqueue O(1) in the
     reader count.  Producer side only. *)
-val try_enqueue : 'a t -> rounds:int -> 'a -> bool
+val try_enqueue : t -> rounds:int -> Srec.t -> bool
 
 (** {2 Consumers (the treap workers)} *)
 
@@ -62,33 +64,33 @@ val default_batch : int
     it across steps; entries past the returned count are stale leftovers
     from earlier batches.  Follow with [advance_n t i n].
     @raise Invalid_argument if [buf] is empty. *)
-val peek_batch_into : 'a t -> reader -> 'a array -> int
+val peek_batch_into : t -> reader -> Srec.t array -> int
 
 (** Advance reader [i]'s cursor by [n] records, recycling every slot all
     other readers have already passed, with a single scan of the other
     cursors for the whole batch.
     @raise Failure if fewer than [n] records are pending. *)
-val advance_n : 'a t -> reader -> int -> unit
+val advance_n : t -> reader -> int -> unit
 
 (** {2 Diagnostics} *)
 
-val enqueued : 'a t -> int
-val processed : 'a t -> reader -> int
+val enqueued : t -> int
+val processed : t -> reader -> int
 
 (** Number of times the producer had to rescan the reader cursors because
     the cached minimum-cursor bound would have rejected an enqueue. *)
-val min_rescans : 'a t -> int
+val min_rescans : t -> int
 
 (** High-water occupancy mark observed by the producer (against the cached
     cursor bound, so conservative the same way the emitted samples are). *)
-val peak_occupancy : 'a t -> int
+val peak_occupancy : t -> int
 
 (** Enqueues rejected because the ring stayed full. *)
-val rejects : 'a t -> int
+val rejects : t -> int
 
 (** {!Backoff} rounds the producer waited inside {!try_enqueue} for a full
     ring to drain. *)
-val backpressure_waits : 'a t -> int
+val backpressure_waits : t -> int
 
 (** All readers fully caught up with the producer. *)
-val drained : 'a t -> bool
+val drained : t -> bool

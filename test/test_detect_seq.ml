@@ -390,6 +390,126 @@ let test_no_engine_outside_run () =
   Alcotest.check_raises "Fj.spawn outside run"
     (Failure "Fj: no executor is running on this domain") (fun () -> Fj.spawn (fun () -> ()))
 
+(* ------------------------------------------- reader policies, race table *)
+
+(* A program's race listing, witnesses included, under every configuration
+   it must not depend on: STINT, C-RACER and PINT at one and two shards,
+   each run live on the serial simulator ([pint_run -e seq]) and replayed
+   from a capture of the program.  [report_adds], when given, is the
+   number of pairs PINT's and STINT's treap roles must send to the
+   report. *)
+let check_listing ?report_adds prog expected =
+  let none, _ = Option.get (Systems.make_detector "none") in
+  let driver, finished = Tracefile.capturing none.Detector.driver in
+  ignore (Sim_exec.run ~config:Sim_exec.serial ~driver prog);
+  let trace = finished () in
+  let listing races = List.map (Format.asprintf "%a" Report.pp_race) races in
+  List.iter
+    (fun (name, shards) ->
+      let check mode races diagnostics =
+        let label = Printf.sprintf "%s at %d shard(s), %s" name shards mode in
+        Alcotest.(check (list string)) label expected (listing races);
+        match report_adds with
+        | Some n when name <> "cracer" ->
+            check_int (label ^ ": report_adds") n
+              (int_of_float (List.assoc "report_adds" diagnostics))
+        | _ -> ()
+      in
+      let d, _ = Option.get (Systems.make_detector ~shards name) in
+      ignore (Sim_exec.run ~config:Sim_exec.serial ~driver:d.Detector.driver prog);
+      let races = Detector.races d in
+      check "live" races (d.Detector.diagnostics ());
+      let d, _ = Option.get (Systems.make_detector ~shards name) in
+      let o = Replay.run trace d in
+      check "replayed" o.Replay.races o.Replay.diagnostics)
+    [ ("stint", 1); ("cracer", 1); ("pint", 1); ("pint", 2) ]
+
+(* The location the reader-policy programs race on: word 1029 of the heap,
+   67,108,864 + 1029, in the second [Shard.shard_block], so at two shards
+   shard 1's treaps see every access. *)
+let x = 1029
+
+let read_x b = ignore (Membuf.get_f b x)
+let write_x b = Membuf.set_f b x 1.0
+
+(* [spawn {read x}; read x; spawn {}; write x]: the child (strand 1) and
+   the continuation (2) read x in parallel; the write (5) is in series
+   after the continuation and parallel to the child, which only the
+   left-most reader keeps. *)
+let test_leftmost_reader () =
+  check_listing
+    (fun () ->
+      let b = Fj.alloc_f 2048 in
+      Fj.spawn (fun () -> read_x b);
+      read_x b;
+      Fj.spawn (fun () -> ());
+      write_x b;
+      Fj.sync ())
+    [ "R/W race between strands 1 and 5 at [67109893,67109893]" ]
+
+(* The mirror, [spawn {read x}; spawn {read x}; write x]: the two children
+   (strands 1 and 4) read x in parallel and both race the write (5); the
+   left-most reader keeps the first, only the right-most the second. *)
+let test_rightmost_reader () =
+  check_listing
+    (fun () ->
+      let b = Fj.alloc_f 2048 in
+      Fj.spawn (fun () -> read_x b);
+      Fj.spawn (fun () -> read_x b);
+      write_x b;
+      Fj.sync ())
+    [
+      "R/W race between strands 1 and 5 at [67109893,67109893]";
+      "R/W race between strands 4 and 5 at [67109893,67109893]";
+    ]
+
+(* [spawn {spawn {read x}; read x; sync; read x}; write x]: the left-most
+   reader keeps the grandchild (strand 4) against the parallel read of 5,
+   then replaces it with the read after the sync (6), which is in series
+   after it.  The two keep decisions meet the same incumbent on
+   consecutive strands and differ: a policy that skipped its series check,
+   or reused a keep decision across strands, would leave strand 4 in place
+   and report it against the write (2), although 6 supersedes it. *)
+let test_series_reader_replaces () =
+  check_listing
+    (fun () ->
+      let b = Fj.alloc_f 2048 in
+      Fj.spawn (fun () ->
+          Fj.spawn (fun () -> read_x b);
+          read_x b;
+          Fj.sync ();
+          read_x b);
+      write_x b;
+      Fj.sync ())
+    [ "R/W race between strands 6 and 2 at [67109893,67109893]" ]
+
+(* Strand 1 writes words 0, 2 and 4 of the heap; after 31 empty spawns
+   the continuation, strand 65, writes words 1 and 3.  Ids 1 and 65 share
+   a race-table entry ([Race_table.slots] = 64).  Strand 67, in series
+   after 65 and parallel to 1, reads words 0-4: its query meets 1, 65, 1,
+   65, 1, one racing and one not, and sends the pair once, with the first
+   overlap as its witness.  The next strand, 69, reads the same words and
+   must send the same prior again. *)
+let test_race_table_collisions () =
+  check_int "table size the strand ids below assume" 64 Race_table.slots;
+  check_listing ~report_adds:2
+    (fun () ->
+      let b = Fj.alloc_f 8 in
+      Fj.spawn (fun () -> List.iter (fun i -> Membuf.set_f b i 1.0) [ 0; 2; 4 ]);
+      for _ = 1 to 31 do
+        Fj.spawn (fun () -> ())
+      done;
+      List.iter (fun i -> Membuf.set_f b i 2.0) [ 1; 3 ];
+      Fj.spawn (fun () -> ());
+      ignore (Membuf.read_range_f b 0 5);
+      Fj.spawn (fun () -> ());
+      ignore (Membuf.read_range_f b 0 5);
+      Fj.sync ())
+    [
+      "W/R race between strands 1 and 67 at [67108864,67108864]";
+      "W/R race between strands 1 and 69 at [67108864,67108864]";
+    ]
+
 let () =
   Alcotest.run "pint_detect_seq"
     [
@@ -429,6 +549,14 @@ let () =
           Alcotest.test_case "60 seeds vs oracle" `Quick test_random_vs_oracle;
           QCheck_alcotest.to_alcotest detect_qcheck;
         ] );
+      ( "readers",
+        [
+          Alcotest.test_case "left-most reader" `Quick test_leftmost_reader;
+          Alcotest.test_case "right-most reader" `Quick test_rightmost_reader;
+          Alcotest.test_case "series reader replaces" `Quick test_series_reader_replaces;
+        ] );
+      ( "race-table",
+        [ Alcotest.test_case "colliding priors, next strand" `Quick test_race_table_collisions ] );
       ( "plumbing",
         [
           Alcotest.test_case "run stats" `Quick test_counts_and_structure;

@@ -313,10 +313,10 @@ let test_collector_fills_queue () =
   Alcotest.(check (list string)) "races and witnesses" (listing normal) (listing o)
 
 (* Allocation budget of the treap stages, in minor words per strand, on
-   serial captures replayed through pint at one shard: each reader's role
-   steps allocate nothing per record (the bound leaves room for the
-   per-step outcome and the treap arena's doubling), the collector no
-   more than its queue slot's option box, trace hand-off and heap frees. *)
+   serial captures replayed through pint at one shard: no stage's role
+   steps allocate per record, and the collector's enqueue stores the
+   record itself (the bound leaves room for the per-step outcome, the
+   treap arena's doubling and the collector's heap frees). *)
 let check_allocation (w : Workload.t) ~size ~base () =
   let t = capture_at w ~size ~base in
   let d, _ = Option.get (Systems.make_detector "pint") in
@@ -330,7 +330,7 @@ let check_allocation (w : Workload.t) ~size ~base () =
       if not (per_strand <= bound) then
         Alcotest.failf "%s %d/%d: %s allocates %.1f minor words per strand (bound %g)"
           w.Workload.name size base stage per_strand bound)
-    [ ("writer", 45.); ("lreader", 2.); ("rreader", 2.) ]
+    [ ("writer", 2.); ("lreader", 2.); ("rreader", 2.) ]
 
 (* Corruption robustness: a damaged trace must always surface as a clean
    [Tracefile.Error] — never an escaping exception from the parser and

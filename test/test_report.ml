@@ -1,6 +1,7 @@
 (* Report collector tests: deduplication granularity, ordering of [races],
    and thread-safety of concurrent [add] from multiple domains (the
-   situation PINT's writer/reader treap workers create). *)
+   situation PINT's writer/reader treap workers create); and the race
+   table a treap role consults before it sends a pair. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -79,6 +80,50 @@ let test_concurrent_add () =
   in
   check_bool "ordered even after concurrent adds" true (keys = List.sort compare keys)
 
+(* ------------------------------------------------------------ race table *)
+
+let kinds = [ Report.Write_write; Report.Write_read; Report.Read_write ]
+
+(* Priors 5 and 5 + slots share an entry: interleaved within one strand,
+   each evicts the other, so each is sent again after the other, and a
+   repeat with nothing in between is not. *)
+let test_table_collisions () =
+  let t = Race_table.create () in
+  Race_table.next_strand t;
+  let a = 5 and b = 5 + Race_table.slots in
+  let first p = Race_table.first t ~prior:p Report.Write_write in
+  check_bool "a sent" true (first a);
+  check_bool "a again" false (first a);
+  check_bool "b evicts a" true (first b);
+  check_bool "a sent again" true (first a);
+  check_bool "b sent again" true (first b);
+  check_bool "b again" false (first b);
+  check_bool "other kind of a" true (Race_table.first t ~prior:a Report.Read_write);
+  check_bool "b kept" false (first b)
+
+let test_table_kinds () =
+  let t = Race_table.create () in
+  Race_table.next_strand t;
+  List.iter
+    (fun k ->
+      check_bool (Report.kind_to_string k ^ " sent") true (Race_table.first t ~prior:7 k))
+    kinds;
+  List.iter
+    (fun k ->
+      check_bool (Report.kind_to_string k ^ " not again") false (Race_table.first t ~prior:7 k))
+    kinds
+
+let test_table_next_strand () =
+  let t = Race_table.create () in
+  Race_table.next_strand t;
+  List.iter (fun k -> ignore (Race_table.first t ~prior:3 k)) kinds;
+  Race_table.next_strand t;
+  List.iter
+    (fun k ->
+      check_bool (Report.kind_to_string k ^ " sent for the next strand") true
+        (Race_table.first t ~prior:3 k))
+    kinds
+
 let () =
   Alcotest.run "pint_report"
     [
@@ -88,5 +133,11 @@ let () =
           Alcotest.test_case "kinds distinguish" `Quick test_kinds_distinguish;
         ] );
       ("ordering", [ Alcotest.test_case "races sorted" `Quick test_races_ordering ]);
-      ("concurrency", [ Alcotest.test_case "multi-domain add" `Quick test_concurrent_add ])
+      ("concurrency", [ Alcotest.test_case "multi-domain add" `Quick test_concurrent_add ]);
+      ( "race table",
+        [
+          Alcotest.test_case "colliding priors" `Quick test_table_collisions;
+          Alcotest.test_case "three kinds" `Quick test_table_kinds;
+          Alcotest.test_case "next strand" `Quick test_table_next_strand;
+        ] );
     ]
