@@ -72,12 +72,13 @@ let predict_run ~window () =
   let pr = Predict.predict ~window ~observed:o.Replay.races (Predict.Builder.dag b) in
   pr.Predict.diagnostics
 
-(* One real-domain detection run: PINT sharded across micropool domains
-   under Par_exec, wall clock.  Core workers are fixed at 1 so the fork-join
-   side contributes identical work at every shard count; collector
-   backpressure is on (real consumers drain the queue concurrently).  The
-   recorded "domains" is the host's core budget, which the gate's scaling
-   check reads to decide whether this host could scale at all. *)
+(* One real-domain detection run: PINT sharded across group-holder
+   domains under Par_exec, wall clock.  Core workers are fixed at 1, so
+   the shard count alone sets the domain count (each holder also runs
+   strands while its stages are idle); collector backpressure is on (real
+   consumers drain the queue concurrently).  The recorded "domains" is the
+   host's core budget, which the gate's scaling check reads to decide
+   whether this host could scale at all. *)
 let par_run ~shards ~workload ~size ~base () =
   let w = Registry.find workload in
   let inst = w.Workload.make ~size ~base in
@@ -233,10 +234,10 @@ let json_cases =
     ( "replay:heat48:shards",
       [ ("pint/s1", replay_run ~shards:1 "pint"); ("pint/s4", replay_run ~shards:4 "pint") ] );
     (* Real-domain shard sweep: the same heat48/pint configuration under
-       Par_exec, where shard k's {writer,lreader,rreader} triple runs on
-       its own pinned micropool domain.  Core workers are fixed at 1 so the
-       computation side is identical across cases and detection parallelism
-       is the only variable — on a host with >= 4 cores the s4 wall clock
+       Par_exec, where shard k's {writer,lreader,rreader} triple is held by
+       one domain, which runs strands while the triple is idle.  Core
+       workers are fixed at 1 so the shard count is the only variable — on
+       a host with >= 4 cores the s4 wall clock
        must beat s1 (tools/bench_gate --require-scaling asserts exactly
        that; the recorded "domains" diagnostic lets it skip the assertion
        on smaller hosts, where oversubscribed domains can only tie). *)

@@ -46,9 +46,10 @@ let run_one workload detector exec workers domains shards size base racy seed ma
         let clock = match exec with Sim -> Clock.manual () | Seq | Par -> Clock.monotonic in
         Obs.create ~clock ()
   in
-  (* --domains is the real-core budget of a par run: pipeline micropools
-     are taken off the top (shards means cores), whatever remains feeds
-     the core workers unless --workers pins them explicitly *)
+  (* --domains is the real-core budget of a par run: one domain per stage
+     group (shards means cores; each group's holder also runs strands
+     while its stages are idle) is taken off the top, whatever remains
+     feeds the core workers unless --workers pins them explicitly *)
   let domains = Option.value domains ~default:(Domain.recommended_domain_count ()) in
   let bp_rounds = match exec with Par -> Pint_detector.recommended_bp_rounds | Seq | Sim -> 0 in
   let det, stages =
@@ -171,8 +172,8 @@ let workers_arg =
     & opt (some int) None
     & info [ "p"; "workers" ]
         ~doc:
-          "Core workers. Default: 4 under sim; under par, whatever \\$(b,--domains) leaves after \
-           the pipeline micropools (at least 1).")
+          "Core workers. Default: 4 under sim; under par, whatever $(b,--domains) leaves after \
+           the stage-group holders, one per shard (at least 1).")
 
 let domains_arg =
   Arg.(
@@ -180,8 +181,9 @@ let domains_arg =
     & opt (some int) None
     & info [ "domains" ]
         ~doc:
-          "Real-core budget for --exec par: core workers + one micropool domain per shard must \
-           fit in this many domains. Defaults to the machine's recommended domain count.")
+          "Real-core budget for --exec par: core workers + one stage-group holder per shard \
+           (which steps its shard's treap stages and runs strands while they are idle) must fit \
+           in this many domains. Defaults to the machine's recommended domain count.")
 
 let shards_arg =
   Arg.(

@@ -124,7 +124,7 @@ let validate_hist h =
   Itreap.validate h.rreader
 
 (* Workload totals over finished strands.  [finish_strand] bumps them on
-   every core-worker domain at once under [Par_exec], hence atomic. *)
+   every strand-running domain at once under [Par_exec], hence atomic. *)
 type totals = { intervals : int Atomic.t; work : int Atomic.t; raw_events : int Atomic.t }
 
 let make_totals () = { intervals = Atomic.make 0; work = Atomic.make 0; raw_events = Atomic.make 0 }

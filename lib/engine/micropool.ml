@@ -1,11 +1,10 @@
-(* Shard micropools: the fixed stage-to-domain topology of the real
-   executor and of the streaming service (ROADMAP items 1-2, following the
-   pinned-pool pattern of the ebsl OCaml-multicore work).
+(* Shard micropools: the pinned stage-to-domain topology of the streaming
+   service (ROADMAP items 1-2, following the pinned-pool pattern of the
+   ebsl OCaml-multicore work).
 
    K worker domains serve stage groups (for PINT, shard k's {writer,
-   lreader, rreader} treap triple), which may arrive while the pool runs
-   (pint_serve sessions) or all at once (a [Par_exec] run, one worker
-   per group).  A submitted group is assigned to
+   lreader, rreader} treap triple), which arrive while the pool runs (one
+   lease per pint_serve session).  A submitted group is assigned to
    exactly one worker domain and never migrates, so all the single-owner
    state the stages carry (treaps, scratch buffers, consume buffers, AHQ
    cursors, event rings) keeps exactly one writing domain without any
@@ -25,8 +24,6 @@
    calls the lease's [notify], so a waiter can sleep on its own event
    source instead of polling. *)
 
-let park_kind = Ev.park
-
 type lease = {
   l_left : int Atomic.t; (* slots not yet retired; 0 = every stage Done *)
   l_notify : unit -> unit; (* called once, by the worker that takes l_left to 0 *)
@@ -38,13 +35,11 @@ type slot = {
 }
 
 type worker = {
-  w_id : int;
   w_lock : Mutex.t;
   mutable w_incoming : slot list; (* guarded by [w_lock] *)
   w_pending : int Atomic.t; (* |w_incoming|, checked without the lock *)
   w_load : int Atomic.t; (* slots assigned and not yet retired *)
   mutable w_active : slot list; (* worker-domain private *)
-  w_ring : Evring.t;
   mutable w_parks : int;
 }
 
@@ -104,28 +99,22 @@ let run_worker stop w =
     else if progressed then idle_rounds := 0
     else begin
       incr idle_rounds;
-      if !idle_rounds = Backoff.yield_round then begin
-        (* entering the parked regime: one instant per park episode,
-           emitted from the worker's own domain into its own ring *)
-        w.w_parks <- w.w_parks + 1;
-        Evring.emit w.w_ring ~kind:park_kind ~arg:w.w_id
-      end;
+      (* entering the parked regime: one park episode *)
+      if !idle_rounds = Backoff.yield_round then w.w_parks <- w.w_parks + 1;
       Backoff.relax !idle_rounds
     end
   done
 
-let shared ?(rings = [||]) k =
+let shared k =
   if k < 1 then invalid_arg "Micropool.shared: need at least one worker";
   let workers =
-    Array.init k (fun i ->
+    Array.init k (fun _ ->
         {
-          w_id = i;
           w_lock = Mutex.create ();
           w_incoming = [];
           w_pending = Atomic.make 0;
           w_load = Atomic.make 0;
           w_active = [];
-          w_ring = (if i < Array.length rings then rings.(i) else Evring.null);
           w_parks = 0;
         })
   in

@@ -6,10 +6,10 @@
     (OWNERSHIP.md) sees one writing domain; each worker steps all the
     groups it holds one {!Pipeline.step} round at a time, backing off
     with {!Backoff} when none of them progresses.  A long-lived service
-    (pint_serve) submits one lease per session; a one-run caller
-    ([Par_exec]) creates [k] workers for [k] groups, submits them as one
-    lease — group [i] lands on worker [i] — and calls {!shutdown} once
-    the run has ended.  See DESIGN.md §13 and
+    (pint_serve) submits one lease per session, and tests that replay a
+    trace onto real domains submit one lease and {!shutdown} the pool
+    after it.  [Par_exec] keeps no pool: each of its stage groups is held
+    by one worker of the run, which also runs strands.  See DESIGN.md
     §14.3. *)
 
 type shared
@@ -17,11 +17,9 @@ type shared
 (** A submission handle: the stage groups of one tenant. *)
 type lease
 
-(** [shared ?rings k] spawns [k] worker domains.  [rings.(i)], when
-    given, is worker [i]'s obs track (park events are emitted into it from
-    the worker's own domain).
+(** [shared k] spawns [k] worker domains.
     @raise Invalid_argument if [k < 1]. *)
-val shared : ?rings:Evring.t array -> int -> shared
+val shared : int -> shared
 
 (** [submit ?notify sh groups] assigns each group to the least-loaded
     worker, ties going round-robin from worker 0, so on a fresh pool of

@@ -7,7 +7,8 @@
     each one that reports [`Done].  {!drive} loops rounds on the calling
     thread until the group finishes — the single-threaded drain used by
     [Detector.drain] — and each
-    {!Micropool} worker runs the same rounds over the groups it holds.
+    {!Micropool} worker runs the same rounds over the groups it holds, as
+    does each [Par_exec] holder over its one group.
     Rounds in which no stage progresses back off exponentially
     ({!Backoff.relax}) instead of spinning on bare [Domain.cpu_relax]. *)
 

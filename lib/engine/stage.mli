@@ -17,8 +17,8 @@
       [minor_words /. records] is the stage's allocation per record.
 
     A stage is single-consumer: it must be driven by one thread at a time
-    (the {!Micropool} worker holding its group, the single-threaded
-    simulator, or a drain loop — never two at once). *)
+    (the {!Micropool} worker or [Par_exec] holder holding its group, the
+    single-threaded simulator, or a drain loop — never two at once). *)
 
 type metrics = {
   mutable steps : int;

@@ -4,8 +4,9 @@
     system: every pipeline stage — PINT's writer treap worker, its reader
     treap workers, any auxiliary loop handed to an executor — reports
     progress through this type, and every scheduler (the group round
-    {!Pipeline.step}, which {!Pipeline.drive} and the {!Micropool} workers
-    loop, and the virtual-time actors of [Sim_exec]) interprets it through
+    {!Pipeline.step}, which {!Pipeline.drive}, the {!Micropool} workers and
+    [Par_exec]'s group holders loop, and the virtual-time actors of
+    [Sim_exec]) interprets it through
     the helpers below.  Step implementations should build results with the
     constructors rather than the raw variant so the representation stays
     private to this library. *)

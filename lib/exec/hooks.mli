@@ -7,13 +7,15 @@
       maintain each record's [raw_reads]/[raw_writes]/[work] ledgers);
     - calls [on_start]/[on_finish] at every strand boundary, with Algorithm-1
       bookkeeping ([pred]/[child]/[is_spawn]) already applied to the records;
-    - calls [on_done] exactly once after the computation (and, for PINT, the
-      executor's simulated/real treap workers) has fully completed. *)
+    - calls [on_done] exactly once, after the computation has completed and
+      every worker has stopped running user code; pipeline stages (PINT's
+      treap workers) finish their backlog after it, since they report
+      [`Done] only once it has fired. *)
 
 type ctx = {
   aspace : Aspace.t;
   sp : Sp_order.t;
-  n_workers : int;  (** number of core workers *)
+  n_workers : int;  (** workers that run strands ([Par_exec]'s group holders included) *)
   current : wid:int -> Srec.t;  (** record currently executing on a worker *)
 }
 

@@ -29,12 +29,14 @@ let strand_cost = function
   | "pint" -> Cost_model.pint_core_cost
   | name -> invalid_arg ("Systems.strand_cost: unknown detector " ^ name)
 
-(* Group a flat stage list into shard micropools for the real-domain
-   executor: stages carrying the same shard index (per the detector's
-   naming authority) share one pool, so each pool domain owns one shard's
-   full {writer, lreader, rreader} triple; stages the parser does not
-   recognize get singleton pools.  Pool order follows first appearance, so
-   [make_detector]'s stage order yields pools in shard order. *)
+(* Group a flat stage list into shard stage groups for the real-domain
+   callers: stages carrying the same shard index (per the detector's
+   naming authority) share one group, so the one domain stepping a group
+   (a [Par_exec] holder, which runs strands while the group is idle, or a
+   pint_serve pool worker) owns one shard's full {writer, lreader,
+   rreader} triple; stages the parser does not recognize get singleton
+   groups.  Group order follows first appearance, so [make_detector]'s
+   stage order yields groups in shard order. *)
 let micropools stages =
   let tbl = Hashtbl.create 8 in
   let order = ref [] in

@@ -53,12 +53,14 @@ val make_detector :
     @raise Invalid_argument for an unknown name. *)
 val strand_cost : string -> Srec.t -> Events.finish_kind -> int
 
-(** [micropools stages] — group a flat stage list into shard micropool
+(** [micropools stages] — group a flat stage list into shard stage
     groups: stages sharing a shard index (per
     {!Pint_detector.role_of_stage_name}) form one group, in shard order;
-    unrecognized stages get singleton groups.  The one grouping every
-    pooled caller uses: [Par_exec.config.pools] and the pint_serve
-    sessions' [Micropool.submit]. *)
+    unrecognized stages get singleton groups.  Each group is stepped by
+    one domain.  The one grouping every real-domain caller uses:
+    [Par_exec.config.pools] (one holder worker per group, which runs
+    strands while its stages are idle) and the pint_serve sessions'
+    [Micropool.submit]. *)
 val micropools : Stage.t list -> Stage.t list list
 
 type measurement = {

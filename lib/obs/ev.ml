@@ -9,7 +9,7 @@ let stall = 4 (* span; writer blocked on a full AHQ *)
 let recycle = 5 (* arg = slots recycled by this cursor advance *)
 let complete = 6 (* all 3N treap workers have processed the strand *)
 let steal = 7 (* worker stole a ditem from a peer deque; arg = victim worker *)
-let park = 8 (* a pool/worker domain entered the deep-backoff sleep regime *)
+let park = 8 (* a worker domain entered the deep-backoff sleep regime *)
 
 let name = function
   | 0 -> "finish"
@@ -33,6 +33,6 @@ let arg_label = function
   | 3 -> "visits"
   | 5 -> "slots"
   | 7 -> "victim"
-  | 8 -> "pool"
+  | 8 -> "worker"
   | 0 | 2 | 6 -> "uid"
   | _ -> "arg"

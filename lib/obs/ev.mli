@@ -15,9 +15,9 @@ val complete : int
     the payload is the victim worker's index. *)
 val steal : int
 
-(** A pool or worker domain entered the deep-backoff park regime (one
-    instant per episode, not per sleep); the payload is the domain's
-    pool/worker index. *)
+(** A [Par_exec] worker (a core worker or a stage-group holder) entered
+    the deep-backoff park regime (one instant per episode, not per sleep);
+    the payload is the worker's index. *)
 val park : int
 
 (** Chrome-trace display name for a kind code. *)

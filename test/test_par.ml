@@ -218,6 +218,105 @@ let test_runs_free_their_fibers () =
   check_bool (Printf.sprintf "20,000 runs grew RSS by %d KB" (grown / 1024)) true
     (grown < 4 * 1024 * 1024)
 
+(* A strand that raises on a worker other than the caller: the child
+   spins until its continuation has been stolen, and the continuation,
+   now on the thief, raises.  Every worker must leave its loop and [run]
+   must re-raise; the kept domains must then serve the next run. *)
+exception Boom
+
+let test_raise_on_thief () =
+  let stolen = Atomic.make false in
+  let prog () =
+    let deadline = Unix.gettimeofday () +. 10. in
+    Fj.spawn (fun () ->
+        while (not (Atomic.get stolen)) && Unix.gettimeofday () < deadline do
+          Domain.cpu_relax ()
+        done;
+        if not (Atomic.get stolen) then failwith "continuation never stolen");
+    Atomic.set stolen true;
+    raise Boom
+  in
+  (match Par_exec.run ~config:(config ~n_workers:2 ()) ~driver:null_driver prog with
+  | _ -> Alcotest.fail "the run returned although a strand raised"
+  | exception Boom -> ());
+  let out = ref 0. in
+  ignore (Par_exec.run ~config:(config ~n_workers:2 ()) ~driver:null_driver (fib_prog 15 out));
+  Alcotest.(check (float 0.)) "fib after a raising run" (float_of_int (fib_ref 15)) !out
+
+(* [k] children, each spinning until [k] children have started: every one
+   of [k] workers must take one, since a worker stays in its child until
+   the last has entered. *)
+let every_worker_prog k () =
+  let entered = Atomic.make 0 in
+  let deadline = Unix.gettimeofday () +. 10. in
+  for _ = 1 to k do
+    Fj.spawn (fun () ->
+        Atomic.incr entered;
+        while Atomic.get entered < k && Unix.gettimeofday () < deadline do
+          Domain.cpu_relax ()
+        done)
+  done;
+  Fj.sync ()
+
+(* The team keeps its domains between runs, up to one fewer than the
+   host's recommended domain count: two runs at one worker count start
+   their strands on the same domains. *)
+let test_domains_reused () =
+  let k = min 3 (Domain.recommended_domain_count ()) in
+  let domains () =
+    let seen = Array.init k (fun _ -> Atomic.make (-1)) in
+    let driver _ctx =
+      {
+        Hooks.null_hooks with
+        on_start = (fun ~wid _ _ -> Atomic.set seen.(wid) (Domain.self () :> int));
+      }
+    in
+    ignore (Par_exec.run ~config:(config ~n_workers:k ()) ~driver (every_worker_prog k));
+    List.sort_uniq compare (Array.to_list (Array.map Atomic.get seen))
+  in
+  let first = domains () in
+  let second = domains () in
+  check_int "every worker started a strand" k (List.length first);
+  Alcotest.(check (list int)) "same domains" first second
+
+(* The domain holding a PINT stage group runs strands whenever its stages
+   are idle, so a run with one core worker steals; what it captures is
+   detected alike by PINT and C-RACER. *)
+let holder_run ~driver p make =
+  let inst = make ~size:64 ~base:16 in
+  Par_exec.run
+    ~config:(config ~n_workers:1 ~pools:(Systems.micropools (Pint_detector.stages p)) ())
+    ~driver inst.Workload.run
+
+let test_holder_runs_strands () =
+  let w = Registry.find "mmul" in
+  let steals = ref 0 in
+  for _ = 1 to 3 do
+    let p = Pint_detector.make () in
+    let d = Pint_detector.detector p in
+    let r = holder_run ~driver:d.Detector.driver p w.Workload.make in
+    check_int "one core worker and one holder" 2 r.Par_exec.n_domains;
+    check_int "race free" 0 (List.length (Detector.races d));
+    steals := !steals + r.Par_exec.n_steals
+  done;
+  check_bool "the holder stole strands" true (!steals > 0)
+
+let test_holder_capture_agrees () =
+  let w = Registry.find "mmul" in
+  let rec capture tries =
+    let p = Pint_detector.make () in
+    let d = Pint_detector.detector p in
+    let driver, finished = Tracefile.capturing d.Detector.driver in
+    let r = holder_run ~driver p (Option.get w.Workload.racy) in
+    if r.Par_exec.n_steals = 0 && tries > 1 then capture (tries - 1) else (r, finished ())
+  in
+  let r, trace = capture 5 in
+  check_bool "the capture holds stolen strands" true (r.Par_exec.n_steals > 0);
+  let pint = Pint_detector.detector (Pint_detector.make ()) and cracer = Cracer.make () in
+  let d = Replay.differential trace pint cracer in
+  check_bool "pint and cracer race sets agree" true (Replay.no_divergence d);
+  check_bool "races found" true (Detector.races cracer <> [])
+
 let () =
   Alcotest.run "pint_par"
     [
@@ -228,6 +327,8 @@ let () =
           Alcotest.test_case "steals happen" `Quick test_steals_on_multiple_domains;
           Alcotest.test_case "one worker is serial" `Quick test_one_worker_is_serial;
           Alcotest.test_case "runs free their fibers" `Quick test_runs_free_their_fibers;
+          Alcotest.test_case "raise on a thief" `Quick test_raise_on_thief;
+          Alcotest.test_case "domains reused" `Quick test_domains_reused;
         ] );
       ( "detectors",
         [
@@ -237,5 +338,7 @@ let () =
           Alcotest.test_case "pint clean" `Quick test_pint_on_domains_clean;
           Alcotest.test_case "pint random equivalence" `Quick test_pint_domains_random_equivalence;
           Alcotest.test_case "heap+frames" `Quick test_par_heap_and_frames;
+          Alcotest.test_case "holder runs strands" `Quick test_holder_runs_strands;
+          Alcotest.test_case "holder capture agrees" `Quick test_holder_capture_agrees;
         ] );
     ]
